@@ -276,8 +276,8 @@ def _cmd_enumerate(args, argv) -> int:
                 if predicate(g):
                     sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
         return EXIT_OK
-    report = census(orders, predicate, args.filter or "all")
     out = _Emitter(argv, args.table, None)
+    report = census(orders, predicate, args.filter or "all")
     if args.output == "census":
         for n in orders:
             rec = {"type": "census", "order": n, "count": report.count(n)}
@@ -464,14 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--table", action="store_true", help="human-readable output")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="cap worker parallelism (accepted for compatibility; evaluation "
-            "is sequential and results are independent of N)",
-        )
 
     p = sub.add_parser("compute", help="compute parameters for input graphs")
     p.add_argument("input", nargs="?", help="graph6 or edge-list file (default stdin)")
@@ -505,8 +497,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
     handler = {
         "compute": _cmd_compute,
         "enumerate": _cmd_enumerate,

@@ -43,10 +43,19 @@ def write_graph6(g: Graph) -> bytes:
     return bytes(out)
 
 
+def _ascii(text: str) -> bytes:
+    # graph6 is pure ASCII; a replacement character such as "?" would be
+    # a valid graph6 byte and silently decode to a different graph
+    try:
+        return text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error(f"non-ASCII character {text[exc.start]!r} in graph6 value") from exc
+
+
 def read_graph6(data: Union[bytes, str]) -> Graph:
     """Decode one short-form graph6 value (optionally header-prefixed)."""
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        data = _ascii(data)
     data = data.strip()
     if data.startswith(_HEADER):
         data = data[len(_HEADER):]
@@ -94,7 +103,7 @@ def read_graph6_stream(source: Union[IO, Iterable, bytes, str]) -> Iterator[Grap
         lines = source
     for line in lines:
         if isinstance(line, str):
-            line = line.encode("ascii", errors="replace")
+            line = _ascii(line)
         line = line.strip()
         if line.startswith(_HEADER):
             line = line[len(_HEADER):]

@@ -1,20 +1,32 @@
 """Code predicates: domination, location, and their combinations.
 
 For a graph G and a vertex subset S (a *code*, an ordered tuple of
-distinct vertices):
+distinct vertices), each of the four properties says that S meets every
+set of one family of vertex sets, its *hitting family*:
 
-* ``is_dominating``: every vertex outside S has a neighbour in S.
-* ``is_locating``: the metric vectors (d(v, x) for x in S) of the
-  vertices outside S are pairwise distinct.  A vertex inside S is the
-  unique vertex at distance 0 from itself, so restricting the pairwise
-  check to V minus S loses nothing; this is the standard resolving-set
-  reading and does not change any minimum value.
-* ``is_mld``: dominating and locating simultaneously.
-* ``is_ld``: every vertex outside S has a nonempty neighbourhood trace
-  N(v) & S, and the traces are pairwise distinct.
+* ``is_dominating`` (gamma): every closed neighbourhood N[v].  Every
+  vertex outside S then has a neighbour in S.
+* ``is_locating`` (beta): for every pair u < v, the set
+  {x : d(x, u) != d(x, v)} of vertices whose distances tell u and v
+  apart.  This set contains u and v themselves, so a pair with a member
+  in S is always met, and the condition reduces to the reading used
+  here: the metric vectors (d(v, x) for x in S) of the vertices outside
+  S are pairwise distinct.  That is the standard resolving-set
+  definition, and no minimum value changes.
+* ``is_mld`` (eta): the union of the two families above, so dominating
+  and locating simultaneously.
+* ``is_ld`` (lambda): every N[v], and for every pair u < v the set
+  {u, v} together with the symmetric difference N(u) ^ N(v).  Every
+  vertex outside S then has a nonempty neighbourhood trace N(v) & S, and
+  the traces of vertices outside S are pairwise distinct.
 
-Empty codes: the empty set dominates nothing (False for any n >= 1) and
-locates only the one-vertex graph (zero-length vectors collide otherwise).
+The exact solvers in :mod:`locdom.solvers` search for the smallest set
+meeting the same families, so a predicate and its solver share one
+definition.
+
+Empty codes: the empty set meets no set, so it dominates nothing (False
+for any n >= 1) and locates only the one-vertex graph, whose beta family
+is empty.
 
 ``is_dominating`` and ``is_ld`` are pure neighbourhood conditions and
 accept any graph; the metric predicates need finite distances and raise
@@ -23,7 +35,7 @@ accept any graph; the metric predicates need finite distances and raise
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import DisconnectedGraphError, Graph
 
@@ -40,23 +52,16 @@ __all__ = [
 Code = tuple[int, ...]
 
 
-def _as_code(g: Graph, code: Iterable[int]) -> Code:
-    code = tuple(code)
-    seen = 0
+def _code_mask(g: Graph, code: Iterable[int]) -> int:
+    """Bitmask of a validated code."""
+    mask = 0
     for v in code:
         if not (isinstance(v, int) and 0 <= v < g.n):
             raise ValueError(f"code member {v!r} outside 0..{g.n - 1}")
         bit = 1 << v
-        if seen & bit:
+        if mask & bit:
             raise ValueError(f"duplicate code member {v}")
-        seen |= bit
-    return code
-
-
-def _mask_of(code: Sequence[int]) -> int:
-    mask = 0
-    for v in code:
-        mask |= 1 << v
+        mask |= bit
     return mask
 
 
@@ -67,86 +72,81 @@ def _dist_rows(g: Graph):
     return dm.rows
 
 
+def _hitting_family(g: Graph, param: str) -> list[int]:
+    """The sets a ``param`` code must meet, as bitmasks, deduplicated and
+    sorted by largest element.
+
+    The metric families (beta, eta) raise
+    :class:`~locdom.graph.DisconnectedGraphError` on disconnected input.
+    """
+    n, rows = g.n, g._rows
+    closed = [rows[v] | (1 << v) for v in range(n)]
+    if param == "gamma":
+        sets = closed
+    elif param == "lambda":
+        sets = closed + [
+            (1 << u) | (1 << v) | (rows[u] ^ rows[v])
+            for u in range(n)
+            for v in range(u + 1, n)
+        ]
+    elif param in ("beta", "eta"):
+        # levels[u][d] is the mask of vertices at distance d from u; the
+        # pair set of u, v is everything outside the per-level overlaps
+        levels = []
+        for row in _dist_rows(g):
+            level = [0] * (max(row) + 1)
+            for x, d in enumerate(row):
+                level[d] |= 1 << x
+            levels.append(level)
+        full = (1 << n) - 1
+        sets = []
+        for u in range(n):
+            for v in range(u + 1, n):
+                same = 0
+                for a, b in zip(levels[u], levels[v]):
+                    same |= a & b
+                sets.append(full ^ same)
+        if param == "eta":
+            sets += closed
+    else:
+        raise ValueError(
+            f"unknown parameter {param!r}; expected one of gamma, beta, eta, lambda"
+        )
+    # an integer's value orders first by its highest bit
+    return sorted(set(sets))
+
+
+def _hits(g: Graph, param: str, code: Iterable[int]) -> bool:
+    mask = _code_mask(g, code)
+    return all(s & mask for s in _hitting_family(g, param))
+
+
 def metric_vector(g: Graph, code: Iterable[int], v: int) -> tuple[int, ...]:
     """Distances from v to each code member, in the code's fixed order."""
-    code = _as_code(g, code)
+    code = tuple(code)
+    _code_mask(g, code)
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    dist = _dist_rows(g)
-    dv = dist[v]
+    dv = _dist_rows(g)[v]
     return tuple(dv[x] for x in code)
 
 
 def is_dominating(g: Graph, code: Iterable[int]) -> bool:
     """True iff every vertex outside the code has a neighbour in it."""
-    code = _as_code(g, code)
-    mask = cov = 0
-    rows = g._rows
-    for v in code:
-        mask |= 1 << v
-        cov |= rows[v]
-    return (cov | mask) == (1 << g.n) - 1
+    return _hits(g, "gamma", code)
 
 
 def is_locating(g: Graph, code: Iterable[int]) -> bool:
     """True iff vertices outside the code have pairwise distinct metric vectors."""
-    code = _as_code(g, code)
-    dist = _dist_rows(g)
-    return _locates(dist, g.n, _mask_of(code), code)
+    return _hits(g, "beta", code)
 
 
 def is_mld(g: Graph, code: Iterable[int]) -> bool:
     """Dominating and locating at once."""
-    code = _as_code(g, code)
-    return is_dominating(g, code) and _locates(
-        _dist_rows(g), g.n, _mask_of(code), code
-    )
+    return _hits(g, "eta", code)
 
 
 def is_ld(g: Graph, code: Iterable[int]) -> bool:
     """True iff neighbourhood traces outside the code are nonempty and
     pairwise distinct."""
-    code = _as_code(g, code)
-    return _ld_ok(g._rows, g.n, _mask_of(code))
-
-
-# -- fast inner checks (shared with the exact solvers) --------------------
-
-
-def _locates(dist, n: int, mask: int, code: Sequence[int], shift: int = 0) -> bool:
-    # metric vectors packed as integers; distances are < n, so n's bit
-    # length is a collision-free field width
-    if not shift:
-        shift = max(1, (n - 1).bit_length())
-    seen = set()
-    for v in range(n):
-        if (mask >> v) & 1:
-            continue
-        dv = dist[v]
-        key = 0
-        for x in code:
-            key = (key << shift) | dv[x]
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
-
-
-def _ld_ok(rows, n: int, mask: int) -> bool:
-    seen = set()
-    for v in range(n):
-        if (mask >> v) & 1:
-            continue
-        t = rows[v] & mask
-        if not t or t in seen:
-            return False
-        seen.add(t)
-    return True
-
-
-def _dominates(rows, full: int, code: Sequence[int]) -> bool:
-    mask = cov = 0
-    for v in code:
-        mask |= 1 << v
-        cov |= rows[v]
-    return (cov | mask) == full
+    return _hits(g, "lambda", code)

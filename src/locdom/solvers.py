@@ -1,11 +1,26 @@
 """Exact solvers for the four location/domination parameters.
 
-Each solver scans subset cardinalities k = 1, 2, ... and, within a
-cardinality, enumerates k-subsets in lexicographic order, returning the
-first satisfying subset.  The exhaustive pass over all smaller subsets is
-the optimality certificate, and the lexicographically least witness makes
-results reproducible.  There is no ILP/SAT backend by design: this search
-is the oracle every other component is measured against.
+Each parameter is the least size of a code that meets every set of its
+hitting family (:func:`locdom.predicates._hitting_family`, the same
+definition the predicates use).  The solver tries k = 1, 2, ... and, for
+each k, runs one depth-first search over k-subsets in lexicographic
+order.  The search cuts a branch only where no completion can meet every
+set:
+
+* the next pick is at most the smallest largest element among the sets
+  not yet met, since picks only grow and that set would stay unmet;
+* with one pick left, it takes the lowest vertex above the last pick in
+  the intersection of the unmet sets;
+* once every set is met, the remaining picks are the next consecutive
+  vertices, the lexicographically least completion.
+
+A search that finds nothing has therefore exhausted every k-subset, so
+every smaller k is exhausted when a code of size k is returned; that is
+the optimality certificate.  The first code found is the one an
+exhaustive lexicographic scan of the k-subsets would accept first, so
+the witness is the lexicographically least optimal code and results are
+reproducible.  There is no ILP/SAT backend by design: this search is
+the oracle every other component is measured against.
 
 ``full_report`` seeds the eta search at max(gamma, beta) and the lambda
 search at eta (both are valid lower bounds by the inequality chain
@@ -18,12 +33,12 @@ silently swallowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Optional
+from functools import lru_cache, reduce
+from operator import and_
+from typing import Optional
 
 from .graph import DisconnectedGraphError, Graph
-from .predicates import Code, _dominates, _ld_ok, _locates
+from .predicates import Code, _hitting_family
 
 __all__ = [
     "InvariantViolation",
@@ -68,39 +83,25 @@ class ParameterReport:
         return getattr(self, f"witness_{param.rstrip('_')}")
 
 
-def _accept_fn(g: Graph, param: str) -> Callable[[tuple[int, ...]], bool]:
-    rows = g._rows
-    n = g.n
-    full = (1 << n) - 1
-    if param == "gamma":
-        return lambda combo: _dominates(rows, full, combo)
-    if param == "lambda":
-        def ld(combo):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            return _ld_ok(rows, n, mask)
-        return ld
-    dist = g.distance_matrix().rows
-    shift = max(1, (n - 1).bit_length())
-    if param == "beta":
-        def loc(combo):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            return _locates(dist, n, mask, combo, shift)
-        return loc
-    if param == "eta":
-        def mld(combo):
-            mask = cov = 0
-            for v in combo:
-                mask |= 1 << v
-                cov |= rows[v]
-            if (cov | mask) != full:
-                return False
-            return _locates(dist, n, mask, combo, shift)
-        return mld
-    raise ValueError(f"unknown parameter {param!r}; expected one of {PARAMETERS}")
+def _least_hitting_set(sets: list[int], n: int, k: int) -> Optional[Code]:
+    """Lexicographically least k-subset of range(n) that meets every mask in
+    ``sets`` (sorted by largest element), or None when there is none."""
+
+    def search(unmet: list[int], lo: int, left: int) -> Optional[Code]:
+        # picks so far are all below lo, and lo + left <= n
+        if not unmet:
+            return tuple(range(lo, lo + left))
+        if left == 1:
+            common = reduce(and_, unmet) >> lo << lo
+            return ((common & -common).bit_length() - 1,) if common else None
+        for v in range(lo, min(unmet[0].bit_length(), n - left + 1)):
+            bit = 1 << v
+            found = search([s for s in unmet if not s & bit], v + 1, left - 1)
+            if found is not None:
+                return (v,) + found
+        return None
+
+    return search(sets, 0, k)
 
 
 def _require_connected(g: Graph, param: str) -> None:
@@ -123,13 +124,13 @@ def minimum_code(
     is dominating, locating and locating-dominating.
     """
     _require_connected(g, param)
-    accept = _accept_fn(g, param)
+    sets = _hitting_family(g, param)
     n = g.n
     hi = n if k_max is None else min(k_max, n)
     for k in range(max(k_min, 1), hi + 1):
-        for combo in combinations(range(n), k):
-            if accept(combo):
-                return k, combo
+        code = _least_hitting_set(sets, n, k)
+        if code is not None:
+            return k, code
     if k_max is None:
         raise InvariantViolation(
             f"no {param} code found up to k = {n}; the full vertex set must qualify"

@@ -177,6 +177,12 @@ def check_lambda_bounds(g: Graph) -> Verdict:
     return _combine(name, _scope_of(g), parts, detail)
 
 
+def _eta_lambda(g: Graph, eta_floor: int = 1) -> tuple[int, int]:
+    """(eta, lambda), with the lambda search seeded at eta <= lambda."""
+    eta = minimum_code(g, "eta", k_min=eta_floor)[0]
+    return eta, minimum_code(g, "lambda", k_min=eta)[0]
+
+
 def _is_p6(g: Graph) -> bool:
     return g.n == 6 and g.is_tree() and g.diameter() == 5
 
@@ -188,8 +194,7 @@ def check_tree_bounds(g: Graph) -> Verdict:
         raise ValueError("check_tree_bounds requires a tree")
     if g.n < 3:
         return _skipped(name, _scope_of(g), f"hypothesis unmet: order {g.n} < 3")
-    eta = minimum_code(g, "eta")[0]
-    lam = minimum_code(g, "lambda", k_min=eta)[0]
+    eta, lam = _eta_lambda(g)
     detail = f"eta={eta} lambda={lam}"
     if _is_p6(g):
         exception = "violates upper bound" if lam > 2 * eta - 2 else "within bounds"
@@ -217,8 +222,7 @@ def check_eta_equals_lambda_conditions(g: Graph) -> Verdict:
         return _skipped(
             name, _scope_of(g), f"hypothesis unmet: D={d} != 2 and beta={beta} < n-3"
         )
-    eta = minimum_code(g, "eta", k_min=beta)[0]
-    lam = minimum_code(g, "lambda", k_min=eta)[0]
+    eta, lam = _eta_lambda(g, beta)
     detail = f"D={d} beta={beta} eta={eta} lambda={lam}"
     if eta == lam:
         return _holds(name, _scope_of(g), detail)
@@ -420,8 +424,7 @@ def verify_tree_realization(a: int, b: int) -> Verdict:
     if not 3 <= a <= b <= 2 * a - 2:
         return _skipped(name, scope, "outside theorem scope: need 3 <= a <= b <= 2a-2")
     inst = families.realization_tree(a, b)
-    eta = minimum_code(inst.graph, "eta")[0]
-    lam = minimum_code(inst.graph, "lambda", k_min=eta)[0]
+    eta, lam = _eta_lambda(inst.graph)
     detail = f"{inst.name}: n={inst.graph.n} computed (eta,lambda)=({eta},{lam})"
     if (eta, lam) == (a, b):
         return _holds(name, scope, detail)
@@ -453,19 +456,19 @@ def sweep(
     return _holds(theorem, scope, reason)
 
 
-def _connected_range(lo: int, hi: int) -> Iterable[Graph]:
-    for n in range(lo, hi + 1):
-        yield from connected_graphs(n)
-
-
-def _tree_range(lo: int, hi: int) -> Iterable[Graph]:
-    for n in range(lo, hi + 1):
-        yield from tree_classes(n)
+def _sweep_source(
+    graphs: Optional[Iterable[Graph]], lo: int, hi: int, trees: bool = False
+) -> tuple[Iterable[Graph], str]:
+    """The graphs a sweep runs over, and its scope: the supplied stream, or
+    every connected graph (or tree) class of order lo..hi."""
+    if graphs is not None:
+        return graphs, "supplied graphs"
+    make, kind = (tree_classes, "trees") if trees else (connected_graphs, "connected graphs")
+    return (g for n in range(lo, hi + 1) for g in make(n)), f"{kind}, {lo} <= n <= {hi}"
 
 
 def _run_prop1(n_max, graphs):
-    src = graphs if graphs is not None else _connected_range(2, n_max)
-    scope = "supplied graphs" if graphs is not None else f"connected graphs, 2 <= n <= {n_max}"
+    src, scope = _sweep_source(graphs, 2, n_max)
     return sweep(check_inequality_chain, src, "inequality-chain", scope)
 
 
@@ -476,8 +479,7 @@ def _tightness_part(name, scope, condition, detail):
 
 
 def _run_eta_bounds(n_max, graphs):
-    src = graphs if graphs is not None else _connected_range(2, n_max)
-    scope = "supplied graphs" if graphs is not None else f"connected graphs, 2 <= n <= {n_max}"
+    src, scope = _sweep_source(graphs, 2, n_max)
     parts = [sweep(check_eta_bounds, src, "eta-bounds", scope)]
     for k in (2, 3, 4):
         g = families.path(3 * k).graph
@@ -506,8 +508,7 @@ def _run_eta_bounds(n_max, graphs):
 
 
 def _run_lambda_bounds(n_max, graphs):
-    src = graphs if graphs is not None else _connected_range(2, n_max)
-    scope = "supplied graphs" if graphs is not None else f"connected graphs, 2 <= n <= {n_max}"
+    src, scope = _sweep_source(graphs, 2, n_max)
     parts = [sweep(check_lambda_bounds, src, "lambda-bounds", scope)]
     p5 = families.path(5).graph
     lam = minimum_code(p5, "lambda")[0]
@@ -524,13 +525,11 @@ def _run_lambda_bounds(n_max, graphs):
 
 def _run_tree_bounds(n_max, graphs):
     n_max = 12 if n_max is None else n_max
-    src = graphs if graphs is not None else _tree_range(3, n_max)
-    scope = "supplied graphs" if graphs is not None else f"trees, 3 <= n <= {n_max}"
+    src, scope = _sweep_source(graphs, 3, n_max, trees=True)
     parts = [sweep(check_tree_bounds, src, "tree-bounds", scope)]
     for k in (2, 3, 4):
         low = families.spider_k3(k)
-        eta = minimum_code(low.graph, "eta")[0]
-        lam = minimum_code(low.graph, "lambda", k_min=eta)[0]
+        eta, lam = _eta_lambda(low.graph)
         parts.append(
             _tightness_part(
                 "tree-bounds/lower-attained",
@@ -540,8 +539,7 @@ def _run_tree_bounds(n_max, graphs):
             )
         )
         high = families.spider_k4(k)
-        eta = minimum_code(high.graph, "eta")[0]
-        lam = minimum_code(high.graph, "lambda", k_min=eta)[0]
+        eta, lam = _eta_lambda(high.graph)
         parts.append(
             _tightness_part(
                 "tree-bounds/upper-attained",
@@ -554,21 +552,18 @@ def _run_tree_bounds(n_max, graphs):
 
 
 def _run_eta_lambda(n_max, graphs):
-    src = graphs if graphs is not None else _connected_range(2, n_max)
-    scope = "supplied graphs" if graphs is not None else f"connected graphs, 2 <= n <= {n_max}"
+    src, scope = _sweep_source(graphs, 2, n_max)
     return sweep(check_eta_equals_lambda_conditions, src, "eta-equals-lambda", scope)
 
 
 def _run_eta2(n_max, graphs):
     n_max = 8 if n_max is None else min(n_max, 8)
-    src = graphs if graphs is not None else _connected_range(2, n_max)
-    scope = "supplied graphs" if graphs is not None else f"connected graphs, 2 <= n <= {n_max}"
+    src, scope = _sweep_source(graphs, 2, n_max)
     return sweep(check_eta2_membership, src, "eta2-membership", scope)
 
 
 def _run_lambda_extremal(n_max, graphs):
-    src = graphs if graphs is not None else _connected_range(3, n_max)
-    scope = "supplied graphs" if graphs is not None else f"connected graphs, 3 <= n <= {n_max}"
+    src, scope = _sweep_source(graphs, 3, n_max)
     return sweep(check_lambda_extremal, src, "lambda-extremal", scope)
 
 

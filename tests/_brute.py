@@ -74,26 +74,34 @@ def brute_ld(adj, n, subset) -> bool:
     return len(traces) == len(set(traces))
 
 
-def brute_minimum(g: Graph, param: str):
-    """(size, lexicographically least witness) by unseeded exhaustive scan."""
+def brute_accept(g: Graph, param: str):
+    """The definition of a ``param`` code, as a predicate on vertex tuples."""
     n = g.n
     adj = adjacency(g)
     dist = all_distances(g)
     if param == "gamma":
-        accept = lambda s: brute_dominating(adj, n, s)
-    elif param == "beta":
-        accept = lambda s: brute_locating(dist, n, s)
-    elif param == "eta":
-        accept = lambda s: brute_dominating(adj, n, s) and brute_locating(dist, n, s)
-    elif param == "lambda":
-        accept = lambda s: brute_ld(adj, n, s)
-    else:
-        raise ValueError(param)
-    for k in range(1, n + 1):
-        for subset in combinations(range(n), k):
+        return lambda s: brute_dominating(adj, n, s)
+    if param == "beta":
+        return lambda s: brute_locating(dist, n, s)
+    if param == "eta":
+        return lambda s: brute_dominating(adj, n, s) and brute_locating(dist, n, s)
+    if param == "lambda":
+        return lambda s: brute_ld(adj, n, s)
+    raise ValueError(param)
+
+
+def brute_minimum(g: Graph, param: str, k_min: int = 1, k_max=None):
+    """(size, lexicographically least witness) by unseeded exhaustive scan
+    over the sizes k_min..k_max, or None when k_max is given and no code
+    of those sizes exists."""
+    accept = brute_accept(g, param)
+    for k in range(k_min, (g.n if k_max is None else k_max) + 1):
+        for subset in combinations(range(g.n), k):
             if accept(subset):
                 return k, subset
-    raise AssertionError("the full vertex set must qualify")
+    if k_max is None:
+        raise AssertionError("the full vertex set must qualify")
+    return None
 
 
 def brute_parameters(g: Graph) -> dict[str, int]:

@@ -10,10 +10,10 @@ from locdom.families import path, complete
 P6_EDGE_LIST = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 
 
-def run_cli(capsys, argv, stdin: str = ""):
+def run_cli(capsys, argv, stdin: str | bytes = ""):
     import sys
 
-    buffer = io.BytesIO(stdin.encode())
+    buffer = io.BytesIO(stdin if isinstance(stdin, bytes) else stdin.encode())
     old = sys.stdin
     sys.stdin = io.TextIOWrapper(buffer)
     try:
@@ -61,6 +61,14 @@ class TestCompute:
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["compute", "-", "--format", "g6"], stdin="@@@bad***\n")
         assert code == 2
+
+    @pytest.mark.parametrize("blob", [b"C\xc3\xa9\n", b"C\xff\n"])
+    def test_non_ascii_graph6_exits_2(self, capsys, blob):
+        # a replacement "?" would turn "C" plus one byte into the valid
+        # (disconnected) graph6 value "C?"
+        code, _, err = run_cli(capsys, ["compute", "-"], stdin=blob)
+        assert code == 2
+        assert "non-ASCII" in err
 
     def test_empty_input_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["compute", "-"], stdin="")
@@ -234,10 +242,10 @@ class TestDeterminismAndManifest:
         assert recs[-1]["type"] == "summary"
         return recs[:-1]
 
-    def test_identical_payload_across_runs_and_jobs(self, capsys):
+    def test_identical_payload_across_runs(self, capsys):
         argv = ["enumerate", "--n", "3..5", "--filter", "eta=2", "--output", "census"]
-        _, out1, _ = run_cli(capsys, argv + ["--jobs", "1"])
-        _, out2, _ = run_cli(capsys, argv + ["--jobs", "4"])
+        _, out1, _ = run_cli(capsys, argv)
+        _, out2, _ = run_cli(capsys, argv)
         assert self.payload(out1) == self.payload(out2)
 
     def test_manifest_fields(self, capsys):
@@ -248,9 +256,23 @@ class TestDeterminismAndManifest:
         assert manifest["input_sha256"] is None
         assert manifest["wall_time_s"] >= 0
 
-    def test_jobs_must_be_positive(self, capsys):
+    def test_enumerate_wall_time_covers_the_census(self, capsys, monkeypatch):
+        import time
+
+        import locdom.cli as cli_mod
+
+        def slow_census(*args):
+            time.sleep(0.2)
+            return census(*args)
+
+        census = cli_mod.census
+        monkeypatch.setattr(cli_mod, "census", slow_census)
+        _, out, _ = run_cli(capsys, ["enumerate", "--n", "3", "--output", "census"])
+        assert records(out)[-1]["manifest"]["wall_time_s"] >= 0.2
+
+    def test_jobs_option_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--n", "3", "--jobs", "0"])
+            main(["enumerate", "--n", "3", "--jobs", "1"])
         assert exc.value.code == 2
 
     def test_table_mode(self, capsys):

@@ -155,6 +155,10 @@ class TestGraph6:
             read_graph6(b"A~")  # nonzero padding bits for n=2
         with pytest.raises(Graph6Error):
             read_graph6(b"\x1f")  # order byte out of range
+        with pytest.raises(Graph6Error):
+            read_graph6("Cé")  # non-ASCII text, not "C?"
+        with pytest.raises(Graph6Error):
+            list(read_graph6_stream(["A_", "Cé"]))
 
     def test_write_rejects_large_graphs(self):
         with pytest.raises(Graph6Error):
