@@ -5,7 +5,7 @@ this script recomputes each claim with the exhaustive solver and prints a
 side-by-side table.  A mismatch would be a bug in one or the other.
 """
 
-from locdom import minimum_code
+from locdom import PARAMETERS, minimum_code
 from locdom.families import complete, complete_bipartite, cycle, path, star, wheel
 
 instances = (
@@ -19,16 +19,7 @@ instances = (
 
 print(f"{'family':24s} {'n':>3s}  {'claimed':28s} {'computed':28s}")
 for inst in instances:
-    computed = {}
-    k_min = 1
-    for param in ("gamma", "beta", "eta", "lambda"):
-        if param == "eta":
-            k_min = max(computed.get("gamma", 1), computed.get("beta", 1))
-        elif param == "lambda":
-            k_min = computed.get("eta", 1)
-        else:
-            k_min = 1
-        computed[param] = minimum_code(inst.graph, param, k_min=k_min)[0]
+    computed = {p: minimum_code(inst.graph, p)[0] for p in PARAMETERS}
     claimed = " ".join(f"{k[0]}={v}" for k, v in sorted(inst.claimed_values.items()))
     derived = " ".join(f"{k[0]}={computed[k]}" for k in sorted(inst.claimed_values))
     flag = "" if all(computed[k] == v for k, v in inst.claimed_values.items()) else "  <-- MISMATCH"

@@ -31,7 +31,7 @@ print("\nThe tree counterexample, up close:")
 spider441 = read_graph6("IsO_OGA?O")
 print("  edges:", spider441.edges())
 eta, eta_code = minimum_code(spider441, "eta")
-lam, lam_code = minimum_code(spider441, "lambda", k_min=eta)
+lam, lam_code = minimum_code(spider441, "lambda")
 print(f"  eta = {eta} (witness {eta_code}), lambda = {lam} (witness {lam_code})")
 print(f"  2*eta - 2 = {2 * eta - 2} < lambda: each 4-edge leg needs two")
 print("  locating-dominating vertices of its own, and the pendant leaf a third resource.")

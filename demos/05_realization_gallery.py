@@ -31,6 +31,6 @@ for a in range(3, 6):
     for b in range(a, 2 * a - 1):
         inst = realization_tree(a, b)
         eta = minimum_code(inst.graph, "eta")[0]
-        lam = minimum_code(inst.graph, "lambda", k_min=eta)[0]
+        lam = minimum_code(inst.graph, "lambda")[0]
         mark = "ok" if (eta, lam) == (a, b) else "MISMATCH"
         print(f"  ({a},{b}): {inst.name:24s} n={inst.graph.n:2d}  measured ({eta},{lam})  {mark}")

@@ -43,6 +43,7 @@ from .graph6 import Graph6Error, read_graph6
 from .solvers import (
     InvariantViolation,
     PARAMETERS,
+    _OPS,
     full_report,
     minimum_code,
     parameter_satisfies,
@@ -80,13 +81,13 @@ def _parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise _InputError("empty edge-list input")
-    if not re.fullmatch(r"\d+", lines[0]):
+    if not re.fullmatch(r"[0-9]+", lines[0]):
         raise _InputError(f"edge list must start with the vertex count, got {lines[0]!r}")
     n = int(lines[0])
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2 or not all(re.fullmatch(r"\d+", p) for p in parts):
+        if len(parts) != 2 or not all(re.fullmatch(r"[0-9]+", p) for p in parts):
             raise _InputError(f"bad edge line {ln!r}; expected 'u v'")
         edges.append((int(parts[0]), int(parts[1])))
     try:
@@ -101,7 +102,7 @@ def _parse_graphs(data: bytes, fmt: str) -> list[tuple[int, Graph]]:
     stripped = [ln.strip() for ln in text.splitlines()]
     if fmt == "auto":
         first = next((ln for ln in stripped if ln), "")
-        fmt = "edges" if re.fullmatch(r"\d+", first) else "g6"
+        fmt = "edges" if re.fullmatch(r"[0-9]+", first) else "g6"
     if fmt == "edges":
         return [(1, _parse_edge_list(text))]
     out = []
@@ -120,18 +121,8 @@ def _parse_graphs(data: bytes, fmt: str) -> list[tuple[int, Graph]]:
 # -- filter grammar ----------------------------------------------------------
 
 _TERM_RE = re.compile(
-    r"^\s*(gamma|beta|eta|lambda|n|diam)\s*(<=|>=|==|!=|=|<|>)\s*(\d+)\s*$"
+    r"^\s*(gamma|beta|eta|lambda|n|diam)\s*(<=|>=|==|!=|=|<|>)\s*([0-9]+)\s*$"
 )
-
-_OPS: dict[str, Callable[[int, int], bool]] = {
-    "=": lambda a, b: a == b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-}
 
 
 def _parse_filter(expr: str) -> Callable[[Graph], bool]:
@@ -169,7 +160,7 @@ def _parse_filter(expr: str) -> Callable[[Graph], bool]:
 
 
 def _parse_order_range(text: str) -> range:
-    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text.strip())
+    m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text.strip())
     if not m:
         raise _InputError(f"bad order range {text!r}; expected N or A..B")
     lo = int(m.group(1))
@@ -177,6 +168,13 @@ def _parse_order_range(text: str) -> range:
     if hi < lo:
         raise _InputError(f"bad order range {text!r}: {hi} < {lo}")
     return range(lo, hi + 1)
+
+
+def _ascii_int(text: str) -> int:
+    # int() alone would also read digits of other scripts, such as '٣'
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
 # -- output ------------------------------------------------------------------
@@ -295,7 +293,7 @@ def _family_instance(name: str, params: list[str]) -> families.FamilyInstance:
     def ints(expected=None):
         vals = []
         for p in params:
-            if not re.fullmatch(r"-?\d+", p):
+            if not re.fullmatch(r"-?[0-9]+", p):
                 raise _InputError(f"family {name!r} expects integer parameters, got {p!r}")
             vals.append(int(p))
         if expected is not None and len(vals) != expected:
@@ -332,9 +330,8 @@ def _family_instance(name: str, params: list[str]) -> families.FamilyInstance:
         if name == "eta-extremal":
             if len(params) != 3:
                 raise _InputError("family 'eta-extremal' expects KIND R S")
-            kind = params[0]
-            r, s = (int(p) for p in params[1:])
-            return families.eta_n_minus_2_family(kind, r, s)
+            kind, params = params[0], params[1:]
+            return families.eta_n_minus_2_family(kind, *ints(2))
         if name == "realization":
             return families.realization_graph(*ints(3))
         if name == "realization-tree":
@@ -486,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run theorem checkers")
     p.add_argument("theorem", help=f"one of: all, {', '.join(THEOREM_IDS)}")
-    p.add_argument("--n-max", type=int, dest="n_max", help="cap the sweep order")
+    p.add_argument("--n-max", type=_ascii_int, dest="n_max", help="cap the sweep order")
     p.add_argument("--input", help="verify over a graph6 stream instead of enumerating")
     common(p)
 

@@ -9,8 +9,9 @@ arises from deleting a vertex of a connected spanning structure, so each
 isomorphism class is produced exactly once.  Class counts for n = 1..8
 are (1, 1, 2, 6, 21, 112, 853, 11117).
 
-Trees get a dedicated generator (leaf augmentation) because the theorem
-sweeps need them up to n = 12, beyond the general enumeration range.
+Trees are generated by the same augmentation restricted to one-vertex
+neighbourhoods (leaf augmentation), because the theorem sweeps need them
+up to n = 12, beyond the general enumeration range.
 
 The graph6 codec lives in :mod:`locdom.graph6` and is re-exported here.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .canonical import automorphism_generators, canonical_form
 from .graph import Graph
@@ -65,44 +66,50 @@ def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
     return out
 
 
-def _extension_masks(parent: Graph) -> Iterable[int]:
-    """Nonempty neighbourhood masks, one per parent-automorphism orbit."""
-    total = 1 << parent.n
+def _extension_masks(parent: Graph, candidates: Sequence[int]) -> Sequence[int]:
+    """The candidate neighbourhood masks, one per orbit of the parent's
+    automorphisms: the first candidate met in each orbit."""
     gens = automorphism_generators(parent)
     if not gens:
-        return range(1, total)
+        return candidates
     reps = []
-    seen = bytearray(total)
-    for m in range(1, total):
-        if seen[m]:
+    seen = set()
+    for m in candidates:
+        if m in seen:
             continue
         reps.append(m)
         stack = [m]
-        seen[m] = 1
+        seen.add(m)
         while stack:
             cur = stack.pop()
             for p in gens:
                 img = _permute_mask(cur, p)
-                if not seen[img]:
-                    seen[img] = 1
+                if img not in seen:
+                    seen.add(img)
                     stack.append(img)
     return reps
 
 
-@lru_cache(maxsize=None)
-def _connected_classes(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph(1),)
+def _children(parents: Iterable[Graph], candidates: Sequence[int]) -> tuple[Graph, ...]:
+    """One graph per isomorphism class among the parents extended by a
+    vertex with a candidate neighbourhood, each the first one generated."""
     out = []
     seen = set()
-    for parent in _connected_classes(n - 1):
-        for mask in _extension_masks(parent):
+    for parent in parents:
+        for mask in _extension_masks(parent, candidates):
             child = _extend(parent, mask)
             key = canonical_form(child)
             if key not in seen:
                 seen.add(key)
                 out.append(child)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _connected_classes(n: int) -> tuple[Graph, ...]:
+    if n == 1:
+        return (Graph(1),)
+    return _children(_connected_classes(n - 1), range(1, 1 << (n - 1)))
 
 
 def connected_graphs(n: int) -> Iterator[Graph]:
@@ -130,16 +137,7 @@ def connected_graph_count(n: int) -> int:
 def _tree_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
-    out = []
-    seen = set()
-    for parent in _tree_classes(n - 1):
-        for v in range(parent.n):
-            child = _extend(parent, 1 << v)
-            key = canonical_form(child)
-            if key not in seen:
-                seen.add(key)
-                out.append(child)
-    return tuple(out)
+    return _children(_tree_classes(n - 1), [1 << v for v in range(n - 1)])
 
 
 def tree_classes(n: int) -> tuple[Graph, ...]:

@@ -7,7 +7,7 @@ checks and subset tests are single word-level operations for the graph
 sizes this library targets (n up to a few dozen).
 
 Graphs are immutable and hashable; derived data (all-pairs distances,
-canonical form) is cached on the instance after first computation, which
+canonical form, proven parameter minima) is cached on the instance, which
 is semantically invisible.  Disconnected graphs are representable, but
 operations that need connectivity raise :class:`DisconnectedGraphError`.
 """
@@ -95,7 +95,7 @@ def _bfs_row(rows: Sequence[int], n: int, src: int) -> tuple[int, ...]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows", "_nbrs", "_dist", "_canon", "_hash")
+    __slots__ = ("n", "_rows", "_nbrs", "_dist", "_canon", "_minima")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 1:
@@ -113,7 +113,7 @@ class Graph:
         self._nbrs = None
         self._dist = None
         self._canon = None
-        self._hash = None
+        self._minima = None
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -129,7 +129,7 @@ class Graph:
         g._nbrs = None
         g._dist = None
         g._canon = None
-        g._hash = None
+        g._minima = None
         return g
 
     # -- basic queries -------------------------------------------------
@@ -204,9 +204,7 @@ class Graph:
         return self.n == other.n and self._rows == other._rows
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self._rows))
-        return self._hash
+        return hash((self.n, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.edges()!r})"

@@ -22,19 +22,19 @@ the witness is the lexicographically least optimal code and results are
 reproducible.  There is no ILP/SAT backend by design: this search is
 the oracle every other component is measured against.
 
-``full_report`` seeds the eta search at max(gamma, beta) and the lambda
-search at eta (both are valid lower bounds by the inequality chain
-max(gamma, beta) <= eta <= min(gamma + beta, lambda)), then asserts the
-chain on the computed values; a violation raises
-:class:`InvariantViolation`, which signals a solver bug and is never
-silently swallowed.
+Each graph keeps its proven minima (``Graph._minima``), which answer
+repeated queries.  A new search starts at the largest lower bound that the
+chain max(gamma, beta) <= eta <= min(gamma + beta, lambda) draws from them,
+so no caller seeds one.  ``full_report`` asserts the chain; a violation
+raises :class:`InvariantViolation`, which signals a solver bug and is
+never silently swallowed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import and_
+from functools import reduce
+from operator import and_, eq, ge, gt, le, lt, ne
 from typing import Optional
 
 from .graph import DisconnectedGraphError, Graph
@@ -55,6 +55,12 @@ __all__ = [
 
 #: Names accepted by :func:`minimum_code` and the CLI filter grammar.
 PARAMETERS = ("gamma", "beta", "eta", "lambda")
+
+# the parameters whose minima bound each parameter from below
+_CHAIN_BELOW = {"eta": ("gamma", "beta"), "lambda": ("gamma", "beta", "eta")}
+
+# the comparison operators of parameter_satisfies and the CLI filter grammar
+_OPS = {"=": eq, "==": eq, "!=": ne, "<=": le, ">=": ge, "<": lt, ">": gt}
 
 
 class InvariantViolation(RuntimeError):
@@ -121,15 +127,26 @@ def minimum_code(
     Returns (k, witness) with the lexicographically least witness of the
     minimum size, or None when no code of size <= k_max exists.  With the
     default k_max (the whole vertex set) a result is guaranteed: V itself
-    is dominating, locating and locating-dominating.
+    is dominating, locating and locating-dominating.  A proven minimum is
+    kept on the graph and answers every later query with k_min up to it.
     """
+    if param not in PARAMETERS:
+        raise ValueError(f"unknown parameter {param!r}; expected one of {PARAMETERS}")
     _require_connected(g, param)
+    known = g._minima or {}
+    if param in known and k_min <= known[param][0]:
+        k, code = known[param]
+        return (k, code) if k_max is None or k <= k_max else None
+    below = _CHAIN_BELOW.get(param, ())
+    floor = max((known[p][0] for p in below if p in known), default=1)
     sets = _hitting_family(g, param)
     n = g.n
     hi = n if k_max is None else min(k_max, n)
-    for k in range(max(k_min, 1), hi + 1):
+    for k in range(max(k_min, floor), hi + 1):
         code = _least_hitting_set(sets, n, k)
         if code is not None:
+            if k_min <= floor:  # no smaller code exists: k is the minimum
+                g._minima = {**known, param: (k, code)}
             return k, code
     if k_max is None:
         raise InvariantViolation(
@@ -139,33 +156,23 @@ def minimum_code(
 
 
 def parameter_satisfies(g: Graph, param: str, op: str, value: int) -> bool:
-    """Compare a parameter against a constant, searching only as far as the
-    comparison requires.
+    """Compare a parameter against a constant with one search bounded by
+    the constant: deciding ``eta == 2`` scans subsets of size <= 2 only.
 
-    Deciding ``eta == 2`` on a large graph scans subsets of size <= 2 only;
-    the parameter itself is never computed when a bounded search settles
-    the comparison.
+    A parameter above the bound reads as value + 1, which settles every
+    comparison once ``<`` and ``>=`` become ``<=`` and ``>`` on value - 1.
     """
-    if op in ("=", "=="):
-        found = minimum_code(g, param, k_max=value)
-        return found is not None and found[0] == value
-    if op == "!=":
-        return not parameter_satisfies(g, param, "==", value)
-    if op == "<=":
-        return minimum_code(g, param, k_max=value) is not None
-    if op == "<":
-        return value > 1 and minimum_code(g, param, k_max=value - 1) is not None
-    if op == ">=":
-        return value <= 1 or minimum_code(g, param, k_max=value - 1) is None
-    if op == ">":
-        return minimum_code(g, param, k_max=value) is None
-    raise ValueError(f"unknown comparison operator {op!r}")
+    op, value = {"<": ("<=", value - 1), ">=": (">", value - 1)}.get(op, (op, value))
+    if op not in _OPS:
+        raise ValueError(f"unknown comparison operator {op!r}")
+    found = minimum_code(g, param, k_max=value)
+    return _OPS[op](found[0] if found else value + 1, value)
 
 
-def _solve(g: Graph, param: str, n_min: int, k_min: int = 1) -> tuple[int, Code]:
+def _solve(g: Graph, param: str, n_min: int) -> tuple[int, Code]:
     if g.n < n_min:
         raise ValueError(f"{param} requires n >= {n_min}, got n = {g.n}")
-    result = minimum_code(g, param, k_min=k_min)
+    result = minimum_code(g, param)
     assert result is not None
     return result
 
@@ -190,9 +197,9 @@ def ld_number(g: Graph) -> tuple[int, Code]:
     return _solve(g, "lambda", 2)
 
 
-@lru_cache(maxsize=None)
 def full_report(g: Graph) -> ParameterReport:
-    """All four parameters with witnesses; results are memoised per graph.
+    """All four parameters with witnesses, kept on the graph instance by
+    :func:`minimum_code`, so a repeated report searches nothing.
 
     The inequality chain max(gamma, beta) <= eta <= min(gamma + beta,
     lambda) is asserted before returning.
@@ -203,8 +210,8 @@ def full_report(g: Graph) -> ParameterReport:
     diameter = g.diameter()
     gamma, w_gamma = minimum_code(g, "gamma")
     beta, w_beta = minimum_code(g, "beta")
-    eta, w_eta = minimum_code(g, "eta", k_min=max(gamma, beta))
-    lam, w_lambda = minimum_code(g, "lambda", k_min=eta)
+    eta, w_eta = minimum_code(g, "eta")
+    lam, w_lambda = minimum_code(g, "lambda")
     if not (max(gamma, beta) <= eta <= min(gamma + beta, lam)):
         raise InvariantViolation(
             f"inequality chain violated: gamma={gamma} beta={beta} "

@@ -177,10 +177,9 @@ def check_lambda_bounds(g: Graph) -> Verdict:
     return _combine(name, _scope_of(g), parts, detail)
 
 
-def _eta_lambda(g: Graph, eta_floor: int = 1) -> tuple[int, int]:
-    """(eta, lambda), with the lambda search seeded at eta <= lambda."""
-    eta = minimum_code(g, "eta", k_min=eta_floor)[0]
-    return eta, minimum_code(g, "lambda", k_min=eta)[0]
+def _eta_lambda(g: Graph) -> tuple[int, int]:
+    """(eta, lambda); eta first, so it bounds the lambda search from below."""
+    return minimum_code(g, "eta")[0], minimum_code(g, "lambda")[0]
 
 
 def _is_p6(g: Graph) -> bool:
@@ -222,7 +221,7 @@ def check_eta_equals_lambda_conditions(g: Graph) -> Verdict:
         return _skipped(
             name, _scope_of(g), f"hypothesis unmet: D={d} != 2 and beta={beta} < n-3"
         )
-    eta, lam = _eta_lambda(g, beta)
+    eta, lam = _eta_lambda(g)
     detail = f"D={d} beta={beta} eta={eta} lambda={lam}"
     if eta == lam:
         return _holds(name, _scope_of(g), detail)

@@ -74,6 +74,15 @@ class TestCompute:
         code, _, _ = run_cli(capsys, ["compute", "-"], stdin="")
         assert code == 2
 
+    def test_non_ascii_digit_edge_list_exits_2(self, capsys):
+        # int() reads the Arabic-Indic digit three as 3
+        code, _, _ = run_cli(capsys, ["compute", "-"], stdin="\u0663\n0 1\n1 2\n")
+        assert code == 2
+        code, _, _ = run_cli(
+            capsys, ["compute", "-", "--format", "edges"], stdin="3\n0 1\n1 \u0662\n"
+        )
+        assert code == 2
+
     def test_bad_param_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["compute", "-", "--params", "delta"], stdin=P6_EDGE_LIST)
         assert code == 2
@@ -122,6 +131,13 @@ class TestEnumerate:
 
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["enumerate", "--n", "5..3"])
+        assert code == 2
+
+    def test_non_ascii_digits_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, ["enumerate", "--n", "4", "--filter", "eta=\u0662"])
+        assert code == 2
+        assert "filter" in err
+        code, _, _ = run_cli(capsys, ["enumerate", "--n", "\u0663..5"])
         assert code == 2
 
 
@@ -179,6 +195,10 @@ class TestFamily:
         assert code == 2
         code, _, _ = run_cli(capsys, ["family", "eta-extremal", "complete_bipartite", "1", "2"])
         assert code == 2
+        code, _, _ = run_cli(capsys, ["family", "cycle", "\u0665"])
+        assert code == 2
+        code, _, _ = run_cli(capsys, ["family", "eta-extremal", "double_star", "\u0662", "2"])
+        assert code == 2
 
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -224,6 +244,11 @@ class TestVerify:
     def test_unknown_theorem_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "flat-earth"])
         assert code == 2
+
+    def test_non_ascii_n_max_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "prop1", "--n-max", "\u0663"])
+        assert exc.value.code == 2
 
     def test_input_rejected_for_fixed_scope_theorems(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "realization", "--input", "-"], stdin="A_\n")

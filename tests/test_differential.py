@@ -3,12 +3,12 @@ oracle in ``_brute``: values and lexicographically least witnesses must
 match exactly."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from locdom import is_dominating, is_ld, is_locating, is_mld, minimum_code
+from locdom import Graph, is_dominating, is_ld, is_locating, is_mld, minimum_code
 from locdom.enumeration import connected_graphs
 
 from conftest import random_connected_graph
@@ -29,11 +29,17 @@ def graphs(lo, hi):
         yield from connected_graphs(n)
 
 
+def fresh(g):
+    """A copy of g with no stored minima, so a query on it searches.  The
+    enumeration's instances keep the minima that earlier tests stored."""
+    return Graph._from_rows(g._rows)
+
+
 @pytest.mark.parametrize("param", PARAMS)
 def test_minimum_code_matches_oracle_for_all_graphs_to_7(param):
     checked = 0
     for g in graphs(2, 7):
-        assert minimum_code(g, param) == _brute.brute_minimum(g, param), g
+        assert minimum_code(fresh(g), param) == _brute.brute_minimum(g, param), g
         checked += 1
     assert checked == 995
 
@@ -43,12 +49,55 @@ def test_bounded_searches_match_oracle_to_6(param):
     for g in graphs(2, 6):
         k = _brute.brute_minimum(g, param)[0]
         for k_min in range(k, g.n + 1):
-            assert minimum_code(g, param, k_min=k_min) == _brute.brute_minimum(
+            assert minimum_code(fresh(g), param, k_min=k_min) == _brute.brute_minimum(
                 g, param, k_min=k_min
             ), (g, k_min)
-        assert minimum_code(g, param, k_max=2) == _brute.brute_minimum(
+        assert minimum_code(fresh(g), param, k_max=2) == _brute.brute_minimum(
             g, param, k_max=2
         ), g
+
+
+@pytest.mark.parametrize("param", PARAMS)
+def test_queries_match_oracle_whatever_minima_are_stored(param):
+    # Each order of storing the other three minima, then every (k_min,
+    # k_max) query from the highest k_min down and back up, so the answers
+    # after the first one that stores the minimum of param are looked up;
+    # and every query once on a copy holding just the other three, where
+    # it searches from the lower bound they give.
+    others = [p for p in PARAMS if p != param]
+    for g in graphs(2, 6):
+        queries = [
+            (k_min, k_max)
+            for k_min in range(1, g.n + 1)
+            for k_max in (None, *range(g.n + 1))
+        ]
+        expected = {q: _brute.brute_minimum(g, param, *q) for q in queries}
+        for order in permutations(others):
+            filled = fresh(g)
+            for p in order:
+                assert minimum_code(filled, p) == _brute.brute_minimum(g, p), (g, order)
+            others_only = dict(filled._minima)
+            for k_min, k_max in queries[::-1] + queries:
+                got = minimum_code(filled, param, k_min=k_min, k_max=k_max)
+                assert got == expected[k_min, k_max], (g, order, k_min, k_max)
+        for k_min, k_max in queries:
+            h = fresh(g)
+            h._minima = dict(others_only)
+            got = minimum_code(h, param, k_min=k_min, k_max=k_max)
+            assert got == expected[k_min, k_max], (g, k_min, k_max)
+
+
+def test_query_above_the_minimum_stores_nothing():
+    for g in graphs(2, 6):
+        for param in PARAMS:
+            least = _brute.brute_minimum(g, param)
+            if least[0] == g.n:
+                continue
+            h = fresh(g)
+            above = minimum_code(h, param, k_min=least[0] + 1)
+            assert above == _brute.brute_minimum(g, param, k_min=least[0] + 1)
+            assert minimum_code(h, param) == least, (g, param)
+            assert minimum_code(h, param, k_min=least[0] + 1) == above, (g, param)
 
 
 @pytest.mark.parametrize("param", PARAMS)

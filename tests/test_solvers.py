@@ -132,17 +132,41 @@ class TestSearchCertificates:
         assert minimum_code(g, "eta", k_max=5) == mld_number(g)
 
     def test_parameter_satisfies_matches_exact_values(self):
+        # each comparison on a fresh copy, which has no stored minimum to
+        # answer it, so every one runs its own bounded search
         for inst in (path(6), cycle(7), star(5)):
             g = inst.graph
             for param in ("gamma", "beta", "eta", "lambda"):
                 exact = minimum_code(g, param)[0]
-                for value in range(1, g.n + 1):
-                    assert parameter_satisfies(g, param, "==", value) == (exact == value)
-                    assert parameter_satisfies(g, param, "<=", value) == (exact <= value)
-                    assert parameter_satisfies(g, param, "<", value) == (exact < value)
-                    assert parameter_satisfies(g, param, ">=", value) == (exact >= value)
-                    assert parameter_satisfies(g, param, ">", value) == (exact > value)
-                    assert parameter_satisfies(g, param, "!=", value) == (exact != value)
+                for value in range(0, g.n + 2):
+                    for op, holds in (
+                        ("=", exact == value),
+                        ("==", exact == value),
+                        ("<=", exact <= value),
+                        ("<", exact < value),
+                        (">=", exact >= value),
+                        (">", exact > value),
+                        ("!=", exact != value),
+                    ):
+                        fresh = Graph._from_rows(g._rows)
+                        assert parameter_satisfies(fresh, param, op, value) == holds, (
+                            inst.name, param, op, value,
+                        )
+
+    def test_only_proven_minima_are_stored(self):
+        # the slot stays empty until a minimum is found: a census keeps every
+        # graph it bounds alive, and most of them fail the bound
+        g = Graph._from_rows(star(6).graph._rows)  # eta = 5
+        assert minimum_code(g, "eta", k_max=2) is None
+        assert g._minima is None
+        assert minimum_code(g, "eta", k_min=6) == (6, tuple(range(6)))
+        assert g._minima is None
+        assert minimum_code(g, "eta") == _brute.brute_minimum(g, "eta")
+        assert set(g._minima) == {"eta"}
+
+    def test_unknown_operator(self):
+        with pytest.raises(ValueError):
+            parameter_satisfies(path(3).graph, "eta", "=<", 2)
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
