@@ -4,22 +4,38 @@ The canonical form of a graph is the graph6 encoding of a canonically
 relabelled copy, so two graphs are isomorphic exactly when their forms
 are byte-equal and the form doubles as a serialization.
 
-Labelling search: iterated neighbour-colour refinement produces an
-ordered partition; the first non-singleton cell is individualised in all
-inequivalent ways and the search recurses, keeping the labelling whose
-packed upper-triangle adjacency bits are lexicographically least.  Leaves
-that tie with the current best reveal automorphisms, which prune sibling
-branches (one representative per orbit of the stabiliser of the fixed
-prefix).  Validated against brute-force permutation isomorphism on all
-connected graphs up to n = 6.
+Labelling search: refinement produces an ordered partition into cells;
+the first non-singleton cell is individualised in all inequivalent ways
+and the search recurses.  Each leaf (a partition into singletons) is a
+labelling, scored by its packed upper-triangle adjacency bits as one
+integer; the least wins.  Those bits are the graph6 body in order, so the
+form is encoded straight from the winning integer.  Leaves that tie with
+the current best reveal automorphisms, which prune sibling branches (one
+representative per orbit of the stabiliser of the fixed prefix).
+
+Refinement counts neighbours in cells with bitsets,
+``(row & cell_mask).bit_count()``, and splits cells in rounds.  The first
+round from the unit partition orders vertices by degree; each later round
+orders the vertices of a cell by their counts against the cells of the
+previous round, negated, in cell order.  For vertices of one cell and
+equal degree this is the order of their sorted tuples of neighbour
+colours (a vertex's colour being its cell's index): two such tuples first
+differ at the least colour where the counts differ, and the vertex with
+more neighbours of that colour has the smaller tuple.  The partitions are
+therefore those of classical colour refinement by (colour, sorted
+neighbour colours), so the search explores the same branches and keeps
+the same labelling and automorphisms; ``tests/_brute.py`` keeps that
+refinement as the reference.  Validated against brute-force permutation
+isomorphism on all connected graphs up to n = 5.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .graph import Graph
-from .graph6 import write_graph6
+from .graph6 import _encode
 
 __all__ = [
     "canonical_form",
@@ -29,82 +45,119 @@ __all__ = [
 ]
 
 
-def _refine(nbrs: Sequence[Sequence[int]], colors: list[int]) -> list[int]:
-    """Stable neighbour-colour refinement of an ordered partition.
+def _mask(cell: Sequence[int]) -> int:
+    m = 0
+    for v in cell:
+        m |= 1 << v
+    return m
 
-    Cell order is invariant: new colours sort by (old colour, sorted
-    multiset of neighbour colours), so refinement only splits cells in
-    place and never reorders them.
+
+def _refine(rows: Sequence[int], cells: list[list[int]], splitters: list[int]) -> list[list[int]]:
+    """Refine an ordered partition to its coarsest equitable refinement.
+
+    ``cells`` lists each cell's vertices in ascending order.  Every vertex
+    of a cell has the same number of neighbours in each cell, except in
+    the cells whose masks are ``splitters``.  A round splits each cell by
+    its vertices' counts against the splitters, negated, in splitter
+    order, and keeps the pieces in ascending order of that key, so cells
+    split in place and never move.  The splitters of the next round are
+    the pieces of every cell that split, less the last piece of each,
+    whose count the others and the whole cell determine.  Since counts
+    against any other cell are equal within a cell, the key orders a cell
+    exactly as the full vector of counts against the previous round's
+    cells, negated, would: the order of sorted neighbour-colour tuples.
     """
-    n = len(colors)
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
-            for v in range(n)
-        ]
-        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [remap[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+    base = len(rows)  # a count is below n
+    while splitters:
+        # the negated counts as the digits of one integer per vertex, the
+        # first splitter's most significant: integer order is their order
+        m = splitters[0]
+        keys = [-(r & m).bit_count() for r in rows]
+        for m in splitters[1:]:
+            keys = [k * base - (r & m).bit_count() for k, r in zip(keys, rows)]
+        out: list[list[int]] = []
+        split: list[int] = []
+        for cell in cells:
+            if len(cell) > 1:
+                ks = [keys[v] for v in cell]
+                if ks.count(ks[0]) != len(ks):
+                    pieces = {k: [] for k in sorted(set(ks))}
+                    for v, k in zip(cell, ks):
+                        pieces[k].append(v)
+                    new = list(pieces.values())
+                    out.extend(new)
+                    split.extend(_mask(p) for p in new[:-1])
+                    continue
+            out.append(cell)
+        cells, splitters = out, split
+    return cells
 
 
-def _columns(rows: Sequence[int], lab: Sequence[int]) -> tuple[int, ...]:
-    # lab[position] = vertex; column j packs adjacency bits to positions < j.
-    cols = []
-    for j in range(1, len(lab)):
-        rj = rows[lab[j]]
-        c = 0
+def _by_degree(rows: Sequence[int]) -> tuple[list[list[int]], list[int]]:
+    """The first round from the unit partition: cells of equal degree in
+    ascending degree order, and the splitters for the next round."""
+    pieces: dict[int, list[int]] = {}
+    for v, r in enumerate(rows):
+        pieces.setdefault(r.bit_count(), []).append(v)
+    cells = [pieces[d] for d in sorted(pieces)]
+    return cells, [_mask(c) for c in cells[:-1]]
+
+
+@lru_cache(maxsize=None)
+def _bit_weights(n: int) -> tuple[tuple[int, ...], ...]:
+    """weights[i][j]: the value of the bit x(i,j) in the packed upper
+    triangle of order n, which holds the bits x(0,j) .. x(j-1,j) of each
+    column j = 1..n-1 in turn, the first most significant: the graph6
+    body, in order."""
+    top = n * (n - 1) // 2 - 1
+    weights = [[0] * n for _ in range(n)]
+    for j in range(1, n):
         for i in range(j):
-            c = (c << 1) | ((rj >> lab[i]) & 1)
-        cols.append(c)
-    return tuple(cols)
+            weights[i][j] = weights[j][i] = 1 << (top - j * (j - 1) // 2 - i)
+    return tuple(map(tuple, weights))
 
 
-def _search(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Return (canonical labelling position->vertex, automorphism generators)."""
+def _search(g: Graph) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Return (packed upper triangle of the canonical relabelling, canonical
+    labelling position->vertex, automorphism generators)."""
     n = g.n
-    if n == 1:
-        return (0,), ()
     rows = g._rows
-    nbrs = g._neighbor_lists()
+    edges = g.edges()
+    weights = _bit_weights(n)
 
-    best_cols: tuple[int, ...] | None = None
-    best_lab: list[int] | None = None
+    best_code = 1 << (n * (n - 1) // 2)  # above every packed triangle
+    best_lab: list[int] = []
     gens: list[tuple[int, ...]] = []
 
-    def rec(colors: list[int], fixed: list[int]) -> None:
-        nonlocal best_cols, best_lab
-        ncells = max(colors) + 1
-        if ncells == n:
-            lab = [0] * n
-            for v in range(n):
-                lab[colors[v]] = v
-            cols = _columns(rows, lab)
-            if best_cols is None or cols < best_cols:
-                best_cols = cols
+    def rec(cells: list[list[int]], fixed: list[int]) -> None:
+        nonlocal best_code, best_lab
+        if len(cells) == n:
+            lab = [cell[0] for cell in cells]
+            pos = [0] * n
+            for i, v in enumerate(lab):
+                pos[v] = i
+            code = sum([weights[pos[u]][pos[w]] for u, w in edges])
+            if code < best_code:
+                best_code = code
                 best_lab = lab
-            elif cols == best_cols:
+            elif code == best_code:
                 perm = [0] * n
                 for i in range(n):
                     perm[best_lab[i]] = lab[i]
                 gens.append(tuple(perm))
             return
-        cells = [[] for _ in range(ncells)]
-        for v in range(n):
-            cells[colors[v]].append(v)
-        target = next(cell for cell in cells if len(cell) > 1)
+        t = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        target = cells[t]
         explored: list[int] = []
         for v in target:
             if explored and _in_orbit(v, explored, gens, fixed):
                 continue
-            branch = [2 * c for c in colors]
-            branch[v] -= 1
-            rec(_refine(nbrs, branch), fixed + [v])
+            branch = cells[:t] + [[v], [u for u in target if u != v]] + cells[t + 1:]
+            rec(_refine(rows, branch, [1 << v]), fixed + [v])
             explored.append(v)
 
-    rec(_refine(nbrs, [0] * n), [])
-    return tuple(best_lab), tuple(gens)
+    rec(_refine(rows, *_by_degree(rows)), [])
+    return best_code, tuple(best_lab), tuple(gens)
 
 
 def _in_orbit(
@@ -134,14 +187,8 @@ def _in_orbit(
 
 def _canonical_data(g: Graph):
     if g._canon is None:
-        lab, gens = _search(g)
-        inverse = [0] * g.n
-        for pos, v in enumerate(lab):
-            inverse[v] = pos
-        from .graph import relabeled
-
-        form = write_graph6(relabeled(g, inverse))
-        g._canon = (form, lab, gens)
+        code, lab, gens = _search(g)
+        g._canon = (_encode(g.n, code), lab, gens)
     return g._canon
 
 

@@ -433,8 +433,15 @@ def _cmd_verify(args, argv) -> int:
         digest = _sha256(data)
         graphs = [g for _, g in _parse_graphs(data, "g6")]
     out = _Emitter(argv, args.table, digest)
-    for tid in ids:
-        v = run_theorem(tid, n_max=args.n_max, graphs=graphs)
+    try:
+        # every verdict before the first record: a cap that leaves a sweep
+        # nothing to check prints no partial result
+        verdicts = [run_theorem(tid, n_max=args.n_max, graphs=graphs) for tid in ids]
+    except DisconnectedGraphError:
+        raise
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
+    for tid, v in zip(ids, verdicts):
         if v.status == "fails":
             out.failures += 1
         line = f"{tid}: {v.status.upper()}"

@@ -95,7 +95,7 @@ def _bfs_row(rows: Sequence[int], n: int, src: int) -> tuple[int, ...]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows", "_nbrs", "_dist", "_canon", "_minima")
+    __slots__ = ("n", "_rows", "_dist", "_canon", "_minima")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 1:
@@ -110,7 +110,6 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self._rows = tuple(rows)
-        self._nbrs = None
         self._dist = None
         self._canon = None
         self._minima = None
@@ -126,7 +125,6 @@ class Graph:
         g = object.__new__(cls)
         g.n = len(rows)
         g._rows = tuple(rows)
-        g._nbrs = None
         g._dist = None
         g._canon = None
         g._minima = None
@@ -140,11 +138,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return _bits(self._rows[v])
-
-    def _neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        if self._nbrs is None:
-            self._nbrs = tuple(_bits(r) for r in self._rows)
-        return self._nbrs
 
     def degree(self, v: int) -> int:
         return self._rows[v].bit_count()

@@ -22,25 +22,25 @@ class Graph6Error(ValueError):
     """Malformed graph6 bytes or an unsupported (long form) encoding."""
 
 
-def write_graph6(g: Graph) -> bytes:
-    """Encode a graph as short-form graph6 bytes (no trailing newline)."""
-    n = g.n
+def _encode(n: int, bits: int) -> bytes:
+    """graph6 bytes of order n from its upper-triangle bits, column by
+    column, as one integer (the first bit most significant)."""
     if n > 62:
         raise Graph6Error(f"short graph6 supports n <= 62, got n={n}")
-    out = [n + 63]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    bits <<= 6 * nbytes - n * (n - 1) // 2
+    return bytes([n + 63] + [(bits >> s & 63) + 63 for s in range(6 * nbytes - 6, -6, -6)])
+
+
+def write_graph6(g: Graph) -> bytes:
+    """Encode a graph as short-form graph6 bytes (no trailing newline)."""
+    rows = g._rows
+    bits = 0
+    for j in range(1, g.n):
+        rj = rows[j]
         for i in range(j):
-            acc = (acc << 1) | (1 if g.has_edge(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return bytes(out)
+            bits = (bits << 1) | (rj >> i & 1)
+    return _encode(g.n, bits)
 
 
 def _ascii(text: str) -> bytes:

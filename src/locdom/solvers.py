@@ -127,11 +127,14 @@ def minimum_code(
     Returns (k, witness) with the lexicographically least witness of the
     minimum size, or None when no code of size <= k_max exists.  With the
     default k_max (the whole vertex set) a result is guaranteed: V itself
-    is dominating, locating and locating-dominating.  A proven minimum is
+    is dominating, locating and locating-dominating; there a k_min above n
+    is a caller error and raises ``ValueError``.  A proven minimum is
     kept on the graph and answers every later query with k_min up to it.
     """
     if param not in PARAMETERS:
         raise ValueError(f"unknown parameter {param!r}; expected one of {PARAMETERS}")
+    if k_max is None and k_min > g.n:
+        raise ValueError(f"k_min = {k_min} exceeds n = {g.n}: no {param} code is that large")
     _require_connected(g, param)
     known = g._minima or {}
     if param in known and k_min <= known[param][0]:

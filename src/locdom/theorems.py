@@ -455,19 +455,30 @@ def sweep(
     return _holds(theorem, scope, reason)
 
 
+def _orders(theorem: str, lo: int, hi: int) -> range:
+    """The orders lo..hi of a sweep; a cap that leaves none is a caller
+    error, never a vacuous pass."""
+    if hi < lo:
+        raise ValueError(
+            f"{theorem}: n_max = {hi} is below its lowest order {lo}; nothing to check"
+        )
+    return range(lo, hi + 1)
+
+
 def _sweep_source(
-    graphs: Optional[Iterable[Graph]], lo: int, hi: int, trees: bool = False
+    theorem: str, graphs: Optional[Iterable[Graph]], lo: int, hi: int, trees: bool = False
 ) -> tuple[Iterable[Graph], str]:
     """The graphs a sweep runs over, and its scope: the supplied stream, or
     every connected graph (or tree) class of order lo..hi."""
     if graphs is not None:
         return graphs, "supplied graphs"
+    orders = _orders(theorem, lo, hi)
     make, kind = (tree_classes, "trees") if trees else (connected_graphs, "connected graphs")
-    return (g for n in range(lo, hi + 1) for g in make(n)), f"{kind}, {lo} <= n <= {hi}"
+    return (g for n in orders for g in make(n)), f"{kind}, {lo} <= n <= {hi}"
 
 
 def _run_prop1(n_max, graphs):
-    src, scope = _sweep_source(graphs, 2, n_max)
+    src, scope = _sweep_source("prop1", graphs, 2, n_max)
     return sweep(check_inequality_chain, src, "inequality-chain", scope)
 
 
@@ -478,7 +489,7 @@ def _tightness_part(name, scope, condition, detail):
 
 
 def _run_eta_bounds(n_max, graphs):
-    src, scope = _sweep_source(graphs, 2, n_max)
+    src, scope = _sweep_source("eta-bounds", graphs, 2, n_max)
     parts = [sweep(check_eta_bounds, src, "eta-bounds", scope)]
     for k in (2, 3, 4):
         g = families.path(3 * k).graph
@@ -507,7 +518,7 @@ def _run_eta_bounds(n_max, graphs):
 
 
 def _run_lambda_bounds(n_max, graphs):
-    src, scope = _sweep_source(graphs, 2, n_max)
+    src, scope = _sweep_source("lambda-bounds", graphs, 2, n_max)
     parts = [sweep(check_lambda_bounds, src, "lambda-bounds", scope)]
     p5 = families.path(5).graph
     lam = minimum_code(p5, "lambda")[0]
@@ -524,7 +535,7 @@ def _run_lambda_bounds(n_max, graphs):
 
 def _run_tree_bounds(n_max, graphs):
     n_max = 12 if n_max is None else n_max
-    src, scope = _sweep_source(graphs, 3, n_max, trees=True)
+    src, scope = _sweep_source("tree-bounds", graphs, 3, n_max, trees=True)
     parts = [sweep(check_tree_bounds, src, "tree-bounds", scope)]
     for k in (2, 3, 4):
         low = families.spider_k3(k)
@@ -551,25 +562,25 @@ def _run_tree_bounds(n_max, graphs):
 
 
 def _run_eta_lambda(n_max, graphs):
-    src, scope = _sweep_source(graphs, 2, n_max)
+    src, scope = _sweep_source("eta-lambda-conditions", graphs, 2, n_max)
     return sweep(check_eta_equals_lambda_conditions, src, "eta-equals-lambda", scope)
 
 
 def _run_eta2(n_max, graphs):
     n_max = 8 if n_max is None else min(n_max, 8)
-    src, scope = _sweep_source(graphs, 2, n_max)
+    src, scope = _sweep_source("eta2-membership", graphs, 2, n_max)
     return sweep(check_eta2_membership, src, "eta2-membership", scope)
 
 
 def _run_lambda_extremal(n_max, graphs):
-    src, scope = _sweep_source(graphs, 3, n_max)
+    src, scope = _sweep_source("lambda-extremal", graphs, 3, n_max)
     return sweep(check_lambda_extremal, src, "lambda-extremal", scope)
 
 
 def _run_realization(n_max, graphs):
     bound = 3 if n_max is None else min(n_max, 4)
     parts = []
-    for a in range(1, bound + 1):
+    for a in _orders("realization", 1, bound):
         for b in range(1, bound + 1):
             for c in range(max(a, b), a + b + 1):
                 parts.append(verify_realization(a, b, c))
@@ -584,7 +595,7 @@ def _run_realization(n_max, graphs):
 def _run_tree_realization(n_max, graphs):
     hi = 5 if n_max is None else min(n_max, 6)
     parts = []
-    for a in range(3, hi + 1):
+    for a in _orders("tree-realization", 3, hi):
         for b in range(a, 2 * a - 1):
             parts.append(verify_tree_realization(a, b))
     return _combine(

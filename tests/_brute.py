@@ -136,6 +136,113 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+# -- reference canonical search ------------------------------------------------
+#
+# The canonical labelling search as first written: colour refinement by
+# sorted tuples of neighbour colours over colour lists, leaves scored by
+# a tuple of packed columns, the form encoded from the relabelled edges.
+# The package's search must return the same form, labelling and
+# automorphism generators.
+
+
+def _reference_refine(nbrs, colors: list[int]) -> list[int]:
+    """Stable neighbour-colour refinement: new colours sort by (old colour,
+    sorted multiset of neighbour colours)."""
+    n = len(colors)
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
+            for v in range(n)
+        ]
+        remap = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [remap[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def _reference_columns(adj, lab) -> tuple[int, ...]:
+    cols = []
+    for j in range(1, len(lab)):
+        c = 0
+        for i in range(j):
+            c = (c << 1) | (lab[i] in adj[lab[j]])
+        cols.append(c)
+    return tuple(cols)
+
+
+def _reference_in_orbit(v, explored, gens, fixed) -> bool:
+    live = [p for p in gens if all(p[f] == f for f in fixed)]
+    if not live:
+        return False
+    orbit = set(explored)
+    frontier = list(explored)
+    while frontier:
+        u = frontier.pop()
+        for p in live:
+            w = p[u]
+            if w == v:
+                return True
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    return False
+
+
+def brute_graph6(n: int, edges) -> bytes:
+    """Short-form graph6 of a graph on 0..n-1, bit by bit from the format."""
+    pairs = {frozenset(e) for e in edges}
+    bits = [int(frozenset((i, j)) in pairs) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    body = [
+        63 + int("".join(map(str, bits[k:k + 6])), 2) for k in range(0, len(bits), 6)
+    ]
+    return bytes([n + 63] + body)
+
+
+def reference_canonical(g: Graph):
+    """(canonical form, labelling position -> vertex, automorphism generators)."""
+    n = g.n
+    adj = adjacency(g)
+    nbrs = [sorted(adj[v]) for v in range(n)]
+    best = {"cols": None, "lab": None}
+    gens: list[tuple[int, ...]] = []
+
+    def rec(colors, fixed):
+        ncells = max(colors) + 1
+        if ncells == n:
+            lab = [0] * n
+            for v in range(n):
+                lab[colors[v]] = v
+            cols = _reference_columns(adj, lab)
+            if best["cols"] is None or cols < best["cols"]:
+                best["cols"], best["lab"] = cols, lab
+            elif cols == best["cols"]:
+                perm = [0] * n
+                for i in range(n):
+                    perm[best["lab"][i]] = lab[i]
+                gens.append(tuple(perm))
+            return
+        cells = [[] for _ in range(ncells)]
+        for v in range(n):
+            cells[colors[v]].append(v)
+        target = next(cell for cell in cells if len(cell) > 1)
+        explored: list[int] = []
+        for v in target:
+            if explored and _reference_in_orbit(v, explored, gens, fixed):
+                continue
+            branch = [2 * c for c in colors]
+            branch[v] -= 1
+            rec(_reference_refine(nbrs, branch), fixed + [v])
+            explored.append(v)
+
+    rec(_reference_refine(nbrs, [0] * n), [])
+    lab = tuple(best["lab"])
+    pos = {v: i for i, v in enumerate(lab)}
+    form = brute_graph6(n, [(pos[u], pos[v]) for u, v in g.edges()])
+    return form, lab, tuple(gens)
+
+
 # -- labeled enumeration oracle ----------------------------------------------
 
 

@@ -10,8 +10,9 @@ from locdom import (
     canonical_labeling,
     read_graph6,
     relabeled,
+    write_graph6,
 )
-from locdom.enumeration import connected_graphs
+from locdom.enumeration import connected_graphs, tree_classes
 from locdom.families import complete_bipartite, cycle, path, star
 
 from conftest import random_connected_graph
@@ -69,14 +70,41 @@ def test_canonical_form_round_trips_through_graph6():
 
 
 def test_canonical_labeling_realises_the_form():
-    g = random_connected_graph(random.Random(7), 8)
-    lab = canonical_labeling(g)
-    inverse = [0] * g.n
-    for pos, v in enumerate(lab):
-        inverse[v] = pos
-    from locdom import write_graph6
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    graphs.append(random_connected_graph(random.Random(7), 8))
+    for g in graphs:
+        inverse = [0] * g.n
+        for pos, v in enumerate(canonical_labeling(g)):
+            inverse[v] = pos
+        assert write_graph6(relabeled(g, inverse)) == canonical_form(g)
 
-    assert write_graph6(relabeled(g, inverse)) == canonical_form(g)
+
+def _canonical_triple(g):
+    # a fresh copy, so nothing cached on a class representative answers
+    h = Graph._from_rows(g._rows)
+    return canonical_form(h), canonical_labeling(h), automorphism_generators(h)
+
+
+def test_matches_reference_search_on_connected_classes_to_7():
+    for n in range(1, 8):
+        for g in connected_graphs(n):
+            assert _canonical_triple(g) == _brute.reference_canonical(g), write_graph6(g)
+
+
+def test_matches_reference_search_on_trees_to_11():
+    for n in range(1, 12):
+        for t in tree_classes(n):
+            assert _canonical_triple(t) == _brute.reference_canonical(t), write_graph6(t)
+
+
+@given(st.integers(1, 10), st.integers(0, 2**28 - 1))
+def test_matches_reference_search_on_random_graphs(n, seed):
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    for h in (g, relabeled(g, perm)):
+        assert _canonical_triple(h) == _brute.reference_canonical(h)
 
 
 def test_automorphism_generators_are_automorphisms():

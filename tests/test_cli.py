@@ -250,6 +250,37 @@ class TestVerify:
             main(["verify", "prop1", "--n-max", "\u0663"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "theorem, n_max, lowest",
+        [
+            ("prop1", "-1", 2),
+            ("prop1", "0", 2),
+            ("tree-bounds", "-1", 3),
+            ("tree-bounds", "0", 3),
+            ("tree-bounds", "2", 3),
+            ("tree-realization", "2", 3),
+        ],
+    )
+    def test_empty_sweep_exits_2(self, capsys, theorem, n_max, lowest):
+        code, out, err = run_cli(capsys, ["verify", theorem, "--n-max", n_max])
+        assert code == 2
+        assert out == ""
+        assert f"{theorem}: n_max = {n_max} is below its lowest order {lowest}" in err
+
+    def test_empty_sweep_under_all_exits_2_before_any_record(self, capsys):
+        # prop1 and the other order-2 sweeps have n = 2 to check; tree-bounds
+        # starts at 3
+        code, out, err = run_cli(capsys, ["verify", "all", "--n-max", "2"])
+        assert code == 2
+        assert out == ""
+        assert "tree-bounds: n_max = 2 is below its lowest order 3" in err
+
+    def test_non_tree_input_to_tree_bounds_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, ["verify", "tree-bounds", "--input", "-"], stdin="Bw\n")
+        assert code == 2
+        assert out == ""
+        assert "requires a tree" in err
+
     def test_input_rejected_for_fixed_scope_theorems(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "realization", "--input", "-"], stdin="A_\n")
         assert code == 2

@@ -1,0 +1,87 @@
+"""Per-layer expectations that the benchmark's traced runs report.
+
+The enumeration builds one child per orbit of extension masks, so the
+child counts depend only on the automorphism generators the canonical
+search returns; a faster search that returns the same generators leaves
+them unchanged.  The benchmark's tracer wraps entry points by name, so
+those names must keep resolving.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from locdom import enumeration
+from locdom.enumeration import _connected_classes, _extension_masks, _tree_classes
+
+# children built per order: connected graphs (n = 8 builds 67,141 for
+# 11,117 classes) and trees (3,047 in all up to n = 12)
+CONNECTED_CHILDREN = {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771, 8: 67141}
+TREE_CHILDREN = {
+    2: 1, 3: 1, 4: 2, 5: 4, 6: 9, 7: 20, 8: 48, 9: 115, 10: 286, 11: 719, 12: 1842,
+}
+
+
+def _connected_candidates(n):
+    return range(1, 1 << (n - 1))
+
+
+def _tree_candidates(n):
+    return [1 << v for v in range(n - 1)]
+
+
+def _child_count(classes, candidates, n):
+    return sum(len(_extension_masks(p, candidates(n))) for p in classes(n - 1))
+
+
+def test_connected_children_per_order():
+    counts = {n: _child_count(_connected_classes, _connected_candidates, n) for n in range(2, 9)}
+    assert counts == CONNECTED_CHILDREN
+
+
+def test_tree_children_per_order():
+    counts = {n: _child_count(_tree_classes, _tree_candidates, n) for n in range(2, 13)}
+    assert counts == TREE_CHILDREN
+    assert sum(counts.values()) == 3047
+
+
+@pytest.mark.parametrize(
+    "classes, candidates, n_max",
+    [(_connected_classes, _connected_candidates, 6), (_tree_classes, _tree_candidates, 9)],
+)
+def test_children_extend_once_per_extension_mask(monkeypatch, classes, candidates, n_max):
+    # the tracer counts children as calls of enumeration._extend
+    calls = []
+    extend = enumeration._extend
+
+    def counted(parent, mask):
+        calls.append(mask)
+        return extend(parent, mask)
+
+    monkeypatch.setattr(enumeration, "_extend", counted)
+    for n in range(2, n_max + 1):
+        calls.clear()
+        enumeration._children(classes(n - 1), candidates(n))
+        assert len(calls) == _child_count(classes, candidates, n)
+
+
+def _tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("locdom_bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracer = _tracer()
+    for layer, names in tracer.SPANS.items():
+        mod = importlib.import_module(f"locdom.{layer}")
+        for name in names or ():
+            if name.startswith("Graph."):
+                assert name.split(".", 1)[1] in mod.Graph.__dict__, name
+            else:
+                assert callable(getattr(mod, name, None)), f"{layer}.{name}"
+    assert callable(enumeration._extend)

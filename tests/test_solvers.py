@@ -172,6 +172,16 @@ class TestSearchCertificates:
         with pytest.raises(ValueError):
             minimum_code(path(3).graph, "alpha")
 
+    @pytest.mark.parametrize("param", ["gamma", "beta", "eta", "lambda"])
+    def test_k_min_above_n_is_a_caller_error(self, param):
+        g = Graph._from_rows(path(4).graph._rows)
+        with pytest.raises(ValueError, match="exceeds n = 4"):
+            minimum_code(g, param, k_min=5)
+        # bounded, the same query has an answer: no code of those sizes
+        assert minimum_code(g, param, k_min=5, k_max=6) is None
+        assert minimum_code(g, param, k_min=5, k_max=4) is None
+        assert g._minima is None
+
 
 class TestTreeIdentities:
     def test_eta_formula_and_cited_bound_all_trees_to_12(self):

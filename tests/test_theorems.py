@@ -256,6 +256,30 @@ class TestRunners:
         assert run_theorem("realization").status == "holds"
         assert run_theorem("tree-realization").status == "holds"
 
+    @pytest.mark.parametrize(
+        "theorem, n_max, lowest",
+        [
+            ("prop1", 1, 2),
+            ("eta-bounds", 0, 2),
+            ("lambda-bounds", -1, 2),
+            ("tree-bounds", 2, 3),
+            ("eta-lambda-conditions", 1, 2),
+            ("eta2-membership", 1, 2),
+            ("lambda-extremal", 2, 3),
+            ("realization", 0, 1),
+            ("tree-realization", 2, 3),
+        ],
+    )
+    def test_empty_order_range_is_an_error(self, theorem, n_max, lowest):
+        with pytest.raises(ValueError, match=f"{theorem}: .*lowest order {lowest}"):
+            run_theorem(theorem, n_max=n_max)
+        # the lowest order itself leaves a graph (or pair) to look at
+        assert "checked=0 skipped=0" not in run_theorem(theorem, n_max=lowest).reason
+
+    def test_cap_does_not_apply_to_a_supplied_stream(self):
+        v = run_theorem("prop1", n_max=-1, graphs=[path(3).graph])
+        assert v.status == "holds" and "checked=1" in v.reason
+
     def test_eta2_membership_small(self):
         v = run_theorem("eta2-membership", n_max=5)
         assert v.status == "holds" and "checked=16" in v.reason
