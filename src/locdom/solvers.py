@@ -2,32 +2,41 @@
 
 Each parameter is the least size of a code that meets every set of its
 hitting family (:func:`locdom.predicates._hitting_family`, the same
-definition the predicates use).  The solver tries k = 1, 2, ... and, for
-each k, runs one depth-first search over k-subsets in lexicographic
-order.  The search cuts a branch only where no completion can meet every
-set:
+definition the predicates use).  The solver tries k = 1, 2, ... from a
+floor and, for each k, runs one depth-first search over k-subsets in
+lexicographic order.  The floor is the least k that counting allows (see
+:func:`_counting_floor`), so every smaller k holds no code.  The search
+cuts a branch only where no completion can meet every set:
 
 * the next pick is at most the smallest largest element among the sets
   not yet met, since picks only grow and that set would stay unmet;
 * with one pick left, it takes the lowest vertex above the last pick in
   the intersection of the unmet sets;
+* with two or more picks left, it collects unmet sets pairwise disjoint
+  on the vertices above the last pick (a greedy packing in family
+  order); each needs a pick of its own, so more of them than picks left
+  means no completion exists;
 * once every set is met, the remaining picks are the next consecutive
   vertices, the lexicographically least completion.
 
-A search that finds nothing has therefore exhausted every k-subset, so
-every smaller k is exhausted when a code of size k is returned; that is
-the optimality certificate.  The first code found is the one an
-exhaustive lexicographic scan of the k-subsets would accept first, so
-the witness is the lexicographically least optimal code and results are
-reproducible.  There is no ILP/SAT backend by design: this search is
-the oracle every other component is measured against.
+The floor and the cuts only skip subsets that are not codes, so a search
+that finds nothing has exhausted every k-subset, and every smaller k is
+exhausted when a code of size k is returned; that is the optimality
+certificate.  For the same reason neither changes which code is found
+first: it is the one an exhaustive lexicographic scan of the k-subsets
+would accept first, so the witness is the lexicographically least
+optimal code and results are reproducible.  There is no ILP/SAT backend
+by design: this search is the oracle every other component is measured
+against.
 
 Each graph keeps its proven minima (``Graph._minima``), which answer
-repeated queries.  A new search starts at the largest lower bound that the
-chain max(gamma, beta) <= eta <= min(gamma + beta, lambda) draws from them,
-so no caller seeds one.  ``full_report`` asserts the chain; a violation
-raises :class:`InvariantViolation`, which signals a solver bug and is
-never silently swallowed.
+repeated queries.  A new search starts at the counting floor or at the
+largest lower bound that the chain max(gamma, beta) <= eta <= min(gamma +
+beta, lambda) draws from them, whichever is higher, so no caller seeds
+one; a bounded query whose start lies above its k_max returns None
+before the hitting family is built.  ``full_report`` asserts the chain;
+a violation raises :class:`InvariantViolation`, which signals a solver bug
+and is never silently swallowed.
 """
 
 from __future__ import annotations
@@ -100,6 +109,15 @@ def _least_hitting_set(sets: list[int], n: int, k: int) -> Optional[Code]:
         if left == 1:
             common = reduce(and_, unmet) >> lo << lo
             return ((common & -common).bit_length() - 1,) if common else None
+        # sets pairwise disjoint on the vertices >= lo each need a pick
+        used = kept = 0
+        for s in unmet:
+            s >>= lo
+            if not s & used:
+                used |= s
+                kept += 1
+                if kept > left:
+                    return None
         for v in range(lo, min(unmet[0].bit_length(), n - left + 1)):
             bit = 1 << v
             found = search([s for s in unmet if not s & bit], v + 1, left - 1)
@@ -108,6 +126,26 @@ def _least_hitting_set(sets: list[int], n: int, k: int) -> Optional[Code]:
         return None
 
     return search(sets, 0, k)
+
+
+def _counting_floor(g: Graph, param: str) -> int:
+    """Least k that counting allows for a ``param`` code of size k.
+
+    A code of size k dominates at most k(Delta + 1) vertices.  The n - k
+    vertices outside a locating code have distinct distance vectors in
+    {1..D}^k (D the diameter), at most D^k of them; outside an eta code
+    each vector also has an entry 1, at most D^k - (D - 1)^k.  Outside a
+    lambda code the neighbourhood traces are distinct and nonempty, the
+    eta count with every distance above 1 read as 2: 2^k - 1.
+    """
+    n = g.n
+    if param == "gamma":
+        return -(-n // (max(g.degrees()) + 1))
+    d = 2 if param == "lambda" else g.diameter()
+    k = 1
+    while n - k > d**k - (0 if param == "beta" else (d - 1) ** k):
+        k += 1
+    return k
 
 
 def _require_connected(g: Graph, param: str) -> None:
@@ -140,12 +178,15 @@ def minimum_code(
     if param in known and k_min <= known[param][0]:
         k, code = known[param]
         return (k, code) if k_max is None or k <= k_max else None
-    below = _CHAIN_BELOW.get(param, ())
-    floor = max((known[p][0] for p in below if p in known), default=1)
+    chain = [known[p][0] for p in _CHAIN_BELOW.get(param, ()) if p in known]
+    floor = max([_counting_floor(g, param), *chain])
+    start = max(k_min, floor)
+    if k_max is not None and start > k_max:
+        return None
     sets = _hitting_family(g, param)
     n = g.n
     hi = n if k_max is None else min(k_max, n)
-    for k in range(max(k_min, floor), hi + 1):
+    for k in range(start, hi + 1):
         code = _least_hitting_set(sets, n, k)
         if code is not None:
             if k_min <= floor:  # no smaller code exists: k is the minimum

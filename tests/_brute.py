@@ -10,7 +10,9 @@ package is tested against.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
 from itertools import combinations, permutations
+from operator import and_
 
 from locdom import Graph
 
@@ -106,6 +108,45 @@ def brute_minimum(g: Graph, param: str, k_min: int = 1, k_max=None):
 
 def brute_parameters(g: Graph) -> dict[str, int]:
     return {p: brute_minimum(g, p)[0] for p in ("gamma", "beta", "eta", "lambda")}
+
+
+# -- reference hitting-set search ----------------------------------------------
+#
+# The lexicographic hitting-set search as first written, with no lower
+# bound: it cuts only by the smallest largest element of the unmet sets,
+# takes the one-pick-left intersection and completes consecutively.  The
+# package's search, with its counting floor and packing cut, must return
+# the same (k, witness) on the same family.
+
+
+def reference_least_hitting_set(sets: list[int], n: int, k: int):
+    """Lexicographically least k-subset of range(n) that meets every mask in
+    ``sets`` (sorted by largest element), or None when there is none."""
+
+    def search(unmet: list[int], lo: int, left: int):
+        # picks so far are all below lo, and lo + left <= n
+        if not unmet:
+            return tuple(range(lo, lo + left))
+        if left == 1:
+            common = reduce(and_, unmet) >> lo << lo
+            return ((common & -common).bit_length() - 1,) if common else None
+        for v in range(lo, min(unmet[0].bit_length(), n - left + 1)):
+            bit = 1 << v
+            found = search([s for s in unmet if not s & bit], v + 1, left - 1)
+            if found is not None:
+                return (v,) + found
+        return None
+
+    return search(sets, 0, k)
+
+
+def reference_minimum(sets: list[int], n: int):
+    """(k, witness) of the reference search tried at k = 1, 2, ..., n."""
+    for k in range(1, n + 1):
+        code = reference_least_hitting_set(sets, n, k)
+        if code is not None:
+            return k, code
+    raise AssertionError("the full vertex set must meet every set")
 
 
 # -- brute-force isomorphism -------------------------------------------------
@@ -247,20 +288,27 @@ def reference_canonical(g: Graph):
 
 
 def labeled_connected_classes(n: int) -> list[Graph]:
-    """Every connected graph class of order n, found by enumerating all
-    2^C(n,2) labeled graphs and deduplicating with brute-force isomorphism."""
+    """Every connected graph class of order n: walk all 2^C(n,2) labeled
+    graphs in order; each graph not yet marked starts a class, whose whole
+    S_n orbit is marked, and is kept if it is connected.  Each class is
+    represented by its first labeled graph."""
     pair_list = list(combinations(range(n), 2))
-    buckets: dict[tuple, list[Graph]] = {}
+    index = {pair: i for i, pair in enumerate(pair_list)}
+    # images[p][i]: the bit that pair i maps to under permutation p
+    images = [
+        [1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in pair_list]
+        for perm in permutations(range(n))
+    ]
+    marked = bytearray(1 << len(pair_list))
     reps: list[Graph] = []
-    for bits in range(1 << len(pair_list)):
-        edges = [pair_list[i] for i in range(len(pair_list)) if (bits >> i) & 1]
-        g = Graph(n, edges)
-        if not is_connected(g):
+    for bits in range(len(marked)):
+        if marked[bits]:
             continue
-        key = (tuple(_degree_sequence(g)), tuple(_distance_profile(g)))
-        bucket = buckets.setdefault(key, [])
-        if not any(brute_isomorphic(g, rep) for rep in bucket):
-            bucket.append(g)
+        present = [i for i in range(len(pair_list)) if (bits >> i) & 1]
+        for image in images:
+            marked[sum(image[i] for i in present)] = 1
+        g = Graph(n, [pair_list[i] for i in present])
+        if is_connected(g):
             reps.append(g)
     return reps
 

@@ -1,4 +1,5 @@
 import io
+from itertools import combinations
 
 import pytest
 
@@ -169,7 +170,32 @@ class TestGraph6:
         assert read_graph6(write_graph6(g)) == g
 
 
+def bucketed_connected_classes(n):
+    """The labeled oracle as first written: every connected labeled graph
+    in order, kept unless brute-force isomorphic to a kept graph with the
+    same degree sequence and distance profile."""
+    pair_list = list(combinations(range(n), 2))
+    buckets = {}
+    reps = []
+    for bits in range(1 << len(pair_list)):
+        edges = [pair_list[i] for i in range(len(pair_list)) if (bits >> i) & 1]
+        g = Graph(n, edges)
+        if not _brute.is_connected(g):
+            continue
+        key = (tuple(_brute._degree_sequence(g)), tuple(_brute._distance_profile(g)))
+        bucket = buckets.setdefault(key, [])
+        if not any(_brute.brute_isomorphic(g, rep) for rep in bucket):
+            bucket.append(g)
+            reps.append(g)
+    return reps
+
+
 class TestCrossValidation:
+    def test_orbit_marking_oracle_matches_bucketed_oracle_to_5(self):
+        # both keep the first labeled graph of each class, in order
+        for n in range(1, 6):
+            assert _brute.labeled_connected_classes(n) == bucketed_connected_classes(n)
+
     def test_oracle_reps_are_isomorphic_to_enumerated(self):
         for n in range(2, 5):
             enumerated = list(connected_graphs(n))
