@@ -27,6 +27,10 @@ neighbour colours), so the search explores the same branches and keeps
 the same labelling and automorphisms; ``tests/_brute.py`` keeps that
 refinement as the reference.  Validated against brute-force permutation
 isomorphism on all connected graphs up to n = 5.
+
+Trees have a key of their own that needs no search: the AHU code (Aho,
+Hopcroft and Ullman 1974) of the tree rooted at a centre, in
+``_rooted_code`` and ``_tree_key``, which the tree generator uses.
 """
 
 from __future__ import annotations
@@ -185,10 +189,11 @@ def _in_orbit(
     return False
 
 
-def _canonical_data(g: Graph):
+def _canonical_data(g: Graph) -> tuple[bytes, tuple[tuple[int, ...], ...]]:
+    """(canonical form, automorphism generators), kept on the graph."""
     if g._canon is None:
-        code, lab, gens = _search(g)
-        g._canon = (_encode(g.n, code), lab, gens)
+        code, _, gens = _search(g)
+        g._canon = (_encode(g.n, code), gens)
     return g._canon
 
 
@@ -198,14 +203,17 @@ def canonical_form(g: Graph) -> bytes:
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
-    """The labelling (position -> vertex) realising the canonical form."""
-    return _canonical_data(g)[1]
+    """The labelling (position -> vertex) realising the canonical form.
+
+    Recomputed on every call: the enumeration never reads labellings, so
+    the graph keeps only the form and the generators."""
+    return _search(g)[1]
 
 
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Automorphisms discovered by the canonical search (generators of a
     subgroup of Aut(g); empty for graphs the refinement fully separates)."""
-    return _canonical_data(g)[2]
+    return _canonical_data(g)[1]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -215,3 +223,49 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     if sorted(g.degrees()) != sorted(h.degrees()):
         return False
     return canonical_form(g) == canonical_form(h)
+
+
+# -- trees --------------------------------------------------------------------
+
+
+def _rooted_code(rows: Sequence[int], root: int) -> str:
+    """The AHU code of the tree ``rows`` rooted at ``root``: "(" + the
+    sorted codes of the root's subtrees + ")", built bottom-up.  Two rooted
+    trees are isomorphic iff their codes are equal."""
+
+    def code(v: int, free: int) -> str:
+        # free lacks v, its ancestors and their children: rows[v] & free
+        # are v's children
+        kids = rows[v] & free
+        free &= ~kids
+        parts = []
+        while kids:
+            low = kids & -kids
+            parts.append(code(low.bit_length() - 1, free))
+            kids ^= low
+        parts.sort()
+        return "(" + "".join(parts) + ")"
+
+    return code(root, ~(1 << root))
+
+
+def _tree_key(rows: Sequence[int]) -> str:
+    """A complete invariant of the tree ``rows``: the least of its codes
+    rooted at its one or two centres, the vertices that peeling every leaf,
+    layer by layer, leaves last."""
+    degree = [r.bit_count() for r in rows]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    alive = (1 << len(rows)) - 1
+    left = len(rows)
+    while left > 2:
+        left -= len(layer)
+        for v in layer:
+            alive ^= 1 << v
+        peeled = []
+        for v in layer:
+            u = (rows[v] & alive).bit_length() - 1  # a leaf's one neighbour
+            degree[u] -= 1
+            if degree[u] == 1:
+                peeled.append(u)
+        layer = peeled
+    return min(_rooted_code(rows, c) for c in layer)

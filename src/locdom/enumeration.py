@@ -10,8 +10,19 @@ isomorphism class is produced exactly once.  Class counts for n = 1..8
 are (1, 1, 2, 6, 21, 112, 853, 11117).
 
 Trees are generated by the same augmentation restricted to one-vertex
-neighbourhoods (leaf augmentation), because the theorem sweeps need them
-up to n = 12, beyond the general enumeration range.
+neighbourhoods (leaf augmentation), to n = 18, beyond the general
+enumeration range, and without the general canonical search.  A tree has
+a linear-time complete invariant (Aho, Hopcroft and Ullman 1974): the
+code of a rooted tree is "(" + the sorted codes of the root's subtrees +
+")", and a child is keyed by the least code rooted at one of its one or
+two centres.  Two vertices of a tree lie in one automorphism orbit
+exactly when the tree rooted at each has the same code, so a parent's
+leaf positions are the least vertex of each vertex-rooted code: the
+first candidate met in each orbit, the rule that ``_extension_masks``
+applies to the canonical search's generators.  The same children are
+therefore built in the same order, and since the key, like the canonical
+form, is a complete invariant, each class keeps the same first child: the
+representatives are those the general search gives.
 
 The graph6 codec lives in :mod:`locdom.graph6` and is re-exported here.
 """
@@ -20,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .canonical import automorphism_generators, canonical_form
+from .canonical import _rooted_code, _tree_key, automorphism_generators, canonical_form
 from .graph import Graph
 from .graph6 import Graph6Error, read_graph6, read_graph6_stream, write_graph6
 
@@ -42,7 +53,7 @@ __all__ = [
 ]
 
 MAX_ENUMERATION_ORDER = 9
-_MAX_TREE_ORDER = 16
+_MAX_TREE_ORDER = 18
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
@@ -90,17 +101,32 @@ def _extension_masks(parent: Graph, candidates: Sequence[int]) -> Sequence[int]:
     return reps
 
 
-def _children(parents: Iterable[Graph], candidates: Sequence[int]) -> tuple[Graph, ...]:
+def _leaf_masks(parent: Graph) -> list[int]:
+    """Leaf positions on a parent tree, one per orbit of its automorphisms:
+    the least vertex of each vertex-rooted code."""
+    rows = parent._rows
+    first: dict[str, int] = {}
+    for v in range(parent.n):
+        first.setdefault(_rooted_code(rows, v), 1 << v)
+    return list(first.values())
+
+
+def _children(
+    parents: Iterable[Graph],
+    masks: Callable[[Graph], Iterable[int]],
+    key: Callable[[Graph], Hashable],
+) -> tuple[Graph, ...]:
     """One graph per isomorphism class among the parents extended by a
-    vertex with a candidate neighbourhood, each the first one generated."""
+    vertex with each neighbourhood in ``masks(parent)``, each the first one
+    generated; ``key`` is a complete isomorphism invariant."""
     out = []
     seen = set()
     for parent in parents:
-        for mask in _extension_masks(parent, candidates):
+        for mask in masks(parent):
             child = _extend(parent, mask)
-            key = canonical_form(child)
-            if key not in seen:
-                seen.add(key)
+            k = key(child)
+            if k not in seen:
+                seen.add(k)
                 out.append(child)
     return tuple(out)
 
@@ -109,7 +135,11 @@ def _children(parents: Iterable[Graph], candidates: Sequence[int]) -> tuple[Grap
 def _connected_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
-    return _children(_connected_classes(n - 1), range(1, 1 << (n - 1)))
+    return _children(
+        _connected_classes(n - 1),
+        lambda p: _extension_masks(p, range(1, 1 << p.n)),
+        canonical_form,
+    )
 
 
 def connected_graphs(n: int) -> Iterator[Graph]:
@@ -137,11 +167,12 @@ def connected_graph_count(n: int) -> int:
 def _tree_classes(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph(1),)
-    return _children(_tree_classes(n - 1), [1 << v for v in range(n - 1)])
+    return _children(_tree_classes(n - 1), _leaf_masks, lambda t: _tree_key(t._rows))
 
 
 def tree_classes(n: int) -> tuple[Graph, ...]:
-    """All trees of order n up to isomorphism (supported to n = 16)."""
+    """All trees of order n up to isomorphism, in generation order
+    (supported to n = 18; every order below n stays cached)."""
     if not 1 <= n <= _MAX_TREE_ORDER:
         raise ValueError(f"tree_classes supports 1 <= n <= {_MAX_TREE_ORDER}, got {n}")
     return _tree_classes(n)

@@ -11,7 +11,8 @@ cuts a branch only where no completion can meet every set:
 * the next pick is at most the smallest largest element among the sets
   not yet met, since picks only grow and that set would stay unmet;
 * with one pick left, it takes the lowest vertex above the last pick in
-  the intersection of the unmet sets;
+  the intersection of the unmet sets (with two left, it does so for each
+  first pick in place, without building the child's list of unmet sets);
 * with two or more picks left, it collects unmet sets pairwise disjoint
   on the vertices above the last pick (a greedy packing in family
   order); each needs a pick of its own, so more of them than picks left
@@ -101,6 +102,7 @@ class ParameterReport:
 def _least_hitting_set(sets: list[int], n: int, k: int) -> Optional[Code]:
     """Lexicographically least k-subset of range(n) that meets every mask in
     ``sets`` (sorted by largest element), or None when there is none."""
+    full = (1 << n) - 1
 
     def search(unmet: list[int], lo: int, left: int) -> Optional[Code]:
         # picks so far are all below lo, and lo + left <= n
@@ -120,6 +122,18 @@ def _least_hitting_set(sets: list[int], n: int, k: int) -> Optional[Code]:
                     return None
         for v in range(lo, min(unmet[0].bit_length(), n - left + 1)):
             bit = 1 << v
+            if left == 2:
+                # the one-pick child inline: the lowest vertex above v in
+                # every set that v misses (v + 1 when v meets them all)
+                common = full >> (v + 1) << (v + 1)
+                for s in unmet:
+                    if not s & bit:
+                        common &= s
+                        if not common:
+                            break
+                if common:
+                    return v, (common & -common).bit_length() - 1
+                continue
             found = search([s for s in unmet if not s & bit], v + 1, left - 1)
             if found is not None:
                 return (v,) + found

@@ -10,7 +10,7 @@ package is tested against.
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from operator import and_
 
@@ -314,6 +314,33 @@ def labeled_connected_classes(n: int) -> list[Graph]:
 
 
 # -- trees --------------------------------------------------------------------
+#
+# Tree generation as first written: leaf augmentation of each class of the
+# order below, one leaf position per orbit of the automorphism generators
+# that the general canonical search finds, children deduplicated by their
+# canonical forms.  Unlike the rest of this module it runs the package's
+# general path on purpose: the tree path must keep the same
+# representatives, in the same order.
+
+
+@lru_cache(maxsize=None)
+def reference_tree_classes(n: int) -> tuple[Graph, ...]:
+    """The tree classes of order n, each the first child generated."""
+    from locdom.canonical import canonical_form
+    from locdom.enumeration import _extend, _extension_masks
+
+    if n == 1:
+        return (Graph(1),)
+    out = []
+    seen = set()
+    for parent in reference_tree_classes(n - 1):
+        for mask in _extension_masks(parent, [1 << v for v in range(n - 1)]):
+            child = _extend(parent, mask)
+            key = canonical_form(child)
+            if key not in seen:
+                seen.add(key)
+                out.append(child)
+    return tuple(out)
 
 
 def prufer_tree(seq: tuple[int, ...]) -> Graph:

@@ -1,7 +1,9 @@
 import io
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from locdom import (
     Graph,
@@ -13,15 +15,22 @@ from locdom import (
     connected_graphs,
     read_graph6,
     read_graph6_stream,
+    relabeled,
     tree_classes,
     write_graph6,
 )
+from locdom.canonical import _tree_key
+from locdom.enumeration import _extension_masks, _leaf_masks
 from locdom.families import path
 
 import _brute
 
 KNOWN_CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-KNOWN_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551}
+# OEIS A000055
+KNOWN_TREE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
+    13: 1301, 14: 3159,
+}
 
 
 class TestConnectedEnumeration:
@@ -94,7 +103,33 @@ class TestTrees:
         with pytest.raises(ValueError):
             tree_classes(0)
         with pytest.raises(ValueError):
-            tree_classes(17)
+            tree_classes(19)
+
+    def test_representatives_match_the_general_search_to_13(self):
+        # the tree key keeps the same first child of each class, in order
+        for n in range(1, 14):
+            mine = [t._rows for t in tree_classes(n)]
+            assert mine == [t._rows for t in _brute.reference_tree_classes(n)], n
+
+    def test_leaf_masks_are_the_automorphism_orbit_representatives_to_11(self):
+        for n in range(1, 12):
+            singles = [1 << v for v in range(n)]
+            for t in tree_classes(n):
+                fresh = Graph._from_rows(t._rows)  # keep no canonical data on t
+                assert _leaf_masks(t) == list(_extension_masks(fresh, singles)), write_graph6(t)
+
+    def test_tree_keys_are_distinct_to_14(self):
+        for n in range(1, 15):
+            keys = {_tree_key(t._rows) for t in tree_classes(n)}
+            assert len(keys) == KNOWN_TREE_COUNTS[n]
+
+    @given(st.integers(1, 18), st.integers(0, 2**28 - 1))
+    def test_tree_key_is_relabelling_invariant(self, n, seed):
+        rng = random.Random(seed)
+        t = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert _tree_key(t._rows) == _tree_key(relabeled(t, perm)._rows)
 
 
 class TestCensus:

@@ -1,10 +1,11 @@
 """Per-layer expectations that the benchmark's traced runs report.
 
 The enumeration builds one child per orbit of extension masks, so the
-child counts depend only on the automorphism generators the canonical
-search returns; a faster search that returns the same generators leaves
-them unchanged.  The benchmark's tracer wraps entry points by name, so
-those names must keep resolving.
+child counts depend only on the orbits: those of the automorphism
+generators the canonical search returns for connected graphs, and the
+classes of equal vertex-rooted codes for trees.  A faster search that
+finds the same orbits leaves them unchanged.  The benchmark's tracer
+wraps entry points by name, so those names must keep resolving.
 """
 
 import importlib
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from locdom import enumeration
-from locdom.enumeration import _connected_classes, _extension_masks, _tree_classes
+from locdom.canonical import _tree_key, canonical_form
+from locdom.enumeration import _connected_classes, _extension_masks, _leaf_masks, _tree_classes
 
 # children built per order: connected graphs (n = 8 builds 67,141 for
 # 11,117 classes) and trees (3,047 in all up to n = 12)
@@ -45,14 +47,37 @@ def test_tree_children_per_order():
     counts = {n: _child_count(_tree_classes, _tree_candidates, n) for n in range(2, 13)}
     assert counts == TREE_CHILDREN
     assert sum(counts.values()) == 3047
+    built = {n: sum(len(_leaf_masks(p)) for p in _tree_classes(n - 1)) for n in range(2, 13)}
+    assert built == TREE_CHILDREN
+
+
+def _connected_masks(parent):
+    return _extension_masks(parent, range(1, 1 << parent.n))
+
+
+def _tree_key_of(tree):
+    return _tree_key(tree._rows)
 
 
 @pytest.mark.parametrize(
-    "classes, candidates, n_max",
-    [(_connected_classes, _connected_candidates, 6), (_tree_classes, _tree_candidates, 9)],
+    "classes, candidates, masks, key, n_max",
+    [
+        pytest.param(
+            _connected_classes, _connected_candidates, _connected_masks, canonical_form, 6,
+            id="_connected_classes-_connected_candidates-6",
+        ),
+        pytest.param(
+            _tree_classes, _tree_candidates, _leaf_masks, _tree_key_of, 9,
+            id="_tree_classes-_tree_candidates-9",
+        ),
+    ],
 )
-def test_children_extend_once_per_extension_mask(monkeypatch, classes, candidates, n_max):
-    # the tracer counts children as calls of enumeration._extend
+def test_children_extend_once_per_extension_mask(
+    monkeypatch, classes, candidates, masks, key, n_max
+):
+    # the tracer counts children as calls of enumeration._extend; tree
+    # children come from rooted codes, connected ones from the generators,
+    # and both must number the generators' orbits of extension masks
     calls = []
     extend = enumeration._extend
 
@@ -63,7 +88,7 @@ def test_children_extend_once_per_extension_mask(monkeypatch, classes, candidate
     monkeypatch.setattr(enumeration, "_extend", counted)
     for n in range(2, n_max + 1):
         calls.clear()
-        enumeration._children(classes(n - 1), candidates(n))
+        enumeration._children(classes(n - 1), masks, key)
         assert len(calls) == _child_count(classes, candidates, n)
 
 
