@@ -30,7 +30,8 @@ isomorphism on all connected graphs up to n = 5.
 
 Trees have a key of their own that needs no search: the AHU code (Aho,
 Hopcroft and Ullman 1974) of the tree rooted at a centre, in
-``_rooted_code`` and ``_tree_key``, which the tree generator uses.
+``_rooted_code`` and ``_tree_key``, which the tree generator uses, and
+``_rooted_ids``, which tells every vertex-rooted code apart at once.
 """
 
 from __future__ import annotations
@@ -70,20 +71,28 @@ def _refine(rows: Sequence[int], cells: list[list[int]], splitters: list[int]) -
     against any other cell are equal within a cell, the key orders a cell
     exactly as the full vector of counts against the previous round's
     cells, negated, would: the order of sorted neighbour-colour tuples.
+    Singleton cells never split, so only the vertices of larger cells get
+    keys, and refinement stops once every cell is a singleton.
     """
     base = len(rows)  # a count is below n
     while splitters:
-        # the negated counts as the digits of one integer per vertex, the
-        # first splitter's most significant: integer order is their order
+        live = [v for cell in cells if len(cell) > 1 for v in cell]
+        if not live:
+            break
+        # the negated counts as the digits of one integer per live vertex,
+        # the first splitter's most significant: integer order is their order
+        live_rows = [rows[v] for v in live]
         m = splitters[0]
-        keys = [-(r & m).bit_count() for r in rows]
+        keys = [-(r & m).bit_count() for r in live_rows]
         for m in splitters[1:]:
-            keys = [k * base - (r & m).bit_count() for k, r in zip(keys, rows)]
+            keys = [k * base - (r & m).bit_count() for k, r in zip(keys, live_rows)]
         out: list[list[int]] = []
         split: list[int] = []
+        at = 0  # the first key of the next live cell
         for cell in cells:
             if len(cell) > 1:
-                ks = [keys[v] for v in cell]
+                ks = keys[at:at + len(cell)]
+                at += len(cell)
                 if ks.count(ks[0]) != len(ks):
                     pieces = {k: [] for k in sorted(set(ks))}
                     for v, k in zip(cell, ks):
@@ -247,6 +256,49 @@ def _rooted_code(rows: Sequence[int], root: int) -> str:
         return "(" + "".join(parts) + ")"
 
     return code(root, ~(1 << root))
+
+
+def _rooted_ids(rows: Sequence[int]) -> list[int]:
+    """For each vertex of the tree ``rows``, an id of the tree rooted there:
+    two ids are equal iff the vertices' ``_rooted_code``s are.
+
+    One rerooting pass from vertex 0.  An id names the sorted tuple of the
+    ids of its root's subtrees, interned per call, so equal ids mean equal
+    codes by induction.  Going up, a vertex's down id names the subtree
+    below it; going down, the up id of a child names the tree on the far
+    side of its edge to its parent, rooted at the parent, which is the
+    parent's other subtrees plus the parent's own up id."""
+    n = len(rows)
+    names: dict[tuple[int, ...], int] = {}
+
+    def intern(parts: list[int]) -> int:
+        return names.setdefault(tuple(sorted(parts)), len(names))
+
+    parent = [-1] * n
+    children: list[list[int]] = [[] for _ in range(n)]
+    order = [0]
+    for v in order:  # breadth first: grows as it is read
+        kids = rows[v] & ~(1 << parent[v]) if v else rows[v]
+        while kids:
+            low = kids & -kids
+            c = low.bit_length() - 1
+            parent[c] = v
+            children[v].append(c)
+            order.append(c)
+            kids ^= low
+    down = [0] * n
+    for v in reversed(order):
+        down[v] = intern([down[c] for c in children[v]])
+    up = [0] * n
+    ids = [0] * n
+    for v in order:
+        parts = [down[c] for c in children[v]]
+        if v:
+            parts.append(up[v])
+        ids[v] = intern(parts)
+        for i, c in enumerate(children[v]):
+            up[c] = intern(parts[:i] + parts[i + 1:])
+    return ids
 
 
 def _tree_key(rows: Sequence[int]) -> str:

@@ -22,18 +22,40 @@ first candidate met in each orbit, the rule that ``_extension_masks``
 applies to the canonical search's generators.  The same children are
 therefore built in the same order, and since the key, like the canonical
 form, is a complete invariant, each class keeps the same first child: the
-representatives are those the general search gives.
+representatives are those the general search gives.  One rerooting pass
+(``canonical._rooted_ids``) names every vertex-rooted code of a parent.
+
+A level with many parents is spread across CPU cores.  The stream of a set
+of parents yields, parent by parent, the children whose class that stream
+meets first, in mask order.  Serially one stream covers every parent.  A
+level forks W = min(CPUs this process may use, parents //
+``_PARENTS_PER_WORKER``) workers when W >= 2 and ``os.fork`` exists;
+worker w runs the stream of the parents i = w (mod W) and writes one
+``marshal`` record per parent to a pipe, each child as its mask, its key
+and its canonical data.  The main process merges the records in parent
+order, keeps the first child of each key and rebuilds it from its parent
+and mask with the record's canonical data.  The representatives are the
+serial ones: the first child of a class in generation order is the first
+its own worker's stream meets, since every child that stream meets before
+it comes earlier in generation order, and the ordered merge reaches that
+child before any later one.  Workers are forked from a process that starts
+no threads, and exit with ``os._exit``; a worker that fails prints its
+traceback and makes the call raise once every worker is reaped.
 
 The graph6 codec lives in :mod:`locdom.graph6` and is re-exported here.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from .canonical import _rooted_code, _tree_key, automorphism_generators, canonical_form
+from .canonical import _rooted_ids, _tree_key, automorphism_generators, canonical_form
 from .graph import Graph
 from .graph6 import Graph6Error, read_graph6, read_graph6_stream, write_graph6
 
@@ -54,6 +76,10 @@ __all__ = [
 
 MAX_ENUMERATION_ORDER = 9
 _MAX_TREE_ORDER = 18
+# parents per forked worker.  A fork and reap costs about 2 ms, and a
+# two-worker fan-out breaks even on tree levels, the cheapest per parent,
+# between 235 and 551 parents (measured), so a level forks from 512 parents
+_PARENTS_PER_WORKER = 256
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
@@ -104,11 +130,39 @@ def _extension_masks(parent: Graph, candidates: Sequence[int]) -> Sequence[int]:
 def _leaf_masks(parent: Graph) -> list[int]:
     """Leaf positions on a parent tree, one per orbit of its automorphisms:
     the least vertex of each vertex-rooted code."""
-    rows = parent._rows
-    first: dict[str, int] = {}
-    for v in range(parent.n):
-        first.setdefault(_rooted_code(rows, v), 1 << v)
+    first: dict[int, int] = {}
+    for v, code in enumerate(_rooted_ids(parent._rows)):
+        first.setdefault(code, 1 << v)
     return list(first.values())
+
+
+def _stream(
+    parents: Sequence[Graph],
+    index: Iterable[int],
+    masks: Callable[[Graph], Iterable[int]],
+    key: Callable[[Graph], Hashable],
+    seen: set,
+) -> Iterator[tuple[int, list[tuple[int, Hashable, Graph]]]]:
+    """Yield ``(i, kept)`` for each parent ``i`` in ``index``: ``kept`` lists,
+    in mask order, ``(mask, key, child)`` for each child whose key is not
+    yet in ``seen``, and adds that key."""
+    for i in index:
+        parent = parents[i]
+        kept = []
+        for mask in masks(parent):
+            child = _extend(parent, mask)
+            k = key(child)
+            if k not in seen:
+                seen.add(k)
+                kept.append((mask, k, child))
+        yield i, kept
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _children(
@@ -119,16 +173,102 @@ def _children(
     """One graph per isomorphism class among the parents extended by a
     vertex with each neighbourhood in ``masks(parent)``, each the first one
     generated; ``key`` is a complete isomorphism invariant."""
+    parents = tuple(parents)
+    workers = min(_cpus(), len(parents) // _PARENTS_PER_WORKER)
+    if workers < 2 or not hasattr(os, "fork"):
+        stream = _stream(parents, range(len(parents)), masks, key, set())
+        return tuple(child for _, kept in stream for _, _, child in kept)
+    return _fan_out(parents, masks, key, workers)
+
+
+def _fan_out(
+    parents: Sequence[Graph],
+    masks: Callable[[Graph], Iterable[int]],
+    key: Callable[[Graph], Hashable],
+    workers: int,
+) -> tuple[Graph, ...]:
+    """``_children`` on ``workers`` forked processes: worker w writes the
+    records of the stream of the parents i = w (mod ``workers``), each child
+    as ``(mask, key, child._canon)``, and the records are merged in order of
+    i.  Every worker is reaped on the way out; one that failed raises."""
+    import heapq  # here, so that a process that never forks never loads them
+    import signal
+
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
     out = []
     seen = set()
-    for parent in parents:
-        for mask in masks(parent):
-            child = _extend(parent, mask)
-            k = key(child)
-            if k not in seen:
-                seen.add(k)
-                out.append(child)
+    finished = False
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    stream = _stream(parents, range(w, len(parents), workers), masks, key, set())
+                    _work(write, pipes, stream)
+            finally:
+                os.close(write)  # the worker never returns here
+            pids.append(pid)
+        for i, kept in heapq.merge(*map(_records, pipes), key=itemgetter(0)):
+            for mask, k, canon in kept:
+                if k not in seen:
+                    seen.add(k)
+                    child = _extend(parents[i], mask)
+                    child._canon = canon
+                    out.append(child)
+        finished = True
+    finally:
+        for f in pipes:
+            f.close()
+        failed = []
+        for pid in pids:
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status:
+                failed.append(status)
+    if failed:
+        raise RuntimeError(f"enumeration workers failed with exit statuses {failed}")
     return tuple(out)
+
+
+def _work(
+    fd: int,
+    inherited: list[BinaryIO],
+    stream: Iterator[tuple[int, list[tuple[int, Hashable, Graph]]]],
+) -> NoReturn:
+    """A forked worker: close the ``inherited`` read ends, write each record
+    of ``stream`` to ``fd``, the child graphs as their canonical data, then
+    exit without returning to the caller's frames.  ``os._exit`` leaves the
+    buffers inherited from the parent, such as unwritten standard output,
+    unflushed."""
+    status = 1
+    try:
+        for f in inherited:
+            f.close()
+        with open(fd, "wb") as f:
+            for i, kept in stream:
+                marshal.dump((i, [(mask, k, child._canon) for mask, k, child in kept]), f)
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _records(f: BinaryIO) -> Iterator[tuple[int, list[tuple[int, Hashable, object]]]]:
+    """The records ``marshal`` wrote to ``f``, up to its end."""
+    while True:
+        try:
+            record = marshal.load(f)
+        except EOFError:
+            return
+        yield record
 
 
 @lru_cache(maxsize=None)

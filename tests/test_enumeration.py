@@ -19,7 +19,7 @@ from locdom import (
     tree_classes,
     write_graph6,
 )
-from locdom.canonical import _tree_key
+from locdom.canonical import _rooted_code, _rooted_ids, _tree_key
 from locdom.enumeration import _extension_masks, _leaf_masks
 from locdom.families import path
 
@@ -117,6 +117,19 @@ class TestTrees:
             for t in tree_classes(n):
                 fresh = Graph._from_rows(t._rows)  # keep no canonical data on t
                 assert _leaf_masks(t) == list(_extension_masks(fresh, singles)), write_graph6(t)
+
+    def test_rooted_ids_match_the_rooted_codes_to_13(self):
+        # one rerooting pass splits the vertices as one code per vertex
+        # does, so the leaf masks are the least vertex of each code, in order
+        for n in range(1, 14):
+            for t in tree_classes(n):
+                codes = [_rooted_code(t._rows, v) for v in range(n)]
+                ids = _rooted_ids(t._rows)
+                assert [codes.index(c) for c in codes] == [ids.index(i) for i in ids]
+                first = {}
+                for v, code in enumerate(codes):
+                    first.setdefault(code, 1 << v)
+                assert _leaf_masks(t) == list(first.values()), write_graph6(t)
 
     def test_tree_keys_are_distinct_to_14(self):
         for n in range(1, 15):

@@ -1,0 +1,140 @@
+"""The enumeration's fan-out across forked workers.
+
+A level with enough parents splits them among forked workers and merges
+their records in parent order; the result must be the serial one, byte for
+byte, and no worker may outlive the call.  The fan-out is forced on small
+levels by lowering the parents-per-worker constant and faking the CPU count.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from locdom import enumeration
+from locdom.canonical import _tree_key, canonical_form
+from locdom.enumeration import _children, _connected_classes, _extension_masks, _leaf_masks, _tree_classes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _connected_masks(parent):
+    return _extension_masks(parent, range(1, 1 << parent.n))
+
+
+def _tree_key_of(tree):
+    return _tree_key(tree._rows)
+
+
+LEVELS = [
+    pytest.param(_connected_classes, _connected_masks, canonical_form, 7, id="connected-7"),
+    pytest.param(_tree_classes, _leaf_masks, _tree_key_of, 13, id="trees-13"),
+]
+
+
+def _data(graphs):
+    return [(g._rows, g._canon) for g in graphs]
+
+
+def _force(monkeypatch, cpus):
+    monkeypatch.setattr(enumeration, "_PARENTS_PER_WORKER", 1)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("classes, masks, key, n_max", LEVELS)
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_fan_out_matches_the_serial_path(monkeypatch, classes, masks, key, n_max, cpus):
+    for n in range(2, n_max + 1):
+        parents = classes(n - 1)
+        monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
+        serial = _data(_children(parents, masks, key))
+        _force(monkeypatch, cpus)
+        assert _data(_children(parents, masks, key)) == serial, n
+        monkeypatch.undo()
+    _no_child_left()
+
+
+def test_a_failing_worker_raises_and_every_worker_is_reaped(monkeypatch, capfd):
+    def broken_key(g):
+        raise ValueError("broken key")
+
+    _force(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="workers failed"):
+        _children(_connected_classes(4), _connected_masks, broken_key)
+    _no_child_left()
+    assert "ValueError: broken key" in capfd.readouterr().err
+
+
+def test_an_error_while_merging_reaps_every_worker(monkeypatch, capfd):
+    main = os.getpid()
+    extend = enumeration._extend
+
+    def failing_in_main(parent, mask):
+        if os.getpid() == main:
+            raise KeyError("merge")
+        return extend(parent, mask)
+
+    _force(monkeypatch, 2)
+    monkeypatch.setattr(enumeration, "_extend", failing_in_main)
+    with pytest.raises(KeyError, match="merge"):
+        _children(_connected_classes(6), _connected_masks, canonical_form)
+    _no_child_left()
+    # killed, not left to fail on the closed pipe and print that
+    assert capfd.readouterr().err == ""
+
+
+def _refuse_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize(
+    "per_worker, cpus",
+    [(1, 1), (enumeration._PARENTS_PER_WORKER, 64)],  # one CPU; 112 parents, a small level
+    ids=["one-cpu", "small-level"],
+)
+def test_one_cpu_or_a_small_level_never_forks(monkeypatch, per_worker, cpus):
+    parents = _connected_classes(6)
+    expected = _data(_connected_classes(7))
+    monkeypatch.setattr(enumeration, "_PARENTS_PER_WORKER", per_worker)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert _data(_children(parents, _connected_masks, canonical_form)) == expected
+
+
+def test_no_fork_means_the_serial_path(monkeypatch):
+    parents = _connected_classes(6)
+    expected = _data(_connected_classes(7))
+    _force(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert _data(_children(parents, _connected_masks, canonical_form)) == expected
+
+
+def _enumerate_graph6(cpus):
+    # the fan-out is forced at every level with more than one parent
+    script = (
+        "import sys; import locdom.enumeration as e; "
+        f"e._PARENTS_PER_WORKER = 1; e._cpus = lambda: {cpus}; "
+        "from locdom.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = [sys.executable, "-c", script, "enumerate", "--n", "3..7", "--output", "graph6"]
+    # block-buffered standard output, which a worker must never flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_output_is_byte_identical_with_the_fan_out_forced():
+    serial = _enumerate_graph6(1)
+    forked = _enumerate_graph6(2)
+    assert forked == serial
+    lines = forked.splitlines()
+    assert len(lines) == len(set(lines)) == 2 + 6 + 21 + 112 + 853
