@@ -37,7 +37,7 @@ import time
 from typing import Callable, Optional
 
 from . import __version__, families
-from .enumeration import census, connected_graphs, write_graph6
+from .enumeration import MAX_ENUMERATION_ORDER, census, connected_graphs, write_graph6
 from .graph import DisconnectedGraphError, Graph
 from .graph6 import Graph6Error, read_graph6
 from .solvers import (
@@ -167,6 +167,10 @@ def _parse_order_range(text: str) -> range:
     hi = int(m.group(2)) if m.group(2) else lo
     if hi < lo:
         raise _InputError(f"bad order range {text!r}: {hi} < {lo}")
+    if lo < 1 or hi > MAX_ENUMERATION_ORDER:
+        raise _InputError(
+            f"order range {text!r} outside the supported orders 1..{MAX_ENUMERATION_ORDER}"
+        )
     return range(lo, hi + 1)
 
 
@@ -228,11 +232,9 @@ def _cmd_compute(args, argv) -> int:
         if p not in PARAMETERS:
             raise _InputError(f"unknown parameter {p!r}; expected subset of {','.join(PARAMETERS)}")
     for line, g in graphs:
-        if not g.is_connected():
-            print(
-                f"error: graph on input line {line} is disconnected",
-                file=sys.stderr,
-            )
+        if g.n < 2 or not g.is_connected():
+            problem = "has one vertex; the parameters need n >= 2" if g.n < 2 else "is disconnected"
+            print(f"error: graph on input line {line} {problem}", file=sys.stderr)
             return EXIT_PRECONDITION
     out = _Emitter(argv, args.table, _sha256(data))
     for line, g in graphs:
@@ -289,67 +291,51 @@ def _cmd_enumerate(args, argv) -> int:
 # -- family ------------------------------------------------------------------
 
 
-def _family_instance(name: str, params: list[str]) -> families.FamilyInstance:
-    def ints(expected=None):
-        vals = []
-        for p in params:
-            if not re.fullmatch(r"-?[0-9]+", p):
-                raise _InputError(f"family {name!r} expects integer parameters, got {p!r}")
-            vals.append(int(p))
-        if expected is not None and len(vals) != expected:
-            raise _InputError(f"family {name!r} expects {expected} parameters, got {len(vals)}")
-        return vals
+# family name -> (constructor in locdom.families, number of integer
+# parameters, or None for one list of any length whose constructor returns
+# a bare graph).  Constructors are looked up by name when called, so a
+# wrapper installed on the module (bench/tracer.py installs one) is used.
+_FAMILIES = {
+    "path": ("path", 1),
+    "cycle": ("cycle", 1),
+    "complete": ("complete", 1),
+    "star": ("star", 1),
+    "complete-bipartite": ("complete_bipartite", 2),
+    "wheel": ("wheel", 1),
+    "spider": ("spider", None),
+    "spider-k3": ("spider_k3", 1),
+    "spider-k4": ("spider_k4", 1),
+    "spider-mixed": ("spider_mixed", 2),
+    "strong-grid": ("strong_grid", None),
+    "geta": ("g_eta_construction", 1),
+    "eta-extremal": ("eta_n_minus_2_family", 2),  # after the KIND
+    "realization": ("realization_graph", 3),
+    "realization-tree": ("realization_tree", 2),
+}
 
+
+def _family_instance(name: str, params: list[str]) -> families.FamilyInstance:
+    constructor, arity = _FAMILIES[name]
+    kind = []
+    if name == "eta-extremal":
+        if len(params) != 3:
+            raise _InputError("family 'eta-extremal' expects KIND R S")
+        kind, params = params[:1], params[1:]
+    for p in params:
+        if not re.fullmatch(r"-?[0-9]+", p):
+            raise _InputError(f"family {name!r} expects integer parameters, got {p!r}")
+    vals = [int(p) for p in params]
+    if arity is not None and len(vals) != arity:
+        raise _InputError(f"family {name!r} expects {arity} parameters, got {len(vals)}")
+    make = getattr(families, constructor)
     try:
-        if name == "path":
-            return families.path(*ints(1))
-        if name == "cycle":
-            return families.cycle(*ints(1))
-        if name == "complete":
-            return families.complete(*ints(1))
-        if name == "star":
-            return families.star(*ints(1))
-        if name == "complete-bipartite":
-            return families.complete_bipartite(*ints(2))
-        if name == "wheel":
-            return families.wheel(*ints(1))
-        if name == "spider":
-            legs = ints()
-            return families.FamilyInstance(families.spider(legs), f"spider({legs})")
-        if name == "spider-k3":
-            return families.spider_k3(*ints(1))
-        if name == "spider-k4":
-            return families.spider_k4(*ints(1))
-        if name == "spider-mixed":
-            return families.spider_mixed(*ints(2))
-        if name == "strong-grid":
-            dims = ints()
-            return families.FamilyInstance(families.strong_grid(dims), f"strong_grid({dims})")
-        if name == "geta":
-            return families.g_eta_construction(*ints(1))
-        if name == "eta-extremal":
-            if len(params) != 3:
-                raise _InputError("family 'eta-extremal' expects KIND R S")
-            kind, params = params[0], params[1:]
-            return families.eta_n_minus_2_family(kind, *ints(2))
-        if name == "realization":
-            return families.realization_graph(*ints(3))
-        if name == "realization-tree":
-            return families.realization_tree(*ints(2))
+        if arity is None:
+            return families.FamilyInstance(make(vals), f"{constructor}({vals})")
+        return make(*kind, *vals)
     except families.NotRealizableError:
-        raise
-    except _InputError:
         raise
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-    raise _InputError(f"unknown family {name!r}")
-
-
-_FAMILY_NAMES = (
-    "path cycle complete star complete-bipartite wheel spider spider-k3 "
-    "spider-k4 spider-mixed strong-grid geta eta-extremal realization "
-    "realization-tree"
-).split()
 
 
 def _cmd_family(args, argv) -> int:
@@ -482,7 +468,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("family", help="build a named graph family instance")
-    p.add_argument("name", choices=_FAMILY_NAMES)
+    p.add_argument("name", choices=list(_FAMILIES))
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("--emit", choices=("graph6", "edgelist"))
     p.add_argument("--verify", action="store_true", help="brute-force check the claims")

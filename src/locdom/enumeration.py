@@ -220,12 +220,15 @@ def _fan_out(
                     out.append(child)
         finished = True
     finally:
+        # kill before closing: a worker still writing would otherwise meet
+        # the closed pipe and print its BrokenPipeError
+        if not finished:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
         for f in pipes:
             f.close()
         failed = []
         for pid in pids:
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if status:
                 failed.append(status)

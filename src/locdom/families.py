@@ -346,117 +346,88 @@ def g_eta_construction(eta: int) -> FamilyInstance:
 
 # -- the seven families with eta = lambda = n - 2 ---------------------------
 
-ETA_EXTREMAL_KINDS = (
-    "complete_bipartite",
-    "join_clique_empty",
-    "cone_clique_plus_empty",
-    "join_clique_k1_clique",
-    "double_star",
-    "cone_star_plus_empty",
-    "star_plus_vertex",
-)
+def _clique(vertices: range) -> list[tuple[int, int]]:
+    return [(i, j) for i in vertices for j in vertices if i < j]
 
-_KIND_RANGES = {
-    "complete_bipartite": "r >= 2, s >= 2",
-    "join_clique_empty": "r >= 2, s >= 2",
-    "cone_clique_plus_empty": "r >= 2, s >= 2",
-    "join_clique_k1_clique": "r >= 1, s >= 2",
-    "double_star": "r >= 1, s >= 1",
-    "cone_star_plus_empty": "r >= 2, s >= 1",
-    "star_plus_vertex": "2 <= s <= r - 1",
+
+# kind -> (stated range of (r, s), that range as a test, order, edges)
+_KINDS = {
+    "complete_bipartite": (
+        "r >= 2, s >= 2",
+        lambda r, s: r >= 2 and s >= 2,
+        lambda r, s: r + s,
+        lambda r, s: [(i, r + j) for i in range(r) for j in range(s)],
+    ),
+    # clique 0..r-1 joined to s isolated vertices
+    "join_clique_empty": (
+        "r >= 2, s >= 2",
+        lambda r, s: r >= 2 and s >= 2,
+        lambda r, s: r + s,
+        lambda r, s: _clique(range(r)) + [(i, r + j) for i in range(r) for j in range(s)],
+    ),
+    # apex 0 over (clique 1..r) u (s isolated vertices)
+    "cone_clique_plus_empty": (
+        "r >= 2, s >= 2",
+        lambda r, s: r >= 2 and s >= 2,
+        lambda r, s: 1 + r + s,
+        lambda r, s: [(0, v) for v in range(1, 1 + r + s)] + _clique(range(1, r + 1)),
+    ),
+    # clique 0..r-1 joined to ({r} u clique r+1..r+s)
+    "join_clique_k1_clique": (
+        "r >= 1, s >= 2",
+        lambda r, s: r >= 1 and s >= 2,
+        lambda r, s: r + 1 + s,
+        lambda r, s: _clique(range(r))
+        + [(i, v) for i in range(r) for v in range(r, r + 1 + s)]
+        + _clique(range(r + 1, r + 1 + s)),
+    ),
+    # centres 0, 1; r leaves on 0, s leaves on 1
+    "double_star": (
+        "r >= 1, s >= 1",
+        lambda r, s: r >= 1 and s >= 1,
+        lambda r, s: 2 + r + s,
+        lambda r, s: [(0, 1)] + [(0, 2 + i) for i in range(r)] + [(1, 2 + r + j) for j in range(s)],
+    ),
+    # apex 0 over (star: centre 1 with leaves 2..r+1) u (s isolated)
+    "cone_star_plus_empty": (
+        "r >= 2, s >= 1",
+        lambda r, s: r >= 2 and s >= 1,
+        lambda r, s: 2 + r + s,
+        lambda r, s: [(0, v) for v in range(1, 2 + r + s)] + [(1, v) for v in range(2, r + 2)],
+    ),
+    # star: centre 0, leaves 1..r; vertex r+1 adjacent to leaves 1..s
+    "star_plus_vertex": (
+        "2 <= s <= r - 1",
+        lambda r, s: 2 <= s <= r - 1,
+        lambda r, s: r + 2,
+        lambda r, s: [(0, v) for v in range(1, r + 1)] + [(r + 1, v) for v in range(1, s + 1)],
+    ),
 }
 
-
-def _kind_ok(kind: str, r: int, s: int) -> bool:
-    if kind in ("complete_bipartite", "join_clique_empty", "cone_clique_plus_empty"):
-        return r >= 2 and s >= 2
-    if kind == "join_clique_k1_clique":
-        return r >= 1 and s >= 2
-    if kind == "double_star":
-        return r >= 1 and s >= 1
-    if kind == "cone_star_plus_empty":
-        return r >= 2 and s >= 1
-    if kind == "star_plus_vertex":
-        return 2 <= s <= r - 1
-    raise ValueError(f"unknown kind {kind!r}; expected one of {ETA_EXTREMAL_KINDS}")
-
-
-def _build_kind(kind: str, r: int, s: int) -> Graph:
-    if kind == "complete_bipartite":
-        return complete_bipartite(r, s).graph
-    if kind == "join_clique_empty":
-        # clique 0..r-1 joined to s isolated vertices
-        edges = [(i, j) for i in range(r) for j in range(i + 1, r)]
-        edges += [(i, r + j) for i in range(r) for j in range(s)]
-        return Graph(r + s, edges)
-    if kind == "cone_clique_plus_empty":
-        # apex 0 over (clique 1..r) u (s isolated vertices)
-        n = 1 + r + s
-        edges = [(0, v) for v in range(1, n)]
-        edges += [(i, j) for i in range(1, r + 1) for j in range(i + 1, r + 1)]
-        return Graph(n, edges)
-    if kind == "join_clique_k1_clique":
-        # clique 0..r-1 joined to ({r} u clique r+1..r+s)
-        n = r + 1 + s
-        edges = [(i, j) for i in range(r) for j in range(i + 1, r)]
-        edges += [(i, v) for i in range(r) for v in range(r, n)]
-        edges += [(i, j) for i in range(r + 1, n) for j in range(i + 1, n)]
-        return Graph(n, edges)
-    if kind == "double_star":
-        # centres 0, 1; r leaves on 0, s leaves on 1
-        n = 2 + r + s
-        edges = [(0, 1)]
-        edges += [(0, 2 + i) for i in range(r)]
-        edges += [(1, 2 + r + j) for j in range(s)]
-        return Graph(n, edges)
-    if kind == "cone_star_plus_empty":
-        # apex 0 over (star: centre 1 with leaves 2..r+1) u (s isolated)
-        n = 2 + r + s
-        edges = [(0, v) for v in range(1, n)]
-        edges += [(1, v) for v in range(2, r + 2)]
-        return Graph(n, edges)
-    if kind == "star_plus_vertex":
-        # star: centre 0, leaves 1..r; vertex r+1 adjacent to leaves 1..s
-        n = r + 2
-        edges = [(0, v) for v in range(1, r + 1)]
-        edges += [(r + 1, v) for v in range(1, s + 1)]
-        return Graph(n, edges)
-    raise ValueError(f"unknown kind {kind!r}")
+ETA_EXTREMAL_KINDS = tuple(_KINDS)
 
 
 def eta_n_minus_2_family(kind: str, r: int, s: int) -> FamilyInstance:
     """One of the seven families whose members satisfy eta = lambda = n - 2."""
-    if not _kind_ok(kind, r, s):
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}; expected one of {ETA_EXTREMAL_KINDS}")
+    stated, ok, order, edges = _KINDS[kind]
+    if not ok(r, s):
         raise ValueError(
-            f"parameters (r={r}, s={s}) outside the stated range for "
-            f"{kind!r} ({_KIND_RANGES[kind]})"
+            f"parameters (r={r}, s={s}) outside the stated range for {kind!r} ({stated})"
         )
-    g = _build_kind(kind, r, s)
+    g = Graph(order(r, s), edges(r, s))
     values = {"eta": g.n - 2, "lambda": g.n - 2}
     return _instance(g, f"eta_extremal({kind},{r},{s})", values)
 
 
 def eta_extremal_instances_of_order(n: int) -> Iterator[FamilyInstance]:
     """Every member of the seven families with exactly n vertices."""
-    for kind in ETA_EXTREMAL_KINDS:
+    for kind, (_, ok, order, _) in _KINDS.items():
         for r in range(1, n):
             for s in range(1, n):
-                if not _kind_ok(kind, r, s):
-                    continue
-                if _kind_order(kind, r, s) == n:
+                if ok(r, s) and order(r, s) == n:
                     yield eta_n_minus_2_family(kind, r, s)
-
-
-def _kind_order(kind: str, r: int, s: int) -> int:
-    if kind in ("complete_bipartite", "join_clique_empty"):
-        return r + s
-    if kind in ("cone_clique_plus_empty", "join_clique_k1_clique"):
-        return 1 + r + s
-    if kind in ("double_star", "cone_star_plus_empty"):
-        return 2 + r + s
-    if kind == "star_plus_vertex":
-        return r + 2
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 # -- realization constructions ---------------------------------------------

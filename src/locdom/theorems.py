@@ -33,8 +33,9 @@ The checked statements, writing n for the order, D for the diameter and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import families
 from .canonical import canonical_form
@@ -87,16 +88,12 @@ class Verdict:
         return self.status != FAILS
 
 
-def _holds(theorem, scope, reason="", parts=()):
-    return Verdict(theorem, scope, HOLDS, reason, (), tuple(parts))
-
-
-def _fails(theorem, scope, counterexamples, reason="", parts=()):
-    return Verdict(theorem, scope, FAILS, reason, tuple(counterexamples), tuple(parts))
-
-
-def _skipped(theorem, scope, reason):
-    return Verdict(theorem, scope, SKIPPED, reason)
+def _judge(theorem: str, scope: str, ok: bool, detail: str, g6: str = "") -> Verdict:
+    """Holds with reason ``detail``, or fails with the one counterexample
+    ``(g6, detail)``."""
+    if ok:
+        return Verdict(theorem, scope, HOLDS, detail)
+    return Verdict(theorem, scope, FAILS, "", ((g6, detail),))
 
 
 def _combine(theorem: str, scope: str, parts: Sequence[Verdict], reason="") -> Verdict:
@@ -105,18 +102,22 @@ def _combine(theorem: str, scope: str, parts: Sequence[Verdict], reason="") -> V
         reason = parts[0].reason
     cx = tuple(c for p in parts for c in p.counterexamples)
     if cx:
-        return _fails(theorem, scope, cx, reason, parts)
-    if parts and all(p.status == SKIPPED for p in parts):
-        return Verdict(theorem, scope, SKIPPED, reason, (), parts)
-    return _holds(theorem, scope, reason, parts)
+        status = FAILS
+    elif parts and all(p.status == SKIPPED for p in parts):
+        status = SKIPPED
+    else:
+        status = HOLDS
+    return Verdict(theorem, scope, status, reason, cx, parts)
 
 
 def _g6(g: Graph) -> str:
     return write_graph6(g).decode("ascii")
 
 
-def _scope_of(g: Graph) -> str:
-    return f"graph {_g6(g)} (n={g.n})"
+def _where(g: Graph) -> tuple[str, str]:
+    """The scope of a single-graph verdict, and the graph6 a failure cites."""
+    g6 = _g6(g)
+    return f"graph {g6} (n={g.n})", g6
 
 
 # -- single-graph checkers --------------------------------------------------
@@ -124,21 +125,20 @@ def _scope_of(g: Graph) -> str:
 
 def check_inequality_chain(g: Graph) -> Verdict:
     """max(gamma, beta) <= eta <= min(gamma + beta, lambda)."""
-    name = "inequality-chain"
     r = full_report(g)
     lo, hi = max(r.gamma, r.beta), min(r.gamma + r.beta, r.lambda_)
     detail = f"gamma={r.gamma} beta={r.beta} eta={r.eta} lambda={r.lambda_}"
-    if lo <= r.eta <= hi:
-        return _holds(name, _scope_of(g), detail)
-    return _fails(name, _scope_of(g), [(_g6(g), detail)])
+    scope, g6 = _where(g)
+    return _judge("inequality-chain", scope, lo <= r.eta <= hi, detail, g6)
 
 
 def check_eta_bounds(g: Graph) -> Verdict:
     """eta + ceil(2D/3) <= n <= eta + eta * 3^(eta-1), for D >= 3."""
     name = "eta-bounds"
+    scope, g6 = _where(g)
     d = g.diameter()
     if d < 3:
-        return _skipped(name, _scope_of(g), f"hypothesis unmet: diameter {d} < 3")
+        return Verdict(name, scope, SKIPPED, f"hypothesis unmet: diameter {d} < 3")
     eta = minimum_code(g, "eta")[0]
     lower = eta + ceil(2 * d / 3)
     upper = eta + eta * 3 ** (eta - 1)
@@ -147,34 +147,24 @@ def check_eta_bounds(g: Graph) -> Verdict:
         notes.append("lower bound tight")
     if upper == g.n:
         notes.append("upper bound tight")
-    if lower <= g.n <= upper:
-        return _holds(name, _scope_of(g), "; ".join(notes))
-    return _fails(name, _scope_of(g), [(_g6(g), "; ".join(notes))])
+    return _judge(name, scope, lower <= g.n <= upper, "; ".join(notes), g6)
 
 
 def check_lambda_bounds(g: Graph) -> Verdict:
     """lambda + ceil((3D-1)/5) <= n for D >= 3, and n <= lambda + 2^lambda - 1."""
     name = "lambda-bounds"
+    scope, g6 = _where(g)
     d = g.diameter()
     lam = minimum_code(g, "lambda")[0]
     detail = f"lambda={lam} D={d} n={g.n}"
-    parts = []
     if d < 3:
-        parts.append(
-            _skipped(f"{name}/lower", _scope_of(g), f"hypothesis unmet: diameter {d} < 3")
-        )
+        lower = Verdict(f"{name}/lower", scope, SKIPPED, f"hypothesis unmet: diameter {d} < 3")
     else:
-        lower = lam + ceil((3 * d - 1) / 5)
-        note = detail + ("; lower bound tight" if lower == g.n else "")
-        if lower <= g.n:
-            parts.append(_holds(f"{name}/lower", _scope_of(g), note))
-        else:
-            parts.append(_fails(f"{name}/lower", _scope_of(g), [(_g6(g), note)]))
-    if g.n <= lam + 2 ** lam - 1:
-        parts.append(_holds(f"{name}/upper", _scope_of(g), detail))
-    else:
-        parts.append(_fails(f"{name}/upper", _scope_of(g), [(_g6(g), detail)]))
-    return _combine(name, _scope_of(g), parts, detail)
+        bound = lam + ceil((3 * d - 1) / 5)
+        note = detail + ("; lower bound tight" if bound == g.n else "")
+        lower = _judge(f"{name}/lower", scope, bound <= g.n, note, g6)
+    upper = _judge(f"{name}/upper", scope, g.n <= lam + 2 ** lam - 1, detail, g6)
+    return _combine(name, scope, [lower, upper], detail)
 
 
 def _eta_lambda(g: Graph) -> tuple[int, int]:
@@ -182,62 +172,47 @@ def _eta_lambda(g: Graph) -> tuple[int, int]:
     return minimum_code(g, "eta")[0], minimum_code(g, "lambda")[0]
 
 
-def _is_p6(g: Graph) -> bool:
-    return g.n == 6 and g.is_tree() and g.diameter() == 5
-
-
 def check_tree_bounds(g: Graph) -> Verdict:
     """eta <= lambda <= 2*eta - 2 for trees of order >= 3 other than P6."""
     name = "tree-bounds"
     if not g.is_tree():
         raise ValueError("check_tree_bounds requires a tree")
+    scope, g6 = _where(g)
     if g.n < 3:
-        return _skipped(name, _scope_of(g), f"hypothesis unmet: order {g.n} < 3")
+        return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
     eta, lam = _eta_lambda(g)
     detail = f"eta={eta} lambda={lam}"
-    if _is_p6(g):
+    if g.n == 6 and g.diameter() == 5:  # P6, the only such tree
         exception = "violates upper bound" if lam > 2 * eta - 2 else "within bounds"
-        return _skipped(
-            name,
-            _scope_of(g),
-            f"stated exception P6: {detail}; {exception}",
-        )
+        return Verdict(name, scope, SKIPPED, f"stated exception P6: {detail}; {exception}")
     notes = [detail]
     if lam == eta:
         notes.append("lower bound attained")
     if lam == 2 * eta - 2:
         notes.append("upper bound attained")
-    if eta <= lam <= 2 * eta - 2:
-        return _holds(name, _scope_of(g), "; ".join(notes))
-    return _fails(name, _scope_of(g), [(_g6(g), "; ".join(notes))])
+    return _judge(name, scope, eta <= lam <= 2 * eta - 2, "; ".join(notes), g6)
 
 
 def check_eta_equals_lambda_conditions(g: Graph) -> Verdict:
     """D = 2 or beta >= n - 3 implies eta = lambda."""
     name = "eta-equals-lambda"
+    scope, g6 = _where(g)
     d = g.diameter()
     beta = minimum_code(g, "beta")[0]
     if d != 2 and beta < g.n - 3:
-        return _skipped(
-            name, _scope_of(g), f"hypothesis unmet: D={d} != 2 and beta={beta} < n-3"
+        return Verdict(
+            name, scope, SKIPPED, f"hypothesis unmet: D={d} != 2 and beta={beta} < n-3"
         )
     eta, lam = _eta_lambda(g)
-    detail = f"D={d} beta={beta} eta={eta} lambda={lam}"
-    if eta == lam:
-        return _holds(name, _scope_of(g), detail)
-    return _fails(name, _scope_of(g), [(_g6(g), detail)])
+    return _judge(name, scope, eta == lam, f"D={d} beta={beta} eta={eta} lambda={lam}", g6)
 
 
 # -- eta = 2 membership ------------------------------------------------------
 
-_KING5: Optional[Graph] = None
 
-
+@lru_cache(maxsize=None)
 def _king5() -> Graph:
-    global _KING5
-    if _KING5 is None:
-        _KING5 = families.strong_grid([5, 5])
-    return _KING5
+    return families.strong_grid([5, 5])
 
 
 def metric_coordinate_map(g: Graph, code: Code) -> Optional[tuple[int, ...]]:
@@ -293,10 +268,11 @@ def check_eta2_membership(g: Graph) -> Verdict:
     preserve the full metric.
     """
     name = "eta2-membership"
+    scope, g6 = _where(g)
     found = minimum_code(g, "eta", k_max=2)
     if found is None or found[0] != 2:
         eta_desc = "eta=1" if found else "eta>2"
-        return _skipped(name, _scope_of(g), f"hypothesis unmet: {eta_desc}")
+        return Verdict(name, scope, SKIPPED, f"hypothesis unmet: {eta_desc}")
     dist = g.distance_matrix()
     codes = [
         (u, w)
@@ -306,12 +282,12 @@ def check_eta2_membership(g: Graph) -> Verdict:
     ]
     bad = []
     if not 3 <= g.n <= 8:
-        bad.append((_g6(g), f"order {g.n} outside 3..8"))
+        bad.append((g6, f"order {g.n} outside 3..8"))
     king = _king5()
     embeddings = metric_preserving = 0
     for u, w in codes:
         if dist[u][w] > 3:
-            bad.append((_g6(g), f"code ({u},{w}) at distance {dist[u][w]} > 3"))
+            bad.append((g6, f"code ({u},{w}) at distance {dist[u][w]} > 3"))
         mapping = metric_coordinate_map(g, (u, w))
         if mapping is None:
             continue
@@ -320,14 +296,12 @@ def check_eta2_membership(g: Graph) -> Verdict:
             if isometric_embedding_check(g, king, mapping):
                 metric_preserving += 1
     if embeddings == 0:
-        bad.append((_g6(g), "no optimal 2-code draws the graph inside the king grid"))
+        bad.append((g6, "no optimal 2-code draws the graph inside the king grid"))
     detail = (
         f"{len(codes)} optimal 2-codes, {embeddings} king-grid embeddings, "
         f"{metric_preserving} metric-preserving"
     )
-    if bad:
-        return _fails(name, _scope_of(g), bad, detail)
-    return _holds(name, _scope_of(g), detail)
+    return Verdict(name, scope, FAILS if bad else HOLDS, detail, tuple(bad))
 
 
 # -- extremal lambda ---------------------------------------------------------
@@ -341,54 +315,33 @@ def check_lambda_extremal(g: Graph) -> Verdict:
     (d) eta = n-3 implies lambda = n-3.
     """
     name = "lambda-extremal"
+    scope, g6 = _where(g)
     if g.n < 3:
-        return _skipped(name, _scope_of(g), f"hypothesis unmet: order {g.n} < 3")
+        return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
     r = full_report(g)
     n, d, eta, lam = r.n, r.diameter, r.eta, r.lambda_
     detail = f"n={n} D={d} eta={eta} lambda={lam}"
     parts = []
-
-    scope = _scope_of(g)
     if lam >= n - 2:
-        if d <= 3:
-            parts.append(_holds(f"{name}/diameter", scope, detail))
-        else:
-            parts.append(_fails(f"{name}/diameter", scope, [(_g6(g), detail)]))
+        parts.append(_judge(f"{name}/diameter", scope, d <= 3, detail, g6))
     else:
-        parts.append(_skipped(f"{name}/diameter", scope, f"lambda={lam} < n-2"))
-
-    if (lam == n - 2) == (eta == n - 2):
-        parts.append(_holds(f"{name}/equivalence", scope, detail))
-    else:
-        parts.append(_fails(f"{name}/equivalence", scope, [(_g6(g), detail)]))
-
+        parts.append(Verdict(f"{name}/diameter", scope, SKIPPED, f"lambda={lam} < n-2"))
+    equivalent = (lam == n - 2) == (eta == n - 2)
+    parts.append(_judge(f"{name}/equivalence", scope, equivalent, detail, g6))
     if lam == n - 2:
         key = canonical_form(g)
         member = any(
             canonical_form(inst.graph) == key
             for inst in families.eta_extremal_instances_of_order(n)
         )
-        if member:
-            parts.append(_holds(f"{name}/family-membership", scope, detail))
-        else:
-            parts.append(
-                _fails(
-                    f"{name}/family-membership",
-                    scope,
-                    [(_g6(g), detail + "; not in the seven-family list")],
-                )
-            )
+        note = "" if member else "; not in the seven-family list"
+        parts.append(_judge(f"{name}/family-membership", scope, member, detail + note, g6))
     else:
-        parts.append(_skipped(f"{name}/family-membership", scope, f"lambda={lam} != n-2"))
-
+        parts.append(Verdict(f"{name}/family-membership", scope, SKIPPED, f"lambda={lam} != n-2"))
     if eta == n - 3:
-        if lam == n - 3:
-            parts.append(_holds(f"{name}/eta-n3", scope, detail))
-        else:
-            parts.append(_fails(f"{name}/eta-n3", scope, [(_g6(g), detail)]))
+        parts.append(_judge(f"{name}/eta-n3", scope, lam == n - 3, detail, g6))
     else:
-        parts.append(_skipped(f"{name}/eta-n3", scope, f"eta={eta} != n-3"))
-
+        parts.append(Verdict(f"{name}/eta-n3", scope, SKIPPED, f"eta={eta} != n-3"))
     return _combine(name, scope, parts, detail)
 
 
@@ -401,19 +354,17 @@ def verify_realization(a: int, b: int, c: int) -> Verdict:
     name = "realization"
     scope = f"(a,b,c)=({a},{b},{c})"
     if min(a, b, c) < 1 or not max(a, b) <= c <= a + b:
-        return _skipped(name, scope, "outside theorem scope: need max(a,b) <= c <= a+b")
+        return Verdict(name, scope, SKIPPED, "outside theorem scope: need max(a,b) <= c <= a+b")
     try:
         inst = families.realization_graph(a, b, c)
     except families.NotRealizableError:
-        if b == 1 and a > 1 and c == a + 1:
-            return _holds(name, scope, "correctly rejected (not realizable)")
-        return _fails(name, scope, [("", "unexpected rejection")])
+        expected = b == 1 and a > 1 and c == a + 1
+        detail = "correctly rejected (not realizable)" if expected else "unexpected rejection"
+        return _judge(name, scope, expected, detail)
     r = full_report(inst.graph)
     got = (r.gamma, r.beta, r.eta)
     detail = f"{inst.name}: n={inst.graph.n} computed (gamma,beta,eta)={got}"
-    if got == (a, b, c):
-        return _holds(name, scope, detail)
-    return _fails(name, scope, [(_g6(inst.graph), detail)])
+    return _judge(name, scope, got == (a, b, c), detail, _g6(inst.graph))
 
 
 def verify_tree_realization(a: int, b: int) -> Verdict:
@@ -421,13 +372,11 @@ def verify_tree_realization(a: int, b: int) -> Verdict:
     name = "tree-realization"
     scope = f"(a,b)=({a},{b})"
     if not 3 <= a <= b <= 2 * a - 2:
-        return _skipped(name, scope, "outside theorem scope: need 3 <= a <= b <= 2a-2")
+        return Verdict(name, scope, SKIPPED, "outside theorem scope: need 3 <= a <= b <= 2a-2")
     inst = families.realization_tree(a, b)
     eta, lam = _eta_lambda(inst.graph)
     detail = f"{inst.name}: n={inst.graph.n} computed (eta,lambda)=({eta},{lam})"
-    if (eta, lam) == (a, b):
-        return _holds(name, scope, detail)
-    return _fails(name, scope, [(_g6(inst.graph), detail)])
+    return _judge(name, scope, (eta, lam) == (a, b), detail, _g6(inst.graph))
 
 
 # -- sweeps and the registry -------------------------------------------------
@@ -450,9 +399,7 @@ def sweep(
             checked += 1
             cx.extend(v.counterexamples)
     reason = f"checked={checked} skipped={skipped}"
-    if cx:
-        return _fails(theorem, scope, cx, reason)
-    return _holds(theorem, scope, reason)
+    return Verdict(theorem, scope, FAILS if cx else HOLDS, reason, tuple(cx))
 
 
 def _orders(theorem: str, lo: int, hi: int) -> range:
@@ -465,157 +412,103 @@ def _orders(theorem: str, lo: int, hi: int) -> range:
     return range(lo, hi + 1)
 
 
-def _sweep_source(
-    theorem: str, graphs: Optional[Iterable[Graph]], lo: int, hi: int, trees: bool = False
-) -> tuple[Iterable[Graph], str]:
-    """The graphs a sweep runs over, and its scope: the supplied stream, or
-    every connected graph (or tree) class of order lo..hi."""
-    if graphs is not None:
-        return graphs, "supplied graphs"
-    orders = _orders(theorem, lo, hi)
-    make, kind = (tree_classes, "trees") if trees else (connected_graphs, "connected graphs")
-    return (g for n in orders for g in make(n)), f"{kind}, {lo} <= n <= {hi}"
+def _sweep_runner(
+    checker: Callable[[Graph], Verdict],
+    lo: int,
+    tightness: Optional[Callable[[], Iterator[Verdict]]] = None,
+    trees: bool = False,
+    name: Optional[str] = None,
+):
+    """A runner sweeping ``checker`` over the supplied graphs or every
+    connected graph (or tree) class of order lo..n_max, and merging the
+    sweep with the parts ``tightness`` yields.  The sweep's verdict is
+    named ``name``, by default the theorem id."""
+
+    def run(theorem: str, n_max: int, graphs: Optional[Iterable[Graph]]) -> Verdict:
+        scope = "supplied graphs"
+        if graphs is None:
+            orders = _orders(theorem, lo, n_max)
+            if trees:
+                # copies, so the cached classes keep none of the distances
+                # and minima the sweep computes
+                graphs = (Graph._from_rows(t._rows) for n in orders for t in tree_classes(n))
+            else:
+                graphs = (g for n in orders for g in connected_graphs(n))
+            scope = f"{'trees' if trees else 'connected graphs'}, {lo} <= n <= {n_max}"
+        verdict = sweep(checker, graphs, name or theorem, scope)
+        if tightness is None:
+            return verdict
+        return _combine(theorem, scope, [verdict, *tightness()])
+
+    return run
 
 
-def _run_prop1(n_max, graphs):
-    src, scope = _sweep_source("prop1", graphs, 2, n_max)
-    return sweep(check_inequality_chain, src, "inequality-chain", scope)
-
-
-def _tightness_part(name, scope, condition, detail):
-    if condition:
-        return _holds(name, scope, detail)
-    return _fails(name, scope, [("", detail)])
-
-
-def _run_eta_bounds(n_max, graphs):
-    src, scope = _sweep_source("eta-bounds", graphs, 2, n_max)
-    parts = [sweep(check_eta_bounds, src, "eta-bounds", scope)]
+def _eta_tightness() -> Iterator[Verdict]:
     for k in (2, 3, 4):
         g = families.path(3 * k).graph
-        eta = minimum_code(g, "eta")[0]
-        d = g.diameter()
-        parts.append(
-            _tightness_part(
-                "eta-bounds/lower-tight",
-                f"path({3 * k})",
-                eta + ceil(2 * d / 3) == g.n,
-                f"eta={eta} D={d} n={g.n}",
-            )
-        )
+        eta, d = minimum_code(g, "eta")[0], g.diameter()
+        tight = eta + ceil(2 * d / 3) == g.n
+        yield _judge("eta-bounds/lower-tight", f"path({3 * k})", tight, f"eta={eta} D={d} n={g.n}")
     for e in (2, 3):
         inst = families.g_eta_construction(e)
-        eta = minimum_code(inst.graph, "eta")[0]
-        parts.append(
-            _tightness_part(
-                "eta-bounds/upper-tight",
-                inst.name,
-                eta == e and inst.graph.n == e + e * 3 ** (e - 1),
-                f"eta={eta} n={inst.graph.n}",
-            )
-        )
-    return _combine("eta-bounds", scope, parts)
+        eta, n = minimum_code(inst.graph, "eta")[0], inst.graph.n
+        tight = eta == e and n == e + e * 3 ** (e - 1)
+        yield _judge("eta-bounds/upper-tight", inst.name, tight, f"eta={eta} n={n}")
 
 
-def _run_lambda_bounds(n_max, graphs):
-    src, scope = _sweep_source("lambda-bounds", graphs, 2, n_max)
-    parts = [sweep(check_lambda_bounds, src, "lambda-bounds", scope)]
+def _lambda_tightness() -> Iterator[Verdict]:
     p5 = families.path(5).graph
-    lam = minimum_code(p5, "lambda")[0]
-    parts.append(
-        _tightness_part(
-            "lambda-bounds/lower-tight",
-            "path(5)",
-            lam + ceil((3 * p5.diameter() - 1) / 5) == p5.n,
-            f"lambda={lam} D={p5.diameter()} n={p5.n}",
-        )
-    )
-    return _combine("lambda-bounds", scope, parts)
+    lam, d = minimum_code(p5, "lambda")[0], p5.diameter()
+    tight = lam + ceil((3 * d - 1) / 5) == p5.n
+    yield _judge("lambda-bounds/lower-tight", "path(5)", tight, f"lambda={lam} D={d} n={p5.n}")
 
 
-def _run_tree_bounds(n_max, graphs):
-    n_max = 12 if n_max is None else n_max
-    src, scope = _sweep_source("tree-bounds", graphs, 3, n_max, trees=True)
-    parts = [sweep(check_tree_bounds, src, "tree-bounds", scope)]
+def _tree_tightness() -> Iterator[Verdict]:
     for k in (2, 3, 4):
         low = families.spider_k3(k)
         eta, lam = _eta_lambda(low.graph)
-        parts.append(
-            _tightness_part(
-                "tree-bounds/lower-attained",
-                low.name,
-                eta == lam == k + 1,
-                f"eta={eta} lambda={lam}",
-            )
-        )
+        attained = eta == lam == k + 1
+        yield _judge("tree-bounds/lower-attained", low.name, attained, f"eta={eta} lambda={lam}")
         high = families.spider_k4(k)
         eta, lam = _eta_lambda(high.graph)
-        parts.append(
-            _tightness_part(
-                "tree-bounds/upper-attained",
-                high.name,
-                eta == k + 1 and lam == 2 * k == 2 * eta - 2,
-                f"eta={eta} lambda={lam}",
-            )
-        )
-    return _combine("tree-bounds", scope, parts)
+        attained = eta == k + 1 and lam == 2 * k == 2 * eta - 2
+        yield _judge("tree-bounds/upper-attained", high.name, attained, f"eta={eta} lambda={lam}")
 
 
-def _run_eta_lambda(n_max, graphs):
-    src, scope = _sweep_source("eta-lambda-conditions", graphs, 2, n_max)
-    return sweep(check_eta_equals_lambda_conditions, src, "eta-equals-lambda", scope)
+def _run_realization(theorem, bound, graphs):
+    parts = [
+        verify_realization(a, b, c)
+        for a in _orders(theorem, 1, bound)
+        for b in range(1, bound + 1)
+        for c in range(max(a, b), a + b + 1)
+    ]
+    scope = f"all triples with a, b <= {bound}"
+    return _combine(theorem, scope, parts, f"checked={len(parts)} combinations")
 
 
-def _run_eta2(n_max, graphs):
-    n_max = 8 if n_max is None else min(n_max, 8)
-    src, scope = _sweep_source("eta2-membership", graphs, 2, n_max)
-    return sweep(check_eta2_membership, src, "eta2-membership", scope)
+def _run_tree_realization(theorem, hi, graphs):
+    parts = [
+        verify_tree_realization(a, b)
+        for a in _orders(theorem, 3, hi)
+        for b in range(a, 2 * a - 1)
+    ]
+    scope = f"all pairs with 3 <= a <= {hi}"
+    return _combine(theorem, scope, parts, f"checked={len(parts)} pairs")
 
 
-def _run_lambda_extremal(n_max, graphs):
-    src, scope = _sweep_source("lambda-extremal", graphs, 3, n_max)
-    return sweep(check_lambda_extremal, src, "lambda-extremal", scope)
-
-
-def _run_realization(n_max, graphs):
-    bound = 3 if n_max is None else min(n_max, 4)
-    parts = []
-    for a in _orders("realization", 1, bound):
-        for b in range(1, bound + 1):
-            for c in range(max(a, b), a + b + 1):
-                parts.append(verify_realization(a, b, c))
-    return _combine(
-        "realization",
-        f"all triples with a, b <= {bound}",
-        parts,
-        f"checked={len(parts)} combinations",
-    )
-
-
-def _run_tree_realization(n_max, graphs):
-    hi = 5 if n_max is None else min(n_max, 6)
-    parts = []
-    for a in _orders("tree-realization", 3, hi):
-        for b in range(a, 2 * a - 1):
-            parts.append(verify_tree_realization(a, b))
-    return _combine(
-        "tree-realization",
-        f"all pairs with 3 <= a <= {hi}",
-        parts,
-        f"checked={len(parts)} pairs",
-    )
-
-
+# theorem id -> (runner, default n_max, largest n_max or None)
 _RUNNERS = {
-    "prop1": (_run_prop1, 7),
-    "eta-bounds": (_run_eta_bounds, 7),
-    "lambda-bounds": (_run_lambda_bounds, 7),
-    "tree-bounds": (_run_tree_bounds, None),
-    "eta-lambda-conditions": (_run_eta_lambda, 7),
-    "eta2-membership": (_run_eta2, None),
-    "lambda-extremal": (_run_lambda_extremal, 7),
-    "realization": (_run_realization, None),
-    "tree-realization": (_run_tree_realization, None),
+    "prop1": (_sweep_runner(check_inequality_chain, 2, name="inequality-chain"), 7, None),
+    "eta-bounds": (_sweep_runner(check_eta_bounds, 2, _eta_tightness), 7, None),
+    "lambda-bounds": (_sweep_runner(check_lambda_bounds, 2, _lambda_tightness), 7, None),
+    "tree-bounds": (_sweep_runner(check_tree_bounds, 3, _tree_tightness, trees=True), 12, None),
+    "eta-lambda-conditions": (
+        _sweep_runner(check_eta_equals_lambda_conditions, 2, name="eta-equals-lambda"), 7, None
+    ),
+    "eta2-membership": (_sweep_runner(check_eta2_membership, 2), 8, 8),
+    "lambda-extremal": (_sweep_runner(check_lambda_extremal, 3), 7, None),
+    "realization": (_run_realization, 3, 4),
+    "tree-realization": (_run_tree_realization, 5, 6),
 }
 
 THEOREM_IDS = tuple(_RUNNERS)
@@ -633,7 +526,8 @@ def run_theorem(
         raise ValueError(
             f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}"
         )
-    runner, default_n = _RUNNERS[theorem_id]
-    if n_max is None:
-        n_max = default_n
-    return runner(n_max, graphs)
+    runner, default_n, largest_n = _RUNNERS[theorem_id]
+    n_max = default_n if n_max is None else n_max
+    if largest_n is not None:
+        n_max = min(n_max, largest_n)
+    return runner(theorem_id, n_max, graphs)

@@ -87,6 +87,14 @@ class TestCompute:
         code, _, _ = run_cli(capsys, ["compute", "-", "--params", "delta"], stdin=P6_EDGE_LIST)
         assert code == 2
 
+    @pytest.mark.parametrize("params", [[], ["--params", "beta"]])
+    def test_single_vertex_exits_3(self, capsys, params):
+        # the empty set locates K1, so no parameter is reported for it
+        code, out, err = run_cli(capsys, ["compute", "-", *params], stdin="@\n")
+        assert code == 3
+        assert out == ""
+        assert "line 1" in err and "n >= 2" in err
+
 
 class TestEnumerate:
     def test_count_n4(self, capsys):
@@ -132,6 +140,13 @@ class TestEnumerate:
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["enumerate", "--n", "5..3"])
         assert code == 2
+
+    @pytest.mark.parametrize("orders", ["0..2", "10", "9..10"])
+    def test_unsupported_orders_exit_2(self, capsys, orders):
+        code, out, err = run_cli(capsys, ["enumerate", "--n", orders])
+        assert code == 2
+        assert out == ""
+        assert "1..9" in err
 
     def test_non_ascii_digits_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["enumerate", "--n", "4", "--filter", "eta=\u0662"])

@@ -108,6 +108,9 @@ class TestTreeBounds:
     def test_spider_441_counterexample_is_detected_and_sound(self):
         v = check_tree_bounds(SPIDER_441)
         assert v.status == "fails"
+        # a failure cites the graph with the detail and leaves the reason empty
+        assert (v.scope, v.reason) == ("graph IhE?GC@_? (n=10)", "")
+        assert v.counterexamples == (("IhE?GC@_?", "eta=3 lambda=5"),)
         # soundness: reproduce the failure with the plain predicates only
         g = SPIDER_441
         from itertools import combinations
