@@ -18,173 +18,21 @@ pure Python on integer bitsets; brute-force subset search is the oracle
 of record throughout.
 """
 
-from .graph import (
-    UNREACHABLE,
-    DisconnectedGraphError,
-    DistanceMatrix,
-    Graph,
-    TreeProfile,
-    complement,
-    disjoint_union,
-    join,
-    relabeled,
-    strong_product,
-    tree_profile,
-)
-from .canonical import (
-    are_isomorphic,
-    automorphism_generators,
-    canonical_form,
-    canonical_labeling,
-)
-from .predicates import Code, is_dominating, is_ld, is_locating, is_mld, metric_vector
-from .solvers import (
-    PARAMETERS,
-    InvariantViolation,
-    ParameterReport,
-    domination_number,
-    full_report,
-    ld_number,
-    metric_dimension,
-    minimum_code,
-    mld_number,
-    parameter_satisfies,
-)
-from .graph6 import Graph6Error, read_graph6, read_graph6_stream, write_graph6
-from .enumeration import (
-    CensusEntry,
-    CensusReport,
-    census,
-    connected_graph_count,
-    connected_graphs,
-    tree_classes,
-    trees,
-)
-from .families import (
-    ETA_EXTREMAL_KINDS,
-    FamilyInstance,
-    NotRealizableError,
-    complete,
-    complete_bipartite,
-    cycle,
-    eta_extremal_instances_of_order,
-    eta_n_minus_2_family,
-    g_eta_construction,
-    path,
-    realization_graph,
-    realization_tree,
-    spider,
-    spider_k3,
-    spider_k4,
-    spider_mixed,
-    star,
-    strong_grid,
-    wheel,
-)
-from .theorems import (
-    THEOREM_IDS,
-    Verdict,
-    check_eta2_membership,
-    check_eta_bounds,
-    check_eta_equals_lambda_conditions,
-    check_inequality_chain,
-    check_lambda_bounds,
-    check_lambda_extremal,
-    check_tree_bounds,
-    isometric_embedding_check,
-    king_grid_subgraph_check,
-    metric_coordinate_map,
-    run_theorem,
-    sweep,
-    verify_realization,
-    verify_tree_realization,
-)
+from . import canonical, enumeration, families, graph, graph6, predicates, solvers, theorems
+from .canonical import *
+from .enumeration import *
+from .families import *
+from .graph import *
+from .graph6 import *
+from .predicates import *
+from .solvers import *
+from .theorems import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # graph core
-    "Graph",
-    "DistanceMatrix",
-    "TreeProfile",
-    "UNREACHABLE",
-    "DisconnectedGraphError",
-    "strong_product",
-    "join",
-    "disjoint_union",
-    "complement",
-    "relabeled",
-    "tree_profile",
-    "canonical_form",
-    "canonical_labeling",
-    "automorphism_generators",
-    "are_isomorphic",
-    # predicates
-    "Code",
-    "metric_vector",
-    "is_dominating",
-    "is_locating",
-    "is_mld",
-    "is_ld",
-    # solvers
-    "PARAMETERS",
-    "ParameterReport",
-    "InvariantViolation",
-    "minimum_code",
-    "parameter_satisfies",
-    "domination_number",
-    "metric_dimension",
-    "mld_number",
-    "ld_number",
-    "full_report",
-    # graph6 / enumeration
-    "Graph6Error",
-    "write_graph6",
-    "read_graph6",
-    "read_graph6_stream",
-    "connected_graphs",
-    "connected_graph_count",
-    "tree_classes",
-    "trees",
-    "census",
-    "CensusReport",
-    "CensusEntry",
-    # families
-    "FamilyInstance",
-    "NotRealizableError",
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "complete_bipartite",
-    "wheel",
-    "strong_grid",
-    "spider",
-    "spider_k3",
-    "spider_k4",
-    "spider_mixed",
-    "g_eta_construction",
-    "ETA_EXTREMAL_KINDS",
-    "eta_n_minus_2_family",
-    "eta_extremal_instances_of_order",
-    "realization_graph",
-    "realization_tree",
-    # theorems
-    "Verdict",
-    "THEOREM_IDS",
-    "run_theorem",
-    "sweep",
-    "check_inequality_chain",
-    "check_eta_bounds",
-    "check_lambda_bounds",
-    "check_tree_bounds",
-    "check_eta_equals_lambda_conditions",
-    "check_eta2_membership",
-    "check_lambda_extremal",
-    "metric_coordinate_map",
-    "isometric_embedding_check",
-    "king_grid_subgraph_check",
-    "verify_realization",
-    "verify_tree_realization",
+# each module's __all__ is the one list of its public names
+__all__ = ["__version__"] + [
+    name
+    for module in (graph, canonical, predicates, solvers, graph6, enumeration, families, theorems)
+    for name in module.__all__
 ]

@@ -36,11 +36,10 @@ Hopcroft and Ullman 1974) of the tree rooted at a centre, in
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .graph import Graph
-from .graph6 import _encode
+from .graph6 import _bit_weights, _encode
 
 __all__ = [
     "canonical_form",
@@ -114,20 +113,6 @@ def _by_degree(rows: Sequence[int]) -> tuple[list[list[int]], list[int]]:
         pieces.setdefault(r.bit_count(), []).append(v)
     cells = [pieces[d] for d in sorted(pieces)]
     return cells, [_mask(c) for c in cells[:-1]]
-
-
-@lru_cache(maxsize=None)
-def _bit_weights(n: int) -> tuple[tuple[int, ...], ...]:
-    """weights[i][j]: the value of the bit x(i,j) in the packed upper
-    triangle of order n, which holds the bits x(0,j) .. x(j-1,j) of each
-    column j = 1..n-1 in turn, the first most significant: the graph6
-    body, in order."""
-    top = n * (n - 1) // 2 - 1
-    weights = [[0] * n for _ in range(n)]
-    for j in range(1, n):
-        for i in range(j):
-            weights[i][j] = weights[j][i] = 1 << (top - j * (j - 1) // 2 - i)
-    return tuple(map(tuple, weights))
 
 
 def _search(g: Graph) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:

@@ -221,6 +221,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _parameters_defined(graphs: list[tuple[int, Graph]]) -> bool:
+    """Are the parameters defined on every input graph (connected, n >= 2)?
+    If not, name the first graph that fails on stderr."""
+    for line, g in graphs:
+        if g.n < 2 or not g.is_connected():
+            problem = "has one vertex; the parameters need n >= 2" if g.n < 2 else "is disconnected"
+            print(f"error: graph on input line {line} {problem}", file=sys.stderr)
+            return False
+    return True
+
+
 # -- compute -----------------------------------------------------------------
 
 
@@ -231,11 +242,8 @@ def _cmd_compute(args, argv) -> int:
     for p in params:
         if p not in PARAMETERS:
             raise _InputError(f"unknown parameter {p!r}; expected subset of {','.join(PARAMETERS)}")
-    for line, g in graphs:
-        if g.n < 2 or not g.is_connected():
-            problem = "has one vertex; the parameters need n >= 2" if g.n < 2 else "is disconnected"
-            print(f"error: graph on input line {line} {problem}", file=sys.stderr)
-            return EXIT_PRECONDITION
+    if not _parameters_defined(graphs):
+        return EXIT_PRECONDITION
     out = _Emitter(argv, args.table, _sha256(data))
     for line, g in graphs:
         if set(params) == set(PARAMETERS):
@@ -417,7 +425,10 @@ def _cmd_verify(args, argv) -> int:
             )
         data = _read_source(args.input)
         digest = _sha256(data)
-        graphs = [g for _, g in _parse_graphs(data, "g6")]
+        numbered = _parse_graphs(data, "g6")
+        if not _parameters_defined(numbered):
+            return EXIT_PRECONDITION
+        graphs = [g for _, g in numbered]
     out = _Emitter(argv, args.table, digest)
     try:
         # every verdict before the first record: a cap that leaves a sweep

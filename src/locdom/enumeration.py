@@ -41,8 +41,6 @@ it comes earlier in generation order, and the ordered merge reaches that
 child before any later one.  Workers are forked from a process that starts
 no threads, and exit with ``os._exit``; a worker that fails prints its
 traceback and makes the call raise once every worker is reaped.
-
-The graph6 codec lives in :mod:`locdom.graph6` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, No
 
 from .canonical import _rooted_ids, _tree_key, automorphism_generators, canonical_form
 from .graph import Graph
-from .graph6 import Graph6Error, read_graph6, read_graph6_stream, write_graph6
+from .graph6 import write_graph6
 
 __all__ = [
     "MAX_ENUMERATION_ORDER",
@@ -68,10 +66,6 @@ __all__ = [
     "CensusEntry",
     "CensusReport",
     "census",
-    "Graph6Error",
-    "read_graph6",
-    "read_graph6_stream",
-    "write_graph6",
 ]
 
 MAX_ENUMERATION_ORDER = 9

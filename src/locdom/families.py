@@ -47,7 +47,7 @@ from math import ceil
 from typing import Iterator, Mapping, Sequence
 
 from .graph import Graph, strong_product
-from .predicates import Code, is_dominating, is_ld, is_locating, is_mld
+from .predicates import Code, _hits
 
 __all__ = [
     "FamilyInstance",
@@ -76,14 +76,6 @@ class NotRealizableError(ValueError):
     """The requested parameter combination is provably not realizable."""
 
 
-_PREDICATES = {
-    "gamma": is_dominating,
-    "beta": is_locating,
-    "eta": is_mld,
-    "lambda": is_ld,
-}
-
-
 @dataclass(frozen=True)
 class FamilyInstance:
     """A generated graph together with its claimed values and codes."""
@@ -96,7 +88,7 @@ class FamilyInstance:
     def claims_hold(self) -> bool:
         """Do all claimed codes satisfy their predicates (and sizes)?"""
         for param, code in self.claimed_codes.items():
-            if not _PREDICATES[param](self.graph, code):
+            if not _hits(self.graph, param, code):
                 return False
             if param in self.claimed_values and len(code) != self.claimed_values[param]:
                 return False

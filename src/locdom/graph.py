@@ -21,7 +21,6 @@ __all__ = [
     "UNREACHABLE",
     "DisconnectedGraphError",
     "Graph",
-    "DistanceMatrix",
     "TreeProfile",
     "tree_profile",
     "strong_product",
@@ -37,37 +36,6 @@ UNREACHABLE = -1
 
 class DisconnectedGraphError(ValueError):
     """An operation that requires a connected graph received one that is not."""
-
-
-class DistanceMatrix:
-    """All-pairs hop distances of a graph.
-
-    ``dm[u][v]`` is the length of a shortest u-v path, or :data:`UNREACHABLE`
-    when no path exists.  Rows are plain tuples.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        self.rows = rows
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, v: int) -> tuple[int, ...]:
-        return self.rows[v]
-
-    @property
-    def is_connected(self) -> bool:
-        return all(UNREACHABLE not in row for row in self.rows)
-
-    def max_distance(self) -> int:
-        """Largest finite entry (the diameter when the graph is connected)."""
-        return max(max(row) for row in self.rows)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"DistanceMatrix(n={self.n})"
 
 
 def _bfs_row(rows: Sequence[int], n: int, src: int) -> tuple[int, ...]:
@@ -166,25 +134,24 @@ class Graph:
 
     # -- distances -----------------------------------------------------
 
-    def distance_matrix(self) -> DistanceMatrix:
-        """All-pairs hop distances, computed once by per-vertex BFS."""
+    def distance_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs hop distances, computed once by per-vertex BFS: row u
+        holds the length of a shortest u-v path for each v, or
+        :data:`UNREACHABLE` when no path exists."""
         if self._dist is None:
-            rows = self._rows
-            n = self.n
-            self._dist = DistanceMatrix(tuple(_bfs_row(rows, n, s) for s in range(n)))
+            self._dist = tuple(_bfs_row(self._rows, self.n, s) for s in range(self.n))
         return self._dist
 
     def is_connected(self) -> bool:
-        if self._dist is not None:
-            return self._dist.is_connected
-        return UNREACHABLE not in _bfs_row(self._rows, self.n, 0)
+        row = self._dist[0] if self._dist is not None else _bfs_row(self._rows, self.n, 0)
+        return UNREACHABLE not in row
 
     def diameter(self) -> int:
         """Maximum distance over all vertex pairs; requires connectivity."""
-        dm = self.distance_matrix()
-        if not dm.is_connected:
+        rows = self.distance_matrix()
+        if not self.is_connected():
             raise DisconnectedGraphError("diameter is undefined for disconnected graphs")
-        return dm.max_distance()
+        return max(map(max, rows))
 
     def is_tree(self) -> bool:
         return self.edge_count == self.n - 1 and self.is_connected()

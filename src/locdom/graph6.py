@@ -9,6 +9,7 @@ Byte 0 is n + 63.  ``K1`` encodes to ``b"@"`` and ``P2`` to ``b"A_"``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import IO, Iterable, Iterator, Union
 
 from .graph import Graph
@@ -22,11 +23,29 @@ class Graph6Error(ValueError):
     """Malformed graph6 bytes or an unsupported (long form) encoding."""
 
 
+def _check_order(n: int) -> None:
+    if n > 62:
+        raise Graph6Error(f"short graph6 supports n <= 62, got n={n}")
+
+
+@lru_cache(maxsize=None)
+def _bit_weights(n: int) -> tuple[tuple[int, ...], ...]:
+    """weights[i][j]: the value of the bit x(i,j) in the packed upper
+    triangle of order n, which holds the bits x(0,j) .. x(j-1,j) of each
+    column j = 1..n-1 in turn, the first most significant: the graph6
+    body, in order."""
+    top = n * (n - 1) // 2 - 1
+    weights = [[0] * n for _ in range(n)]
+    for j in range(1, n):
+        for i in range(j):
+            weights[i][j] = weights[j][i] = 1 << (top - j * (j - 1) // 2 - i)
+    return tuple(map(tuple, weights))
+
+
 def _encode(n: int, bits: int) -> bytes:
     """graph6 bytes of order n from its upper-triangle bits, column by
     column, as one integer (the first bit most significant)."""
-    if n > 62:
-        raise Graph6Error(f"short graph6 supports n <= 62, got n={n}")
+    _check_order(n)
     nbytes = (n * (n - 1) // 2 + 5) // 6
     bits <<= 6 * nbytes - n * (n - 1) // 2
     return bytes([n + 63] + [(bits >> s & 63) + 63 for s in range(6 * nbytes - 6, -6, -6)])
@@ -34,13 +53,9 @@ def _encode(n: int, bits: int) -> bytes:
 
 def write_graph6(g: Graph) -> bytes:
     """Encode a graph as short-form graph6 bytes (no trailing newline)."""
-    rows = g._rows
-    bits = 0
-    for j in range(1, g.n):
-        rj = rows[j]
-        for i in range(j):
-            bits = (bits << 1) | (rj >> i & 1)
-    return _encode(g.n, bits)
+    _check_order(g.n)  # before a weight table is built and cached
+    weights = _bit_weights(g.n)
+    return _encode(g.n, sum([weights[u][v] for u, v in g.edges()]))
 
 
 def _ascii(text: str) -> bytes:
@@ -83,12 +98,11 @@ def read_graph6(data: Union[bytes, str]) -> Graph:
     if pad and bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits in graph6 value")
     bits >>= pad
+    weights = _bit_weights(n)
     rows = [0] * n
-    pos = nbits
     for j in range(1, n):
         for i in range(j):
-            pos -= 1
-            if (bits >> pos) & 1:
+            if bits & weights[i][j]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return Graph._from_rows(rows)

@@ -65,11 +65,11 @@ def _code_mask(g: Graph, code: Iterable[int]) -> int:
     return mask
 
 
-def _dist_rows(g: Graph):
-    dm = g.distance_matrix()
-    if not dm.is_connected:
+def _dist_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
+    rows = g.distance_matrix()
+    if not g.is_connected():
         raise DisconnectedGraphError("metric predicates require a connected graph")
-    return dm.rows
+    return rows
 
 
 def _hitting_family(g: Graph, param: str) -> list[int]:

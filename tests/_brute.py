@@ -241,6 +241,41 @@ def brute_graph6(n: int, edges) -> bytes:
     return bytes([n + 63] + body)
 
 
+def reference_write_graph6(g: Graph) -> bytes:
+    """Short-form graph6 by the bit-by-bit encoder loop: one shift per
+    upper-triangle bit x(0,j), ..., x(j-1,j), column by column, then the
+    bits zero-padded and cut into 6-bit bytes offset by 63."""
+    n = g.n
+    pairs = set(g.edges())
+    bits = 0
+    for j in range(1, n):
+        for i in range(j):
+            bits = (bits << 1) | ((i, j) in pairs)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    bits <<= 6 * nbytes - nbits
+    return bytes([n + 63] + [(bits >> s & 63) + 63 for s in range(6 * nbytes - 6, -6, -6)])
+
+
+def reference_read_graph6(data: bytes) -> Graph:
+    """Decode a valid short-form graph6 value by the bit-by-bit decoder
+    loop: one bit position per upper-triangle pair, column by column."""
+    n = data[0] - 63
+    bits = 0
+    for b in data[1:]:
+        bits = (bits << 6) | (b - 63)
+    nbits = n * (n - 1) // 2
+    bits >>= 6 * (len(data) - 1) - nbits
+    edges = []
+    pos = nbits
+    for j in range(1, n):
+        for i in range(j):
+            pos -= 1
+            if (bits >> pos) & 1:
+                edges.append((i, j))
+    return Graph(n, edges)
+
+
 def reference_canonical(g: Graph):
     """(canonical form, labelling position -> vertex, automorphism generators)."""
     n = g.n

@@ -290,6 +290,23 @@ class TestVerify:
         assert out == ""
         assert "tree-bounds: n_max = 2 is below its lowest order 3" in err
 
+    @pytest.mark.parametrize(
+        "theorem, g6, problem",
+        [
+            ("prop1", "@", "n >= 2"),
+            ("lambda-bounds", "@", "n >= 2"),
+            ("eta-lambda-conditions", "@", "n >= 2"),
+            ("tree-bounds", "C?", "is disconnected"),
+        ],
+    )
+    def test_input_without_parameters_exits_3(self, capsys, theorem, g6, problem):
+        # the checked graph comes second, so the message must name line 2
+        blob = f"{write_graph6(path(3).graph).decode()}\n{g6}\n"
+        code, out, err = run_cli(capsys, ["verify", theorem, "--input", "-"], stdin=blob)
+        assert code == 3
+        assert out == ""
+        assert "line 2" in err and problem in err
+
     def test_non_tree_input_to_tree_bounds_exits_2(self, capsys):
         code, out, err = run_cli(capsys, ["verify", "tree-bounds", "--input", "-"], stdin="Bw\n")
         assert code == 2

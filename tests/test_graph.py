@@ -63,7 +63,6 @@ class TestDistances:
         g = Graph(4, [(0, 1), (2, 3)])
         dm = g.distance_matrix()
         assert dm[0][2] == UNREACHABLE
-        assert not dm.is_connected
         assert not g.is_connected()
 
     def test_diameter_examples(self):
