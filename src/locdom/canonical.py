@@ -28,10 +28,12 @@ the same labelling and automorphisms; ``tests/_brute.py`` keeps that
 refinement as the reference.  Validated against brute-force permutation
 isomorphism on all connected graphs up to n = 5.
 
-Trees have a key of their own that needs no search: the AHU code (Aho,
-Hopcroft and Ullman 1974) of the tree rooted at a centre, in
-``_rooted_code`` and ``_tree_key``, which the tree generator uses, and
-``_rooted_ids``, which tells every vertex-rooted code apart at once.
+Trees need no search.  One pass, ``_peel``, peels leaves layer by layer
+down to the one or two centres and names each vertex's AHU code (Aho,
+Hopcroft and Ullman 1974) as it goes.  From it the tree generator takes a
+key, ``_tree_key``, the least code rooted at a centre, and the orbits of
+the vertices, ``_orbit_labels``, which follow the codes down from the
+centres.
 """
 
 from __future__ import annotations
@@ -222,87 +224,69 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- trees --------------------------------------------------------------------
 
 
-def _rooted_code(rows: Sequence[int], root: int) -> str:
-    """The AHU code of the tree ``rows`` rooted at ``root``: "(" + the
-    sorted codes of the root's subtrees + ")", built bottom-up.  Two rooted
-    trees are isomorphic iff their codes are equal."""
+def _peel(rows: Sequence[int]) -> tuple[list[int], list[int], list[int], list[str]]:
+    """Peel the leaves of the tree ``rows``, layer by layer, down to its one
+    or two centres, naming each vertex's AHU code (Aho, Hopcroft and Ullman
+    1974) as it is peeled: "(" + the sorted codes of its children, the
+    neighbours peeled before it, + ")".  Two rooted trees are isomorphic iff
+    their codes are equal.
 
-    def code(v: int, free: int) -> str:
-        # free lacks v, its ancestors and their children: rows[v] & free
-        # are v's children
-        kids = rows[v] & free
-        free &= ~kids
-        parts = []
-        while kids:
-            low = kids & -kids
-            parts.append(code(low.bit_length() - 1, free))
-            kids ^= low
-        parts.sort()
-        return "(" + "".join(parts) + ")"
-
-    return code(root, ~(1 << root))
-
-
-def _rooted_ids(rows: Sequence[int]) -> list[int]:
-    """For each vertex of the tree ``rows``, an id of the tree rooted there:
-    two ids are equal iff the vertices' ``_rooted_code``s are.
-
-    One rerooting pass from vertex 0.  An id names the sorted tuple of the
-    ids of its root's subtrees, interned per call, so equal ids mean equal
-    codes by induction.  Going up, a vertex's down id names the subtree
-    below it; going down, the up id of a child names the tree on the far
-    side of its edge to its parent, rooted at the parent, which is the
-    parent's other subtrees plus the parent's own up id."""
+    Returns the centres, every vertex in peel order (the centres last), each
+    vertex's parent (its one neighbour left when it is peeled; -1 for a
+    centre) and the codes.  A centre's code is that of its own side: with
+    two centres, neither counts the other as a child."""
     n = len(rows)
-    names: dict[tuple[int, ...], int] = {}
-
-    def intern(parts: list[int]) -> int:
-        return names.setdefault(tuple(sorted(parts)), len(names))
-
-    parent = [-1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    order = [0]
-    for v in order:  # breadth first: grows as it is read
-        kids = rows[v] & ~(1 << parent[v]) if v else rows[v]
-        while kids:
-            low = kids & -kids
-            c = low.bit_length() - 1
-            parent[c] = v
-            children[v].append(c)
-            order.append(c)
-            kids ^= low
-    down = [0] * n
-    for v in reversed(order):
-        down[v] = intern([down[c] for c in children[v]])
-    up = [0] * n
-    ids = [0] * n
-    for v in order:
-        parts = [down[c] for c in children[v]]
-        if v:
-            parts.append(up[v])
-        ids[v] = intern(parts)
-        for i, c in enumerate(children[v]):
-            up[c] = intern(parts[:i] + parts[i + 1:])
-    return ids
-
-
-def _tree_key(rows: Sequence[int]) -> str:
-    """A complete invariant of the tree ``rows``: the least of its codes
-    rooted at its one or two centres, the vertices that peeling every leaf,
-    layer by layer, leaves last."""
     degree = [r.bit_count() for r in rows]
+    parent = [-1] * n
+    kids: list[list[str]] = [[] for _ in range(n)]
+    codes = [""] * n
+    order: list[int] = []
+    alive = (1 << n) - 1
     layer = [v for v, d in enumerate(degree) if d <= 1]
-    alive = (1 << len(rows)) - 1
-    left = len(rows)
-    while left > 2:
-        left -= len(layer)
+    while n - len(order) > 2:
+        order += layer
         for v in layer:
             alive ^= 1 << v
         peeled = []
         for v in layer:
             u = (rows[v] & alive).bit_length() - 1  # a leaf's one neighbour
+            codes[v] = "(" + "".join(sorted(kids[v])) + ")"
+            parent[v] = u
+            kids[u].append(codes[v])
             degree[u] -= 1
             if degree[u] == 1:
                 peeled.append(u)
         layer = peeled
-    return min(_rooted_code(rows, c) for c in layer)
+    for c in layer:
+        codes[c] = "(" + "".join(sorted(kids[c])) + ")"
+    return layer, order + layer, parent, codes
+
+
+def _tree_key(rows: Sequence[int]) -> str:
+    """A complete invariant of the tree ``rows``: the least of its codes
+    rooted at its one or two centres.  Rooted at a centre, each neighbour's
+    code is the one ``_peel`` names, the other centre's included."""
+    centres, _, _, codes = _peel(rows)
+    return min(
+        "(" + "".join(sorted(codes[u] for u in range(len(rows)) if rows[c] >> u & 1)) + ")"
+        for c in centres
+    )
+
+
+def _orbit_labels(rows: Sequence[int]) -> list[int]:
+    """For each vertex of the tree ``rows``, a label that two vertices share
+    exactly when an automorphism maps one to the other.
+
+    An automorphism fixes the one centre, or fixes or swaps the two, and it
+    can swap two centres exactly when their sides have equal codes; below
+    them, it maps a vertex onto a vertex with the same code under an image
+    of its parent, and siblings with equal codes can be swapped.  So a
+    centre is labelled by its code and every other vertex by (its parent's
+    label, its own code), top down, each label interned per call."""
+    _, order, parent, codes = _peel(rows)
+    names: dict[object, int] = {}
+    labels = [0] * len(rows)
+    for v in reversed(order):
+        p = parent[v]
+        labels[v] = names.setdefault(codes[v] if p < 0 else (labels[p], codes[v]), len(names))
+    return labels

@@ -279,6 +279,8 @@ def _cmd_enumerate(args, argv) -> int:
     orders = _parse_order_range(args.n)
     predicate = _parse_filter(args.filter) if args.filter else (lambda g: True)
     if args.output == "graph6":
+        if args.table:
+            raise _InputError("--table does not apply to --output graph6, a bare graph6 stream")
         for n in orders:
             for g in connected_graphs(n):
                 if predicate(g):
@@ -347,6 +349,8 @@ def _family_instance(name: str, params: list[str]) -> families.FamilyInstance:
 
 
 def _cmd_family(args, argv) -> int:
+    if args.emit and args.table and not args.verify:
+        raise _InputError(f"--table does not apply to --emit {args.emit} without --verify")
     try:
         inst = _family_instance(args.name, args.params)
     except families.NotRealizableError as exc:

@@ -15,15 +15,15 @@ enumeration range, and without the general canonical search.  A tree has
 a linear-time complete invariant (Aho, Hopcroft and Ullman 1974): the
 code of a rooted tree is "(" + the sorted codes of the root's subtrees +
 ")", and a child is keyed by the least code rooted at one of its one or
-two centres.  Two vertices of a tree lie in one automorphism orbit
-exactly when the tree rooted at each has the same code, so a parent's
-leaf positions are the least vertex of each vertex-rooted code: the
-first candidate met in each orbit, the rule that ``_extension_masks``
-applies to the canonical search's generators.  The same children are
-therefore built in the same order, and since the key, like the canonical
-form, is a complete invariant, each class keeps the same first child: the
-representatives are those the general search gives.  One rerooting pass
-(``canonical._rooted_ids``) names every vertex-rooted code of a parent.
+two centres.  The pass that peels a tree down to its centres names every
+vertex's code below them, and with it the automorphism orbits of the
+vertices (``canonical._orbit_labels``).  A parent's leaf positions are
+the least vertex of each orbit: the first candidate met in each orbit,
+the rule that ``_extension_masks`` applies to the canonical search's
+generators.  The same children are therefore built in the same order, and
+since the key, like the canonical form, is a complete invariant, each
+class keeps the same first child: the representatives are those the
+general search gives.
 
 A level with many parents is spread across CPU cores.  The stream of a set
 of parents yields, parent by parent, the children whose class that stream
@@ -32,15 +32,16 @@ level forks W = min(CPUs this process may use, parents //
 ``_PARENTS_PER_WORKER``) workers when W >= 2 and ``os.fork`` exists;
 worker w runs the stream of the parents i = w (mod W) and writes one
 ``marshal`` record per parent to a pipe, each child as its mask, its key
-and its canonical data.  The main process merges the records in parent
-order, keeps the first child of each key and rebuilds it from its parent
-and mask with the record's canonical data.  The representatives are the
-serial ones: the first child of a class in generation order is the first
-its own worker's stream meets, since every child that stream meets before
-it comes earlier in generation order, and the ordered merge reaches that
-child before any later one.  Workers are forked from a process that starts
-no threads, and exit with ``os._exit``; a worker that fails prints its
-traceback and makes the call raise once every worker is reaped.
+and its canonical data.  The main process reads the records in parent
+order, parent i's as the next record from worker i mod W, keeps the first
+child of each key and rebuilds it from its parent and mask with the
+record's canonical data.  The representatives are the serial ones: the
+first child of a class in generation order is the first its own worker's
+stream meets, since every child that stream meets before it comes earlier
+in generation order, and the ordered merge reaches that child before any
+later one.  Workers are forked from a process that starts no threads, and
+exit with ``os._exit``; a worker that fails prints its traceback, its
+records end early, and the call raises once every worker is reaped.
 """
 
 from __future__ import annotations
@@ -50,10 +51,9 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
-from .canonical import _rooted_ids, _tree_key, automorphism_generators, canonical_form
+from .canonical import _orbit_labels, _tree_key, automorphism_generators, canonical_form
 from .graph import Graph
 from .graph6 import write_graph6
 
@@ -123,25 +123,23 @@ def _extension_masks(parent: Graph, candidates: Sequence[int]) -> Sequence[int]:
 
 def _leaf_masks(parent: Graph) -> list[int]:
     """Leaf positions on a parent tree, one per orbit of its automorphisms:
-    the least vertex of each vertex-rooted code."""
+    the least vertex of each orbit."""
     first: dict[int, int] = {}
-    for v, code in enumerate(_rooted_ids(parent._rows)):
+    for v, code in enumerate(_orbit_labels(parent._rows)):
         first.setdefault(code, 1 << v)
     return list(first.values())
 
 
 def _stream(
-    parents: Sequence[Graph],
-    index: Iterable[int],
+    parents: Iterable[Graph],
     masks: Callable[[Graph], Iterable[int]],
     key: Callable[[Graph], Hashable],
     seen: set,
-) -> Iterator[tuple[int, list[tuple[int, Hashable, Graph]]]]:
-    """Yield ``(i, kept)`` for each parent ``i`` in ``index``: ``kept`` lists,
-    in mask order, ``(mask, key, child)`` for each child whose key is not
-    yet in ``seen``, and adds that key."""
-    for i in index:
-        parent = parents[i]
+) -> Iterator[list[tuple[int, Hashable, Graph]]]:
+    """Yield, for each parent, the list ``kept`` of ``(mask, key, child)``,
+    in mask order, for each child whose key is not yet in ``seen``, and add
+    that key."""
+    for parent in parents:
         kept = []
         for mask in masks(parent):
             child = _extend(parent, mask)
@@ -149,7 +147,7 @@ def _stream(
             if k not in seen:
                 seen.add(k)
                 kept.append((mask, k, child))
-        yield i, kept
+        yield kept
 
 
 def _cpus() -> int:
@@ -170,8 +168,8 @@ def _children(
     parents = tuple(parents)
     workers = min(_cpus(), len(parents) // _PARENTS_PER_WORKER)
     if workers < 2 or not hasattr(os, "fork"):
-        stream = _stream(parents, range(len(parents)), masks, key, set())
-        return tuple(child for _, kept in stream for _, _, child in kept)
+        stream = _stream(parents, masks, key, set())
+        return tuple(child for kept in stream for _, _, child in kept)
     return _fan_out(parents, masks, key, workers)
 
 
@@ -182,11 +180,11 @@ def _fan_out(
     workers: int,
 ) -> tuple[Graph, ...]:
     """``_children`` on ``workers`` forked processes: worker w writes the
-    records of the stream of the parents i = w (mod ``workers``), each child
-    as ``(mask, key, child._canon)``, and the records are merged in order of
-    i.  Every worker is reaped on the way out; one that failed raises."""
-    import heapq  # here, so that a process that never forks never loads them
-    import signal
+    records of the stream of the parents i = w (mod ``workers``), in order
+    of i, each child as ``(mask, key, child._canon)``, so parent i's record
+    is the next one on pipe i mod ``workers``.  Every worker is reaped on
+    the way out; one that failed, or a pipe that ends early, raises."""
+    import signal  # here, so that a process that never forks never loads it
 
     pids: list[int] = []
     pipes: list[BinaryIO] = []
@@ -200,19 +198,24 @@ def _fan_out(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    stream = _stream(parents, range(w, len(parents), workers), masks, key, set())
+                    stream = _stream(parents[w::workers], masks, key, set())
                     _work(write, pipes, stream)
             finally:
                 os.close(write)  # the worker never returns here
             pids.append(pid)
-        for i, kept in heapq.merge(*map(_records, pipes), key=itemgetter(0)):
+        for i, parent in enumerate(parents):
+            try:
+                kept = marshal.load(pipes[i % workers])
+            except EOFError:  # its worker failed: reaped and reported below
+                break
             for mask, k, canon in kept:
                 if k not in seen:
                     seen.add(k)
-                    child = _extend(parents[i], mask)
+                    child = _extend(parent, mask)
                     child._canon = canon
                     out.append(child)
-        finished = True
+        else:
+            finished = True
     finally:
         # kill before closing: a worker still writing would otherwise meet
         # the closed pipe and print its BrokenPipeError
@@ -221,33 +224,32 @@ def _fan_out(
                 os.kill(pid, signal.SIGKILL)
         for f in pipes:
             f.close()
-        failed = []
-        for pid in pids:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status:
-                failed.append(status)
-    if failed:
-        raise RuntimeError(f"enumeration workers failed with exit statuses {failed}")
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(statuses) or not finished:
+        raise RuntimeError(f"enumeration workers failed with exit statuses {statuses}")
     return tuple(out)
 
 
 def _work(
     fd: int,
     inherited: list[BinaryIO],
-    stream: Iterator[tuple[int, list[tuple[int, Hashable, Graph]]]],
+    stream: Iterator[list[tuple[int, Hashable, Graph]]],
 ) -> NoReturn:
     """A forked worker: close the ``inherited`` read ends, write each record
     of ``stream`` to ``fd``, the child graphs as their canonical data, then
     exit without returning to the caller's frames.  ``os._exit`` leaves the
     buffers inherited from the parent, such as unwritten standard output,
-    unflushed."""
+    unflushed.  On failure ``fd`` stays open until ``os._exit``, after the
+    traceback: the records end, and the caller may kill its workers, only
+    once the report is out."""
     status = 1
     try:
         for f in inherited:
             f.close()
-        with open(fd, "wb") as f:
-            for i, kept in stream:
-                marshal.dump((i, [(mask, k, child._canon) for mask, k, child in kept]), f)
+        out = open(fd, "wb")
+        for kept in stream:
+            marshal.dump([(mask, k, child._canon) for mask, k, child in kept], out)
+        out.close()
         status = 0
     except Exception:
         import traceback
@@ -256,16 +258,6 @@ def _work(
         sys.stderr.flush()
     finally:
         os._exit(status)
-
-
-def _records(f: BinaryIO) -> Iterator[tuple[int, list[tuple[int, Hashable, object]]]]:
-    """The records ``marshal`` wrote to ``f``, up to its end."""
-    while True:
-        try:
-            record = marshal.load(f)
-        except EOFError:
-            return
-        yield record
 
 
 @lru_cache(maxsize=None)

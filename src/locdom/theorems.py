@@ -39,7 +39,8 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import families
 from .canonical import canonical_form
-from .enumeration import connected_graphs, tree_classes, write_graph6
+from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, connected_graphs, tree_classes
+from .enumeration import write_graph6
 from .graph import Graph
 from .predicates import Code, is_mld
 from .solvers import full_report, minimum_code
@@ -307,6 +308,14 @@ def check_eta2_membership(g: Graph) -> Verdict:
 # -- extremal lambda ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _extremal_forms(n: int) -> frozenset[bytes]:
+    """The canonical forms of the seven families' members of order n."""
+    return frozenset(
+        canonical_form(inst.graph) for inst in families.eta_extremal_instances_of_order(n)
+    )
+
+
 def check_lambda_extremal(g: Graph) -> Verdict:
     """Extremal behaviour near lambda = n - 2 (order >= 3):
 
@@ -329,11 +338,7 @@ def check_lambda_extremal(g: Graph) -> Verdict:
     equivalent = (lam == n - 2) == (eta == n - 2)
     parts.append(_judge(f"{name}/equivalence", scope, equivalent, detail, g6))
     if lam == n - 2:
-        key = canonical_form(g)
-        member = any(
-            canonical_form(inst.graph) == key
-            for inst in families.eta_extremal_instances_of_order(n)
-        )
+        member = canonical_form(g) in _extremal_forms(n)
         note = "" if member else "; not in the seven-family list"
         parts.append(_judge(f"{name}/family-membership", scope, member, detail + note, g6))
     else:
@@ -402,13 +407,17 @@ def sweep(
     return Verdict(theorem, scope, FAILS if cx else HOLDS, reason, tuple(cx))
 
 
-def _orders(theorem: str, lo: int, hi: int) -> range:
+def _orders(theorem: str, lo: int, hi: int, top: Optional[int] = None) -> range:
     """The orders lo..hi of a sweep; a cap that leaves none is a caller
-    error, never a vacuous pass."""
+    error, never a vacuous pass, and so is one above ``top``, the largest
+    order the sweep's enumerator reaches: a lazy sweep would meet that limit
+    only after sweeping every lower order."""
     if hi < lo:
         raise ValueError(
             f"{theorem}: n_max = {hi} is below its lowest order {lo}; nothing to check"
         )
+    if top is not None and hi > top:
+        raise ValueError(f"{theorem}: n_max = {hi} is beyond the supported orders {lo}..{top}")
     return range(lo, hi + 1)
 
 
@@ -427,7 +436,8 @@ def _sweep_runner(
     def run(theorem: str, n_max: int, graphs: Optional[Iterable[Graph]]) -> Verdict:
         scope = "supplied graphs"
         if graphs is None:
-            orders = _orders(theorem, lo, n_max)
+            top = _MAX_TREE_ORDER if trees else MAX_ENUMERATION_ORDER
+            orders = _orders(theorem, lo, n_max, top)
             if trees:
                 # copies, so the cached classes keep none of the distances
                 # and minima the sweep computes

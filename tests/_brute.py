@@ -378,6 +378,25 @@ def reference_tree_classes(n: int) -> tuple[Graph, ...]:
     return tuple(out)
 
 
+def reference_rooted_code(g: Graph, root: int) -> str:
+    """The AHU code of the tree g rooted at root: "(" + the sorted codes of
+    the root's subtrees + ")".  Two rooted trees are isomorphic iff their
+    codes are equal."""
+    adj = adjacency(g)
+
+    def code(v: int, up: int) -> str:
+        return "(" + "".join(sorted(code(c, v) for c in adj[v] if c != up)) + ")"
+
+    return code(root, -1)
+
+
+def reference_tree_key(g: Graph) -> str:
+    """The least code of the tree g rooted at a centre, a vertex of least
+    eccentricity."""
+    ecc = [max(row) for row in all_distances(g)]
+    return min(reference_rooted_code(g, v) for v in range(g.n) if ecc[v] == min(ecc))
+
+
 def prufer_tree(seq: tuple[int, ...]) -> Graph:
     """Tree of order len(seq) + 2 decoded from its Prufer sequence."""
     n = len(seq) + 2

@@ -148,6 +148,14 @@ class TestEnumerate:
         assert out == ""
         assert "1..9" in err
 
+    def test_table_with_graph6_output_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["enumerate", "--n", "4", "--output", "graph6", "--table"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--table does not apply to --output graph6" in err
+
     def test_non_ascii_digits_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["enumerate", "--n", "4", "--filter", "eta=\u0662"])
         assert code == 2
@@ -188,6 +196,21 @@ class TestFamily:
         code, out, _ = run_cli(capsys, ["family", "complete", "1", "--emit", "graph6"])
         assert code == 0
         assert out.strip() == "@"
+
+    @pytest.mark.parametrize("emit", ["graph6", "edgelist"])
+    def test_table_with_emit_alone_exits_2(self, capsys, emit):
+        code, out, err = run_cli(capsys, ["family", "path", "4", "--emit", emit, "--table"])
+        assert code == 2
+        assert out == ""
+        assert f"--table does not apply to --emit {emit} without --verify" in err
+
+    def test_table_with_emit_and_verify(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["family", "path", "4", "--emit", "graph6", "--verify", "--table"]
+        )
+        assert code == 0
+        assert out.splitlines()[0] == write_graph6(path(4).graph).decode()
+        assert "-> OK" in out
 
     def test_not_realizable_exits_3(self, capsys):
         code, _, err = run_cli(capsys, ["family", "realization", "2", "1", "3"])
@@ -281,6 +304,29 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"{theorem}: n_max = {n_max} is below its lowest order {lowest}" in err
+
+    @pytest.mark.parametrize(
+        "theorem, n_max, message",
+        [
+            ("prop1", "10", "prop1: n_max = 10 is beyond the supported orders 2..9"),
+            ("tree-bounds", "19", "tree-bounds: n_max = 19 is beyond the supported orders 3..18"),
+            ("all", "10", "prop1: n_max = 10 is beyond the supported orders 2..9"),
+        ],
+    )
+    def test_order_beyond_the_enumerators_exits_2_at_once(
+        self, capsys, monkeypatch, theorem, n_max, message
+    ):
+        import locdom.theorems as theorems_mod
+
+        def never(n):
+            raise AssertionError(f"enumerated order {n}")
+
+        monkeypatch.setattr(theorems_mod, "connected_graphs", never)
+        monkeypatch.setattr(theorems_mod, "tree_classes", never)
+        code, out, err = run_cli(capsys, ["verify", theorem, "--n-max", n_max])
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_empty_sweep_under_all_exits_2_before_any_record(self, capsys):
         # prop1 and the other order-2 sweeps have n = 2 to check; tree-bounds

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 from itertools import combinations
 
@@ -19,8 +20,9 @@ from locdom import (
     tree_classes,
     write_graph6,
 )
-from locdom.canonical import _rooted_code, _rooted_ids, _tree_key
-from locdom.enumeration import _extension_masks, _leaf_masks
+from locdom import enumeration
+from locdom.canonical import _tree_key
+from locdom.enumeration import _extend, _extension_masks, _leaf_masks
 from locdom.families import path
 
 import _brute
@@ -118,18 +120,22 @@ class TestTrees:
                 fresh = Graph._from_rows(t._rows)  # keep no canonical data on t
                 assert _leaf_masks(t) == list(_extension_masks(fresh, singles)), write_graph6(t)
 
-    def test_rooted_ids_match_the_rooted_codes_to_13(self):
-        # one rerooting pass splits the vertices as one code per vertex
-        # does, so the leaf masks are the least vertex of each code, in order
+    def test_peeling_matches_the_recursive_codes_to_13(self):
+        # the key of every child generated, and the leaf masks of every
+        # parent: the least vertex of each class of equal rooted codes
         for n in range(1, 14):
             for t in tree_classes(n):
-                codes = [_rooted_code(t._rows, v) for v in range(n)]
-                ids = _rooted_ids(t._rows)
-                assert [codes.index(c) for c in codes] == [ids.index(i) for i in ids]
+                codes = [_brute.reference_rooted_code(t, v) for v in range(n)]
                 first = {}
                 for v, code in enumerate(codes):
                     first.setdefault(code, 1 << v)
                 assert _leaf_masks(t) == list(first.values()), write_graph6(t)
+                if n < 13:
+                    for mask in _leaf_masks(t):
+                        child = _extend(t, mask)
+                        assert _tree_key(child._rows) == _brute.reference_tree_key(child), (
+                            write_graph6(child)
+                        )
 
     def test_tree_keys_are_distinct_to_14(self):
         for n in range(1, 15):
@@ -143,6 +149,29 @@ class TestTrees:
         perm = list(range(n))
         rng.shuffle(perm)
         assert _tree_key(t._rows) == _tree_key(relabeled(t, perm)._rows)
+
+
+class TestFanOutRecords:
+    def test_records_that_end_early_raise_though_the_worker_exits_0(self, monkeypatch):
+        # parent i's record is read from worker i mod W; a pipe that ends
+        # before the last parent must fail the level, not shorten it
+        main = os.getpid()
+
+        def quitting_key(g):
+            if os.getpid() != main:
+                os._exit(0)
+            return canonical_form(g)
+
+        monkeypatch.setattr(enumeration, "_PARENTS_PER_WORKER", 1)
+        monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
+
+        def masks(parent):
+            return _extension_masks(parent, range(1, 1 << parent.n))
+
+        with pytest.raises(RuntimeError, match="workers failed"):
+            enumeration._children(enumeration._connected_classes(4), masks, quitting_key)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestCensus:

@@ -1,5 +1,6 @@
 import pytest
 
+from locdom import theorems
 from locdom import (
     Verdict,
     check_eta2_membership,
@@ -278,6 +279,31 @@ class TestRunners:
             run_theorem(theorem, n_max=n_max)
         # the lowest order itself leaves a graph (or pair) to look at
         assert "checked=0 skipped=0" not in run_theorem(theorem, n_max=lowest).reason
+
+    @pytest.mark.parametrize(
+        "theorem, n_max, supported",
+        [
+            ("prop1", 10, "2..9"),
+            ("eta-bounds", 10, "2..9"),
+            ("lambda-bounds", 12, "2..9"),
+            ("eta-lambda-conditions", 10, "2..9"),
+            ("lambda-extremal", 10, "3..9"),
+            ("tree-bounds", 19, "3..18"),
+        ],
+    )
+    def test_order_beyond_the_enumerators_fails_before_any_graph(
+        self, monkeypatch, theorem, n_max, supported
+    ):
+        # a lazy sweep would reach the enumerator's own limit only after
+        # sweeping every lower order
+        def never(n):
+            raise AssertionError(f"enumerated order {n}")
+
+        monkeypatch.setattr(theorems, "connected_graphs", never)
+        monkeypatch.setattr(theorems, "tree_classes", never)
+        message = f"{theorem}: n_max = {n_max} is beyond the supported orders {supported}$"
+        with pytest.raises(ValueError, match=message):
+            run_theorem(theorem, n_max=n_max)
 
     def test_cap_does_not_apply_to_a_supplied_stream(self):
         v = run_theorem("prop1", n_max=-1, graphs=[path(3).graph])
