@@ -23,7 +23,8 @@ switches to a human-readable rendering.
 
 Exit codes: 0 success/holds; 1 verification failure (mismatch or
 counterexample); 2 input parse error; 3 precondition violation (e.g.
-disconnected input); 4 internal invariant violation.
+disconnected input); 4 internal invariant violation; 141 (128 + SIGPIPE)
+standard output closed before the output was written, as by ``| head``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import sys
 import time
@@ -48,7 +50,7 @@ from .solvers import (
     minimum_code,
     parameter_satisfies,
 )
-from .theorems import THEOREM_IDS, Verdict, run_theorem
+from .theorems import THEOREM_IDS, Verdict, _capped, run_theorem
 
 __all__ = ["main"]
 
@@ -57,6 +59,7 @@ EXIT_VERIFICATION_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 
 class _InputError(ValueError):
@@ -436,8 +439,13 @@ def _cmd_verify(args, argv) -> int:
     out = _Emitter(argv, args.table, digest)
     try:
         # every verdict before the first record: a cap that leaves a sweep
-        # nothing to check prints no partial result
-        verdicts = [run_theorem(tid, n_max=args.n_max, graphs=graphs) for tid in ids]
+        # nothing to check prints no partial result.  One named theorem
+        # refuses a cap above its largest order; all lowers it there
+        every = args.theorem == "all"
+        verdicts = [
+            run_theorem(tid, n_max=_capped(tid, args.n_max) if every else args.n_max, graphs=graphs)
+            for tid in ids
+        ]
     except DisconnectedGraphError:
         raise
     except ValueError as exc:
@@ -509,7 +517,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         "verify": _cmd_verify,
     }[args.command]
     try:
-        return handler(args, argv)
+        code = handler(args, argv)
+        sys.stdout.flush()  # so that a closed pipe shows here
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is left to the null device, so that
+        # the flush at interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -431,12 +431,15 @@ def _sweep_runner(
     """A runner sweeping ``checker`` over the supplied graphs or every
     connected graph (or tree) class of order lo..n_max, and merging the
     sweep with the parts ``tightness`` yields.  The sweep's verdict is
-    named ``name``, by default the theorem id."""
+    named ``name``, by default the theorem id.  An n_max above ``largest``,
+    or above the enumerator's largest order, is refused."""
 
-    def run(theorem: str, n_max: int, graphs: Optional[Iterable[Graph]]) -> Verdict:
+    def run(
+        theorem: str, n_max: int, graphs: Optional[Iterable[Graph]], largest: Optional[int]
+    ) -> Verdict:
         scope = "supplied graphs"
         if graphs is None:
-            top = _MAX_TREE_ORDER if trees else MAX_ENUMERATION_ORDER
+            top = largest or (_MAX_TREE_ORDER if trees else MAX_ENUMERATION_ORDER)
             orders = _orders(theorem, lo, n_max, top)
             if trees:
                 # copies, so the cached classes keep none of the distances
@@ -485,10 +488,10 @@ def _tree_tightness() -> Iterator[Verdict]:
         yield _judge("tree-bounds/upper-attained", high.name, attained, f"eta={eta} lambda={lam}")
 
 
-def _run_realization(theorem, bound, graphs):
+def _run_realization(theorem, bound, graphs, largest):
     parts = [
         verify_realization(a, b, c)
-        for a in _orders(theorem, 1, bound)
+        for a in _orders(theorem, 1, bound, largest)
         for b in range(1, bound + 1)
         for c in range(max(a, b), a + b + 1)
     ]
@@ -496,17 +499,18 @@ def _run_realization(theorem, bound, graphs):
     return _combine(theorem, scope, parts, f"checked={len(parts)} combinations")
 
 
-def _run_tree_realization(theorem, hi, graphs):
+def _run_tree_realization(theorem, hi, graphs, largest):
     parts = [
         verify_tree_realization(a, b)
-        for a in _orders(theorem, 3, hi)
+        for a in _orders(theorem, 3, hi, largest)
         for b in range(a, 2 * a - 1)
     ]
     scope = f"all pairs with 3 <= a <= {hi}"
     return _combine(theorem, scope, parts, f"checked={len(parts)} pairs")
 
 
-# theorem id -> (runner, default n_max, largest n_max or None)
+# theorem id -> (runner, default n_max, largest n_max if below the enumerator's,
+# else None)
 _RUNNERS = {
     "prop1": (_sweep_runner(check_inequality_chain, 2, name="inequality-chain"), 7, None),
     "eta-bounds": (_sweep_runner(check_eta_bounds, 2, _eta_tightness), 7, None),
@@ -531,13 +535,17 @@ def run_theorem(
     graphs: Optional[Iterable[Graph]] = None,
 ) -> Verdict:
     """Run one registered checker over its default scope, a capped order
-    range, or an explicit graph stream."""
+    range, or an explicit graph stream.  A cap above the theorem's largest
+    order is an error, raised before any graph is checked."""
     if theorem_id not in _RUNNERS:
         raise ValueError(
             f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}"
         )
     runner, default_n, largest_n = _RUNNERS[theorem_id]
-    n_max = default_n if n_max is None else n_max
-    if largest_n is not None:
-        n_max = min(n_max, largest_n)
-    return runner(theorem_id, n_max, graphs)
+    return runner(theorem_id, default_n if n_max is None else n_max, graphs, largest_n)
+
+
+def _capped(theorem_id: str, n_max: Optional[int]) -> Optional[int]:
+    """``n_max`` lowered to the largest order of the theorem, if it has one."""
+    largest_n = _RUNNERS[theorem_id][2]
+    return n_max if n_max is None or largest_n is None else min(n_max, largest_n)

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from locdom.enumeration import write_graph6
 from locdom.families import path, complete
 
 P6_EDGE_LIST = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv, stdin: str | bytes = ""):
@@ -311,6 +316,15 @@ class TestVerify:
             ("prop1", "10", "prop1: n_max = 10 is beyond the supported orders 2..9"),
             ("tree-bounds", "19", "tree-bounds: n_max = 19 is beyond the supported orders 3..18"),
             ("all", "10", "prop1: n_max = 10 is beyond the supported orders 2..9"),
+            (
+                "eta2-membership", "9",
+                "eta2-membership: n_max = 9 is beyond the supported orders 2..8",
+            ),
+            ("realization", "5", "realization: n_max = 5 is beyond the supported orders 1..4"),
+            (
+                "tree-realization", "9",
+                "tree-realization: n_max = 9 is beyond the supported orders 3..6",
+            ),
         ],
     )
     def test_order_beyond_the_enumerators_exits_2_at_once(
@@ -327,6 +341,25 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_all_lowers_n_max_to_each_theorem_s_largest_order(self, capsys, monkeypatch):
+        import locdom.cli as cli_mod
+        from locdom.theorems import Verdict
+
+        asked = {}
+
+        def fake(tid, n_max, graphs):
+            asked[tid] = n_max
+            return Verdict(tid, "scope", "holds")
+
+        monkeypatch.setattr(cli_mod, "run_theorem", fake)
+        code, out, _ = run_cli(capsys, ["verify", "all", "--n-max", "9"])
+        assert code == 0
+        assert asked == {
+            "prop1": 9, "eta-bounds": 9, "lambda-bounds": 9, "tree-bounds": 9,
+            "eta-lambda-conditions": 9, "eta2-membership": 8, "lambda-extremal": 9,
+            "realization": 4, "tree-realization": 6,
+        }
 
     def test_empty_sweep_under_all_exits_2_before_any_record(self, capsys):
         # prop1 and the other order-2 sweeps have n = 2 to check; tree-bounds
@@ -425,3 +458,46 @@ class TestDeterminismAndManifest:
         code, _, err = run_cli(capsys, ["compute", "-"], stdin=P6_EDGE_LIST)
         assert code == 4
         assert "internal error" in err
+
+
+class TestClosedOutput:
+    """A reader that closes standard output early, as ``| head`` does, ends
+    the run with exit code 141 and no traceback."""
+
+    def _popen(self, argv, stdout):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.Popen(
+            [sys.executable, "-m", "locdom.cli", *argv],
+            stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE, env=env,
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "tree-realization", "--n-max", "6"],
+            ["enumerate", "--n", "3..7", "--output", "graph6"],
+        ],
+        ids=["verify", "enumerate-graph6"],
+    )
+    def test_output_to_a_closed_pipe(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # closed before the first write
+        try:
+            proc = self._popen(argv, write)
+        finally:
+            os.close(write)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141, err
+        assert err == b""
+
+    def test_reader_leaves_after_one_line(self, tmp_path):
+        # 1500 records of about 200 bytes, more than a pipe holds
+        source = tmp_path / "p3.g6"
+        source.write_text("Bw\n" * 1500)
+        proc = self._popen(["compute", str(source)], subprocess.PIPE)
+        assert json.loads(proc.stdout.readline())["graph6"] == "Bw"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141, err
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err

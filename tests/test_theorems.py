@@ -289,6 +289,9 @@ class TestRunners:
             ("eta-lambda-conditions", 10, "2..9"),
             ("lambda-extremal", 10, "3..9"),
             ("tree-bounds", 19, "3..18"),
+            ("eta2-membership", 9, "2..8"),
+            ("realization", 5, "1..4"),
+            ("tree-realization", 7, "3..6"),
         ],
     )
     def test_order_beyond_the_enumerators_fails_before_any_graph(
@@ -304,6 +307,9 @@ class TestRunners:
         message = f"{theorem}: n_max = {n_max} is beyond the supported orders {supported}$"
         with pytest.raises(ValueError, match=message):
             run_theorem(theorem, n_max=n_max)
+
+    def test_largest_order_itself_runs(self):
+        assert run_theorem("tree-realization", n_max=6).status == "holds"
 
     def test_cap_does_not_apply_to_a_supplied_stream(self):
         v = run_theorem("prop1", n_max=-1, graphs=[path(3).graph])
