@@ -3,29 +3,48 @@
 Connected graphs of order n are generated by augmentation: every class on
 n-1 vertices is extended by one new vertex attached to each nonempty
 neighbourhood subset, candidate subsets are reduced to one representative
-per orbit of the parent's automorphisms, and the surviving children are
-deduplicated by canonical form.  Every connected graph on n vertices
-arises from deleting a vertex of a connected spanning structure, so each
+per orbit of the parent's automorphisms, and of the surviving children the
+first of each class is kept.  Every connected graph on n vertices arises
+from deleting a vertex of a connected spanning structure, so each
 isomorphism class is produced exactly once.  Class counts for n = 1..8
 are (1, 1, 2, 6, 21, 112, 853, 11117).  The representative of a class is
 the first child generated in it, parents in order and each parent's masks
 in order.
 
 Most children are not the first of their class, and the rule below drops
-them before the canonical search (the idea of vertex deletion in McKay's
-canonical construction path, *J. Algorithms* 26, 1998, without its change
-of representatives).  Let G be a child of parent P_i, the i-th class of
+them unkeyed (the idea of vertex deletion in McKay's canonical
+construction path, *J. Algorithms* 26, 1998, without its change of
+representatives).  Let G be a child of parent P_i, the i-th class of
 order n-1.  If some vertex v of G other than the new one leaves G - v
 connected and isomorphic to P_j with j < i, then G is not the first child
 of its class.  Proof: G is G - v plus v on a nonempty neighbourhood, and
 ``_extension_masks`` gives P_j a child on some mask in the orbit of that
 neighbourhood, isomorphic to G; every child of P_j comes before every
-child of P_i.  So the first child of a class is never dropped, and the
-representatives, their order and their canonical data stay those of the
-search alone.  ``_earlier_parents`` decides j < i by invariants: G - v
-qualifies when it is connected and the parents that share its invariants
-all come before i.  Up to n = 8 it leaves 11123 of the 67141 children to
-search, six more than the 11117 classes.
+child of P_i.  So the first child of a class is never dropped.
+``_connected_keys`` decides j < i by invariants: G - v qualifies when it
+is connected and the parents that share its invariants all come before i
+(a connected G - v is isomorphic to exactly one parent, which shares
+them).  Up to n = 8 it keeps 11123 of the 67141 children, six more than
+the 11117 classes.
+
+Each child the rule keeps is keyed by an invariant, ``_key``: a hash of
+the degree histogram with the triangle and 4-cycle counts (``_profile``,
+read from the parent's tables) and of one round of colour refinement
+(Weisfeiler-Leman).  A key not met before is a class not met before, and
+the child is kept with no canonical search.  A key met before is settled
+by canonical form: the child's, and once, that of the key's earlier
+holder, rebuilt from its parent and mask; the child is kept when its form
+is new under that key.  The kept children are exactly the first of each
+class.  The first child of a class is never dropped by the rule, and
+every child kept before it is of another class, so its key is new or its
+form is.  Any later child of the class is dropped by the rule, or meets
+the key of the first child, kept before it, and that child's form.  The
+representatives, their order and their canonical data are therefore those
+of the canonical form alone.  Up to n = 7 no key is met twice; at n = 8,
+228 searches settle the keys that children share.  Canonical data is then
+found on demand (``canonical._canonical_data``): a class is searched for
+its automorphism generators when it becomes a parent, in
+``_extension_masks``, and a class of the top level only when a caller asks.
 
 Trees are generated by the same augmentation restricted to one-vertex
 neighbourhoods (leaf augmentation), to n = 18, beyond the general
@@ -50,19 +69,20 @@ level forks W = min(CPUs this process may use, parents //
 ``_PARENTS_PER_WORKER``) workers when W >= 2 and ``os.fork`` exists;
 worker w runs the stream of the parents i = w (mod W) and writes one
 ``marshal`` record per parent to a pipe, each child as its mask, its key
-and its canonical data.  The main process reads the records in parent
-order, parent i's as the next record from worker i mod W, keeps the first
-child of each key and rebuilds it from its parent and mask with the
-record's canonical data.  The representatives are the serial ones: the
-first child of a class in generation order is the first its own worker's
-stream meets, since every child that stream meets before it comes earlier
-in generation order, and the ordered merge reaches that child before any
-later one.  A worker tests the children of parent i against the earlier
-parents by i itself, the parent's index in the whole level, and drops
-only children that are not the first of their class.  Workers are forked
-from a process that starts no threads, and exit with ``os._exit``; a
-worker that fails prints its traceback, its records end early, and the
-call raises once every worker is reaped.
+and its canonical data when the worker searched it.  The main process
+reads the records in parent order, parent i's as the next record from
+worker i mod W, files each key under its first child's index in the
+output, settles a key met again as the stream does, and builds each child
+it keeps from its parent and mask.  The representatives are the serial
+ones: the first child of a class in generation order is the first its own
+worker's stream meets, since every child that stream meets before it
+comes earlier in generation order, and the ordered merge reaches that
+child before any later one.  A worker keys the children of parent i by i
+itself, the parent's index in the whole level, and drops only children
+that are not the first of their class.  Workers are forked from a process
+that starts no threads, and exit with ``os._exit``; a worker that fails
+prints its traceback, its records end early, and the call raises once
+every worker is reaped.
 """
 
 from __future__ import annotations
@@ -98,38 +118,48 @@ _MAX_TREE_ORDER = 18
 # between 235 and 551 parents (measured), so a level forks from 512 parents
 _PARENTS_PER_WORKER = 256
 
-# rule(i, parent): a test that is true of the children that parents before
-# parent i generate too, or None (see ``_earlier_parents``)
-_Rule = Callable[[int, Graph], Optional[Callable[[Graph], bool]]]
+# keys(i, parent): the function that keys each child of parents[i], or
+# gives None for a child dropped unkeyed (see ``_connected_keys``)
+_Keys = Callable[[int, Graph], Callable[[Graph], Optional[Hashable]]]
 
 
-def _extend(parent: Graph, mask: int) -> Graph:
-    """Add one vertex adjacent to exactly the parent vertices in mask."""
-    new = parent.n
-    bit = 1 << new
+def _child_rows(parent: Graph, mask: int) -> list[int]:
+    """The rows of the parent plus one vertex adjacent to exactly the parent
+    vertices in mask."""
+    bit = 1 << parent.n
     rows = list(parent._rows)
     for v in range(parent.n):
         if (mask >> v) & 1:
             rows[v] |= bit
     rows.append(mask)
-    return Graph._from_rows(rows)
+    return rows
 
 
-def _permute_mask(mask: int, perm: tuple[int, ...]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _extend(parent: Graph, mask: int) -> Graph:
+    """A child of the parent: one vertex more, adjacent to exactly the parent
+    vertices in mask.  Children are counted by the calls of this function
+    (``tests/test_layers.py``, the benchmark's tracer), so a child rebuilt
+    to settle a shared key is built from ``_child_rows`` instead."""
+    return Graph._from_rows(_child_rows(parent, mask))
 
 
 def _extension_masks(parent: Graph, candidates: Sequence[int]) -> Sequence[int]:
     """The candidate neighbourhood masks, one per orbit of the parent's
-    automorphisms: the first candidate met in each orbit."""
+    automorphisms: the first candidate met in each orbit.  A generator maps
+    a mask through one 16-entry table of images per 4 bits of the mask."""
     gens = automorphism_generators(parent)
     if not gens:
         return candidates
+    tables = []
+    for p in gens:
+        nibbles = []
+        for low in range(0, parent.n, 4):
+            image = [0]
+            for v in range(low, min(low + 4, parent.n)):
+                bit = 1 << p[v]
+                image += [x | bit for x in image]
+            nibbles.append((low, image))
+        tables.append(nibbles)
     reps = []
     seen = set()
     for m in candidates:
@@ -140,8 +170,10 @@ def _extension_masks(parent: Graph, candidates: Sequence[int]) -> Sequence[int]:
         seen.add(m)
         while stack:
             cur = stack.pop()
-            for p in gens:
-                img = _permute_mask(cur, p)
+            for nibbles in tables:
+                img = 0
+                for low, image in nibbles:
+                    img |= image[cur >> low & 15]
                 if img not in seen:
                     seen.add(img)
                     stack.append(img)
@@ -157,31 +189,53 @@ def _leaf_masks(parent: Graph) -> list[int]:
     return list(first.values())
 
 
+def _new_form(filed: dict, k: Hashable, form: bytes, holder: Callable[[int], Graph]) -> bool:
+    """Is ``form`` the canonical form of a class not yet filed under the key
+    ``k``?  File it if so.  Until two children share k, ``filed[k]`` is the
+    reference of the first, and ``holder(ref)`` gives it back to be searched
+    once; from then on it is the set of the forms met under k."""
+    held = filed[k]
+    if not isinstance(held, set):
+        held = filed[k] = {canonical_form(holder(held))}
+    if form in held:
+        return False
+    held.add(form)
+    return True
+
+
 def _stream(
     parents: Sequence[Graph],
     indices: Iterable[int],
     masks: Callable[[Graph], Iterable[int]],
-    key: Callable[[Graph], Hashable],
-    seen: set,
-    rule: Optional[_Rule],
+    keys: _Keys,
+    confirm: bool,
 ) -> Iterator[list[tuple[int, Hashable, Graph]]]:
     """Yield, for each parent ``parents[i]`` with i in ``indices``, the list
-    ``kept`` of ``(mask, key, child)``, in mask order, for each child whose
-    key is not yet in ``seen``, and add that key.  A child that
-    ``rule(i, parent)`` (when it returns a test) finds generated from an
-    earlier parent is dropped without a key."""
+    ``kept`` of ``(mask, key, child)``, in mask order, for each child that
+    is the first of its class among the children this stream keys.  A key
+    not met before is a new class.  A key met before is a class met before,
+    unless ``confirm``, when canonical forms settle it; the earlier holder
+    of the key is rebuilt from its parent index and mask, not kept."""
+    filed: dict = {}
+    size = 1 << parents[0].n  # above every mask
+
+    def holder(ref: int) -> Graph:
+        return Graph._from_rows(_child_rows(parents[ref // size], ref % size))
+
     for i in indices:
         parent = parents[i]
-        earlier = rule(i, parent) if rule is not None else None
+        key = keys(i, parent)
         kept = []
         for mask in masks(parent):
             child = _extend(parent, mask)
-            if earlier is not None and earlier(child):
-                continue
             k = key(child)
-            if k not in seen:
-                seen.add(k)
-                kept.append((mask, k, child))
+            if k is None:
+                continue
+            if k not in filed:
+                filed[k] = i * size + mask
+            elif not (confirm and _new_form(filed, k, canonical_form(child), holder)):
+                continue
+            kept.append((mask, k, child))
         yield kept
 
 
@@ -195,40 +249,46 @@ def _cpus() -> int:
 def _children(
     parents: Iterable[Graph],
     masks: Callable[[Graph], Iterable[int]],
-    key: Callable[[Graph], Hashable],
-    rule: Optional[_Rule] = None,
+    key: Optional[Callable[[Graph], Hashable]] = None,
+    keys: Optional[_Keys] = None,
 ) -> tuple[Graph, ...]:
     """One graph per isomorphism class among the parents extended by a
     vertex with each neighbourhood in ``masks(parent)``, each the first one
-    generated; ``key`` is a complete isomorphism invariant, and ``rule``,
-    if given, drops children of parent i generated earlier (see
-    ``_earlier_parents``)."""
+    generated.  Either ``key`` is a complete isomorphism invariant, or
+    ``keys(i, parent)`` gives each child of parent i an invariant, or None
+    for one that is not the first of its class, and the canonical form
+    settles each key that two children share."""
     parents = tuple(parents)
+    confirm = keys is not None
+    if not confirm:
+        keys = lambda i, parent: key
     workers = min(_cpus(), len(parents) // _PARENTS_PER_WORKER)
     if workers < 2 or not hasattr(os, "fork"):
-        stream = _stream(parents, range(len(parents)), masks, key, set(), rule)
+        stream = _stream(parents, range(len(parents)), masks, keys, confirm)
         return tuple(child for kept in stream for _, _, child in kept)
-    return _fan_out(parents, masks, key, workers, rule)
+    return _fan_out(parents, masks, keys, confirm, workers)
 
 
 def _fan_out(
     parents: Sequence[Graph],
     masks: Callable[[Graph], Iterable[int]],
-    key: Callable[[Graph], Hashable],
+    keys: _Keys,
+    confirm: bool,
     workers: int,
-    rule: Optional[_Rule],
 ) -> tuple[Graph, ...]:
     """``_children`` on ``workers`` forked processes: worker w writes the
     records of the stream of the parents i = w (mod ``workers``), in order
     of i, each child as ``(mask, key, child._canon)``, so parent i's record
-    is the next one on pipe i mod ``workers``.  Every worker is reaped on
-    the way out; one that failed, or a pipe that ends early, raises."""
+    is the next one on pipe i mod ``workers``.  The merge files each key
+    under the index of its first child in the output, and settles a key
+    two workers share as the stream does.  Every worker is reaped on the
+    way out; one that failed, or a pipe that ends early, raises."""
     import signal  # here, so that a process that never forks never loads it
 
     pids: list[int] = []
     pipes: list[BinaryIO] = []
-    out = []
-    seen = set()
+    out: list[Graph] = []
+    filed: dict = {}
     finished = False
     try:
         for w in range(workers):
@@ -238,8 +298,7 @@ def _fan_out(
                 pid = os.fork()
                 if pid == 0:
                     indices = range(w, len(parents), workers)
-                    stream = _stream(parents, indices, masks, key, set(), rule)
-                    _work(write, pipes, stream)
+                    _work(write, pipes, _stream(parents, indices, masks, keys, confirm))
             finally:
                 os.close(write)  # the worker never returns here
             pids.append(pid)
@@ -249,11 +308,20 @@ def _fan_out(
             except EOFError:  # its worker failed: reaped and reported below
                 break
             for mask, k, canon in kept:
-                if k not in seen:
-                    seen.add(k)
-                    child = _extend(parent, mask)
-                    child._canon = canon
-                    out.append(child)
+                if k in filed:
+                    if not confirm:
+                        continue
+                    if canon is None:  # its worker met k once: search it rebuilt
+                        rebuilt = Graph._from_rows(_child_rows(parent, mask))
+                        canonical_form(rebuilt)
+                        canon = rebuilt._canon
+                    if not _new_form(filed, k, canon[0], out.__getitem__):
+                        continue
+                else:
+                    filed[k] = len(out)
+                child = _extend(parent, mask)
+                child._canon = canon
+                out.append(child)
         else:
             finished = True
     finally:
@@ -276,8 +344,9 @@ def _work(
     stream: Iterator[list[tuple[int, Hashable, Graph]]],
 ) -> NoReturn:
     """A forked worker: close the ``inherited`` read ends, write each record
-    of ``stream`` to ``fd``, the child graphs as their canonical data, then
-    exit without returning to the caller's frames.  ``os._exit`` leaves the
+    of ``stream`` to ``fd``, each child graph as its canonical data (None
+    unless the worker searched it), then exit without returning to the
+    caller's frames.  ``os._exit`` leaves the
     buffers inherited from the parent, such as unwritten standard output,
     unflushed.  On failure ``fd`` stays open until ``os._exit``, after the
     traceback: the records end, and the caller may kill its workers, only
@@ -322,10 +391,13 @@ def _profile(rows: Sequence[int]) -> int:
     return hist + (triangles // 3 << _TRIANGLES) + (squares // 4 << _SQUARES)
 
 
-def _refined(rows: Sequence[int], alive: int) -> tuple[int, ...]:
-    """A finer invariant of the subgraph induced by the vertices in
-    ``alive``: one round of colour refinement, each vertex's neighbours'
-    degree histogram, sorted."""
+def _key(profile: int, rows: Sequence[int], alive: int) -> int:
+    """An isomorphism invariant of the subgraph induced by the vertices in
+    ``alive``, whose ``_profile`` is ``profile``: the hash of that profile
+    and of one round of colour refinement, each vertex's neighbours' degree
+    histogram, sorted.  The hash of a tuple of ints is the same in every
+    process; two classes that share a key, by the invariant or by the
+    hash, cost a canonical search, never a class."""
     deg = [1 << 4 * (r & alive).bit_count() for r in rows]
     out = []
     for u in _bits(alive):
@@ -337,7 +409,7 @@ def _refined(rows: Sequence[int], alive: int) -> tuple[int, ...]:
             s += deg[low.bit_length() - 1]
         out.append(s)
     out.sort()
-    return tuple(out)
+    return hash((profile, *out))
 
 
 def _components(rows: Sequence[int], alive: int) -> list[int]:
@@ -356,24 +428,23 @@ def _components(rows: Sequence[int], alive: int) -> list[int]:
     return out
 
 
-def _earlier_parents(parents: Sequence[Graph]) -> _Rule:
-    """The rule for the connected parents of one level, in generation
-    order: ``rule(i, parents[i])`` is a test that is true of a child G when
-    some G - v, v not the new vertex, is connected and carries an invariant
-    that only parents before i carry, so that G is generated earlier (see
-    the module docstring).  The ``_profile`` of each G - v costs three
-    lookups in tables over the subsets of the parent's vertices; when
-    parents before and after i share it, ``_refined`` decides."""
+def _connected_keys(parents: Sequence[Graph]) -> _Keys:
+    """The keys of the children of the connected parents of one level, in
+    generation order: ``keys(i, parents[i])`` gives a child G its ``_key``,
+    or None when some G - v, v not the new vertex, is connected and carries
+    an invariant that only parents before i carry, so that G is generated
+    earlier (see the module docstring).  The ``_profile`` of G and of each
+    G - v costs a few lookups in tables over the subsets of the parent's
+    vertices; when parents before and after i share the profile of G - v,
+    its ``_key`` decides."""
     profiles = [_profile(p._rows) for p in parents]
     spans: dict[int, list[int]] = {}  # profile -> [lowest, highest] index
-    last: dict[tuple[int, tuple[int, ...]], int] = {}  # (profile, refined) -> highest
+    last: dict[int, int] = {}  # _key -> highest index
     for i, (p, profile) in enumerate(zip(parents, profiles)):
         spans.setdefault(profile, [i, i])[1] = i
-        last[profile, _refined(p._rows, (1 << p.n) - 1)] = i
+        last[_key(profile, p._rows, (1 << p.n) - 1)] = i
 
-    def rule(i: int, parent: Graph) -> Optional[Callable[[Graph], bool]]:
-        if i == 0:
-            return None
+    def keys(i: int, parent: Graph) -> Callable[[Graph], Optional[int]]:
         rows = parent._rows
         size = 1 << parent.n
         # add[S]: what a vertex on S adds to the profile of the parent: its
@@ -398,15 +469,15 @@ def _earlier_parents(parents: Sequence[Graph]) -> _Rule:
             grow += [g << 4 for g in grow]
             pairs += [q + (1 << _SQUARES) for q in pairs]
         # the parent is its less v plus a vertex on N(v), which adds
-        # add[N(v)] - fix[N(v)] to the profile
+        # add[N(v)] - fix[N(v)] to the profile; parent 0 has no earlier one
         deletions = []
-        for v, nbrs in enumerate(rows):
+        for v, nbrs in enumerate(rows if i else ()):
             alive = (size - 1) ^ (1 << v)
             base = profiles[i] - add[nbrs] + fix[nbrs]
             deletions.append((v, base, nbrs, alive, _components(rows, alive)))
         everyone = (size << 1) - 1  # the child's vertices
 
-        def earlier(child: Graph) -> bool:
+        def key(child: Graph) -> Optional[int]:
             mask = child._rows[-1]
             doubtful = []
             for v, base, nbrs, alive, parts in deletions:
@@ -417,16 +488,16 @@ def _earlier_parents(parents: Sequence[Graph]) -> _Rule:
                 if span is None or span[0] >= i or not all(m & c for c in parts):
                     continue
                 if span[1] < i:
-                    return True
+                    return None
                 doubtful.append((profile, v))
-            return any(
-                last.get((profile, _refined(child._rows, everyone ^ (1 << v))), i) < i
-                for profile, v in doubtful
-            )
+            for profile, v in doubtful:
+                if last.get(_key(profile, child._rows, everyone ^ (1 << v)), i) < i:
+                    return None
+            return _key(profiles[i] + add[mask], child._rows, everyone)
 
-        return earlier
+        return key
 
-    return rule
+    return keys
 
 
 @lru_cache(maxsize=None)
@@ -437,8 +508,7 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     return _children(
         parents,
         lambda p: _extension_masks(p, range(1, 1 << p.n)),
-        canonical_form,
-        _earlier_parents(parents),
+        keys=_connected_keys(parents),
     )
 
 

@@ -43,17 +43,13 @@ def _bfs_row(rows: Sequence[int], n: int, src: int) -> tuple[int, ...]:
     seen = frontier = 1 << src
     d = 0
     while frontier:
-        m = frontier
-        while m:
-            low = m & -m
-            dist[low.bit_length() - 1] = d
-            m ^= low
         nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= rows[low.bit_length() - 1]
-            m ^= low
+        while frontier:
+            low = frontier & -frontier
+            v = low.bit_length() - 1
+            dist[v] = d
+            nxt |= rows[v]
+            frontier ^= low
         frontier = nxt & ~seen
         seen |= frontier
         d += 1

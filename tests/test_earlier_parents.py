@@ -1,11 +1,13 @@
-"""The rule that drops a connected child generated from an earlier parent.
+"""The keys of connected children: the earlier-parent rule and the invariant.
 
-A child G of parent i is dropped, without a canonical search, when some
-G - v (v not the new vertex) is connected and isomorphic to a parent
-before i.  It only ever drops a child that is not the first of its class,
-so the representatives, their order and their canonical data are those of
-the enumeration without the rule.  The rule is turned off here by
-replacing its factory, as nothing else may turn it off.
+A child G of parent i is dropped, without a key, when some G - v (v not the
+new vertex) is connected and isomorphic to a parent before i.  Every other
+child is keyed by an invariant (``enumeration._key``): a key not met before
+is a new class, and canonical forms settle a key that two children share.
+Neither step may change the representatives, their order or their
+canonical data: they must be those of the enumeration keyed by the
+canonical form alone, serially and across forked workers, also when every
+key is forced to collide.
 """
 
 import hashlib
@@ -13,43 +15,90 @@ import hashlib
 import pytest
 
 from locdom import canonical, enumeration
-from locdom.canonical import _canonical_data, automorphism_generators
-from locdom.enumeration import _connected_classes
+from locdom.canonical import _canonical_data, automorphism_generators, canonical_form
+from locdom.enumeration import _children, _connected_classes, _extension_masks
 
 # the sha256 of repr((rows, canonical data)) over the connected classes of
 # orders 1..8 in generation order, as the enumeration gave them before the
 # rule existed
 CLASSES_TO_8_SHA256 = "d8b84b6b93518c568309bb3c1e030138cb575a5d2e58fbe7a965b1a38162e3a5"
 
-# canonical searches per order with the rule: one per class to n = 7 (a
-# class whose first child is the only one searched), and at n = 8 six
-# duplicates that no vertex deletion gives an earlier parent.  Without the
-# rule every child is searched (``tests/test_layers.py``)
-SEARCHES = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11123}
+# canonical searches per order, the parents' generator searches not
+# counted.  A key met once needs none, and to n = 7 every child the rule
+# keeps is a new class with a new key.  At n = 8 the searches settle the
+# keys children share: the six duplicates that no vertex deletion gives an
+# earlier parent, and classes the invariant does not tell apart.  Without
+# the rule every duplicate would meet its class's key and be searched
+SEARCHES = {2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 228}
+
+# children built per order (``tests/test_layers.py``)
+CHILDREN = {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771}
 
 
 def _data(graphs):
-    return [(g._rows, g._canon) for g in graphs]
+    return [(g._rows, _canonical_data(g)) for g in graphs]
 
 
-def _level(monkeypatch, n, cpus, rule=True):
+def _connected_masks(parent):
+    return _extension_masks(parent, range(1, 1 << parent.n))
+
+
+def _level(monkeypatch, n, cpus):
     """Level n built afresh from the cached level n - 1, on ``cpus`` workers
     forced on every level with more than one parent."""
     with monkeypatch.context() as m:
         if cpus > 1:
             m.setattr(enumeration, "_PARENTS_PER_WORKER", 1)
         m.setattr(enumeration, "_cpus", lambda: cpus)
-        if not rule:
-            m.setattr(enumeration, "_earlier_parents", lambda parents: None)
-        return _data(_connected_classes.__wrapped__(n))
+        return _connected_classes.__wrapped__(n)
+
+
+def _searched_alone(n):
+    return _children(_connected_classes(n - 1), _connected_masks, canonical_form)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_the_rule_keeps_the_classes_of_the_search_alone(monkeypatch, cpus):
     for n in range(2, 8):
-        without = _level(monkeypatch, n, 1, rule=False)
-        assert _level(monkeypatch, n, cpus) == without, n
-        assert without == _data(_connected_classes(n)), n
+        alone = _data(_searched_alone(n))
+        assert _data(_level(monkeypatch, n, cpus)) == alone, n
+        assert _data(_connected_classes(n)) == alone, n
+
+
+def _edges(profile, rows, alive):
+    return sum((r & alive).bit_count() for r in rows) // 2
+
+
+@pytest.mark.parametrize(
+    "key, rule",
+    [(lambda profile, rows, alive: 0, True), (_edges, False)],
+    ids=["one-key", "edge-count-no-rule"],
+)
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_keys_forced_to_collide_keep_the_classes(monkeypatch, cpus, key, rule):
+    # coarse keys: each child the rule keeps is settled by its canonical
+    # form, in the stream and, across workers, in the merge, and a holder
+    # is rebuilt, not built again as a child.  One key for every graph
+    # makes every class meet every other; with the edge count and no rule,
+    # every duplicate meets the first child of its key
+    expected = {n: _data(_connected_classes(n)) for n in CHILDREN}
+    extend = enumeration._extend
+    built = []
+
+    def counted(parent, mask):
+        built.append(mask)
+        return extend(parent, mask)
+
+    monkeypatch.setattr(enumeration, "_key", key)
+    if not rule:  # no G - v counts as connected, so the rule drops nothing
+        monkeypatch.setattr(enumeration, "_components", lambda rows, alive: [0])
+    monkeypatch.setattr(enumeration, "_extend", counted)
+    for n in CHILDREN:
+        built.clear()
+        assert _data(_level(monkeypatch, n, cpus)) == expected[n], n
+        # forked, this process builds only the children the merge keeps
+        forked = min(cpus, len(_connected_classes(n - 1))) > 1
+        assert len(built) == (len(expected[n]) if forked else CHILDREN[n]), n
 
 
 def test_searches_per_order(monkeypatch):
@@ -73,4 +122,3 @@ def test_classes_to_8_are_those_recorded():
     graphs = [g for n in range(1, 9) for g in _connected_classes(n)]
     data = repr(([g._rows for g in graphs], [_canonical_data(g) for g in graphs]))
     assert hashlib.sha256(data.encode()).hexdigest() == CLASSES_TO_8_SHA256
-

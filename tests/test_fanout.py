@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from locdom import enumeration
-from locdom.canonical import _tree_key, canonical_form
+from locdom.canonical import _canonical_data, _tree_key, canonical_form
 from locdom.enumeration import _children, _connected_classes, _extension_masks, _leaf_masks, _tree_classes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -34,8 +34,15 @@ LEVELS = [
 ]
 
 
-def _data(graphs):
+def _carried(graphs):
+    # what a level hands over: the rows and the canonical data it found
     return [(g._rows, g._canon) for g in graphs]
+
+
+def _data(graphs):
+    # what a caller reads: canonical data is searched on demand where a
+    # level found none, as the connected levels leave it
+    return [(g._rows, _canonical_data(g)) for g in graphs]
 
 
 def _force(monkeypatch, cpus):
@@ -54,9 +61,9 @@ def test_fan_out_matches_the_serial_path(monkeypatch, classes, masks, key, n_max
     for n in range(2, n_max + 1):
         parents = classes(n - 1)
         monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
-        serial = _data(_children(parents, masks, key))
+        serial = _carried(_children(parents, masks, key))
         _force(monkeypatch, cpus)
-        assert _data(_children(parents, masks, key)) == serial, n
+        assert _carried(_children(parents, masks, key)) == serial, n
         monkeypatch.undo()
     _no_child_left()
 
