@@ -23,7 +23,7 @@ switches to a human-readable rendering.
 
 Exit codes: 0 success/holds; 1 verification failure (mismatch or
 counterexample); 2 input parse error; 3 precondition violation (e.g.
-disconnected input); 4 internal invariant violation; 141 (128 + SIGPIPE)
+disconnected input, or a parameter asked of one vertex); 4 internal invariant violation; 141 (128 + SIGPIPE)
 standard output closed before the output was written, as by ``| head``.
 """
 
@@ -128,12 +128,9 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_filter(expr: str) -> Callable[[Graph], bool]:
-    """Comparisons over gamma/beta/eta/lambda/n/diam joined by 'and'.
-
-    Structural terms are evaluated first; parameter terms use bounded
-    searches, so 'eta=2' never computes eta exactly on a large graph.
-    """
+def _parse_filter(expr: str) -> list[tuple[str, str, int]]:
+    """The terms of a filter: comparisons over gamma/beta/eta/lambda/n/diam
+    joined by 'and', the structural ones first."""
     terms = []
     for chunk in re.split(r"\band\b", expr):
         if not chunk.strip():
@@ -146,6 +143,13 @@ def _parse_filter(expr: str) -> Callable[[Graph], bool]:
             )
         terms.append((m.group(1), m.group(2), int(m.group(3))))
     terms.sort(key=lambda t: t[0] not in ("n", "diam"))
+    return terms
+
+
+def _filter_predicate(terms: list[tuple[str, str, int]]) -> Callable[[Graph], bool]:
+    """Does a graph meet every term?  Structural terms are evaluated first;
+    parameter terms use bounded searches, so 'eta=2' never computes eta
+    exactly on a large graph."""
 
     def predicate(g: Graph) -> bool:
         for key, op, value in terms:
@@ -242,9 +246,11 @@ def _cmd_compute(args, argv) -> int:
     data = _read_source(args.input)
     graphs = _parse_graphs(data, args.format)
     params = [p.strip() for p in args.params.split(",")] if args.params else list(PARAMETERS)
-    for p in params:
+    for i, p in enumerate(params):
         if p not in PARAMETERS:
             raise _InputError(f"unknown parameter {p!r}; expected subset of {','.join(PARAMETERS)}")
+        if p in params[:i]:
+            raise _InputError(f"parameter {p!r} named twice in --params")
     if not _parameters_defined(graphs):
         return EXIT_PRECONDITION
     out = _Emitter(argv, args.table, _sha256(data))
@@ -280,10 +286,15 @@ def _cmd_compute(args, argv) -> int:
 
 def _cmd_enumerate(args, argv) -> int:
     orders = _parse_order_range(args.n)
-    predicate = _parse_filter(args.filter) if args.filter else (lambda g: True)
+    terms = _parse_filter(args.filter) if args.filter else []
+    if args.output == "graph6" and args.table:
+        raise _InputError("--table does not apply to --output graph6, a bare graph6 stream")
+    if orders[0] < 2 and any(key in PARAMETERS for key, _, _ in terms):
+        print(f"error: order range {args.n!r} includes n = 1; the parameters need n >= 2",
+              file=sys.stderr)
+        return EXIT_PRECONDITION
+    predicate = _filter_predicate(terms)
     if args.output == "graph6":
-        if args.table:
-            raise _InputError("--table does not apply to --output graph6, a bare graph6 stream")
         for n in orders:
             for g in connected_graphs(n):
                 if predicate(g):

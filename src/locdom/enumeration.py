@@ -32,18 +32,18 @@ the degree histogram with the triangle and 4-cycle counts (``_profile``,
 read from the parent's tables) and of one round of colour refinement
 (Weisfeiler-Leman).  A key not met before is a class not met before, and
 the child is kept with no canonical search.  A key met before is settled
-by canonical form: the child's, and once, that of the key's earlier
-holder, rebuilt from its parent and mask; the child is kept when its form
-is new under that key.  The kept children are exactly the first of each
-class.  The first child of a class is never dropped by the rule, and
-every child kept before it is of another class, so its key is new or its
-form is.  Any later child of the class is dropped by the rule, or meets
-the key of the first child, kept before it, and that child's form.  The
-representatives, their order and their canonical data are therefore those
-of the canonical form alone.  Up to n = 7 no key is met twice; at n = 8,
-228 searches settle the keys that children share.  Canonical data is then
-found on demand (``canonical._canonical_data``): a class is searched for
-its automorphism generators when it becomes a parent, in
+by canonical form: the child's, and once, that of the key's holder, its
+earlier entry in the output; the child is kept when its form is new
+under that key.  The kept children are exactly the first of each class.
+The first child of a class is never dropped by the rule, and every child
+kept before it is of another class, so its key is new or its form is.
+Any later child of the class is dropped by the rule, or meets the key of
+the first child, kept before it, and that child's form.  The
+representatives, their order and their canonical data are therefore
+those of the canonical form alone.  Up to n = 7 no key is met twice; at
+n = 8, 228 searches settle the keys that children share.  Canonical data
+is otherwise found on demand (``canonical._canonical_data``): a class is
+searched for its automorphism generators when it becomes a parent, in
 ``_extension_masks``, and a class of the top level only when a caller asks.
 
 Trees are generated by the same augmentation restricted to one-vertex
@@ -62,27 +62,23 @@ since the key, like the canonical form, is a complete invariant, each
 class keeps the same first child: the representatives are those the
 general search gives.
 
-A level with many parents is spread across CPU cores.  The stream of a set
-of parents yields, parent by parent, the children whose class that stream
-meets first, in mask order.  Serially one stream covers every parent.  A
-level forks W = min(CPUs this process may use, parents //
-``_PARENTS_PER_WORKER``) workers when W >= 2 and ``os.fork`` exists;
-worker w runs the stream of the parents i = w (mod W) and writes one
+One function, ``_merge``, files the keys and settles those met again, in
+generation order; ``_keyed`` builds and keys each parent's children and
+files nothing.  With a complete key (a tree's, or the canonical form) it
+leaves out a child whose key its own stream met before: that child is
+isomorphic to an earlier one in generation order, so the merge would
+drop it.  A level with many parents is spread across CPU cores: it forks
+W = min(CPUs this process may use, parents // ``_PARENTS_PER_WORKER``)
+workers when W >= 2 and ``os.fork`` exists.  Worker w keys the parents
+i = w (mod W), parent i by its index in the whole level, and writes one
 ``marshal`` record per parent to a pipe, each child as its mask, its key
-and its canonical data when the worker searched it.  The main process
-reads the records in parent order, parent i's as the next record from
-worker i mod W, files each key under its first child's index in the
-output, settles a key met again as the stream does, and builds each child
-it keeps from its parent and mask.  The representatives are the serial
-ones: the first child of a class in generation order is the first its own
-worker's stream meets, since every child that stream meets before it
-comes earlier in generation order, and the ordered merge reaches that
-child before any later one.  A worker keys the children of parent i by i
-itself, the parent's index in the whole level, and drops only children
-that are not the first of their class.  Workers are forked from a process
-that starts no threads, and exit with ``os._exit``; a worker that fails
-prints its traceback, its records end early, and the call raises once
-every worker is reaped.
+and the canonical data the worker found.  The main process reads the
+records in parent order, parent i's as the next from worker i mod W,
+and merges them as the serial records, building a child only when the
+merge keeps or settles it.  Workers are forked from a process that
+starts no threads, and exit with ``os._exit``; a worker that fails prints
+its traceback, its records end early, and the call raises once every
+worker is reaped.
 """
 
 from __future__ import annotations
@@ -123,24 +119,17 @@ _PARENTS_PER_WORKER = 256
 _Keys = Callable[[int, Graph], Callable[[Graph], Optional[Hashable]]]
 
 
-def _child_rows(parent: Graph, mask: int) -> list[int]:
-    """The rows of the parent plus one vertex adjacent to exactly the parent
-    vertices in mask."""
+def _extend(parent: Graph, mask: int) -> Graph:
+    """A child of the parent: one vertex more, adjacent to exactly the parent
+    vertices in mask.  Children are counted by the calls of this function
+    (``tests/test_layers.py``, the benchmark's tracer)."""
     bit = 1 << parent.n
     rows = list(parent._rows)
     for v in range(parent.n):
         if (mask >> v) & 1:
             rows[v] |= bit
     rows.append(mask)
-    return rows
-
-
-def _extend(parent: Graph, mask: int) -> Graph:
-    """A child of the parent: one vertex more, adjacent to exactly the parent
-    vertices in mask.  Children are counted by the calls of this function
-    (``tests/test_layers.py``, the benchmark's tracer), so a child rebuilt
-    to settle a shared key is built from ``_child_rows`` instead."""
-    return Graph._from_rows(_child_rows(parent, mask))
+    return Graph._from_rows(rows)
 
 
 def _extension_masks(parent: Graph, candidates: Sequence[int]) -> Sequence[int]:
@@ -189,39 +178,23 @@ def _leaf_masks(parent: Graph) -> list[int]:
     return list(first.values())
 
 
-def _new_form(filed: dict, k: Hashable, form: bytes, holder: Callable[[int], Graph]) -> bool:
-    """Is ``form`` the canonical form of a class not yet filed under the key
-    ``k``?  File it if so.  Until two children share k, ``filed[k]`` is the
-    reference of the first, and ``holder(ref)`` gives it back to be searched
-    once; from then on it is the set of the forms met under k."""
-    held = filed[k]
-    if not isinstance(held, set):
-        held = filed[k] = {canonical_form(holder(held))}
-    if form in held:
-        return False
-    held.add(form)
-    return True
+# a record: a parent and its keyed children in mask order, each as
+# (mask, key, child), the child as its graph or, read from a worker, as the
+# canonical data the worker found (None if it searched none)
+_Record = tuple[Graph, list[tuple[int, Hashable, object]]]
 
 
-def _stream(
+def _keyed(
     parents: Sequence[Graph],
     indices: Iterable[int],
     masks: Callable[[Graph], Iterable[int]],
     keys: _Keys,
-    confirm: bool,
-) -> Iterator[list[tuple[int, Hashable, Graph]]]:
-    """Yield, for each parent ``parents[i]`` with i in ``indices``, the list
-    ``kept`` of ``(mask, key, child)``, in mask order, for each child that
-    is the first of its class among the children this stream keys.  A key
-    not met before is a new class.  A key met before is a class met before,
-    unless ``confirm``, when canonical forms settle it; the earlier holder
-    of the key is rebuilt from its parent index and mask, not kept."""
-    filed: dict = {}
-    size = 1 << parents[0].n  # above every mask
-
-    def holder(ref: int) -> Graph:
-        return Graph._from_rows(_child_rows(parents[ref // size], ref % size))
-
+    complete: bool,
+) -> Iterator[_Record]:
+    """Yield the record of each parent ``parents[i]`` with i in ``indices``:
+    its children that ``keys`` does not drop.  A ``complete`` key met
+    before in this stream is a class met before, and its child is left out."""
+    met = set()  # stays empty unless complete
     for i in indices:
         parent = parents[i]
         key = keys(i, parent)
@@ -229,14 +202,42 @@ def _stream(
         for mask in masks(parent):
             child = _extend(parent, mask)
             k = key(child)
-            if k is None:
+            if k is None or k in met:
                 continue
-            if k not in filed:
-                filed[k] = i * size + mask
-            elif not (confirm and _new_form(filed, k, canonical_form(child), holder)):
-                continue
+            if complete:
+                met.add(k)
             kept.append((mask, k, child))
-        yield kept
+        yield parent, kept
+
+
+def _merge(records: Iterable[_Record], confirm: bool) -> tuple[Graph, ...]:
+    """The first child of each class among the records' children, in order.
+    A key not met before is a new class.  A key met before is a class met
+    before, unless ``confirm``, when canonical forms settle it: the key's
+    holder, its earlier entry in the output, is searched once, and from
+    then on the key files the set of forms met under it.  A child read
+    from a worker is built only here, when it is kept or settled."""
+    out: list[Graph] = []
+    filed: dict = {}
+    for parent, kept in records:
+        for mask, k, child in kept:
+            held = filed.get(k)
+            if held is not None and not confirm:
+                continue
+            if not isinstance(child, Graph):
+                canon, child = child, _extend(parent, mask)
+                child._canon = canon
+            if held is None:
+                filed[k] = len(out)
+            else:
+                if not isinstance(held, set):
+                    held = filed[k] = {canonical_form(out[held])}
+                form = canonical_form(child)
+                if form in held:
+                    continue
+                held.add(form)
+            out.append(child)
+    return tuple(out)
 
 
 def _cpus() -> int:
@@ -264,8 +265,7 @@ def _children(
         keys = lambda i, parent: key
     workers = min(_cpus(), len(parents) // _PARENTS_PER_WORKER)
     if workers < 2 or not hasattr(os, "fork"):
-        stream = _stream(parents, range(len(parents)), masks, keys, confirm)
-        return tuple(child for kept in stream for _, _, child in kept)
+        return _merge(_keyed(parents, range(len(parents)), masks, keys, not confirm), confirm)
     return _fan_out(parents, masks, keys, confirm, workers)
 
 
@@ -276,20 +276,17 @@ def _fan_out(
     confirm: bool,
     workers: int,
 ) -> tuple[Graph, ...]:
-    """``_children`` on ``workers`` forked processes: worker w writes the
-    records of the stream of the parents i = w (mod ``workers``), in order
-    of i, each child as ``(mask, key, child._canon)``, so parent i's record
-    is the next one on pipe i mod ``workers``.  The merge files each key
-    under the index of its first child in the output, and settles a key
-    two workers share as the stream does.  Every worker is reaped on the
-    way out; one that failed, or a pipe that ends early, raises."""
+    """``_children`` on ``workers`` forked processes: worker w keys the
+    parents i = w (mod ``workers``) and writes their records in order of i,
+    each child as ``(mask, key, child._canon)``, so parent i's record is
+    the next one on pipe i mod ``workers``.  The records, read in parent
+    order, feed ``_merge``.  Every worker is reaped on the way out; one
+    that failed, or a pipe that ends early, raises."""
     import signal  # here, so that a process that never forks never loads it
 
     pids: list[int] = []
     pipes: list[BinaryIO] = []
-    out: list[Graph] = []
-    filed: dict = {}
-    finished = False
+    out = None
     try:
         for w in range(workers):
             read, write = os.pipe()
@@ -298,65 +295,42 @@ def _fan_out(
                 pid = os.fork()
                 if pid == 0:
                     indices = range(w, len(parents), workers)
-                    _work(write, pipes, _stream(parents, indices, masks, keys, confirm))
+                    _work(write, pipes, _keyed(parents, indices, masks, keys, not confirm))
             finally:
                 os.close(write)  # the worker never returns here
             pids.append(pid)
-        for i, parent in enumerate(parents):
-            try:
-                kept = marshal.load(pipes[i % workers])
-            except EOFError:  # its worker failed: reaped and reported below
-                break
-            for mask, k, canon in kept:
-                if k in filed:
-                    if not confirm:
-                        continue
-                    if canon is None:  # its worker met k once: search it rebuilt
-                        rebuilt = Graph._from_rows(_child_rows(parent, mask))
-                        canonical_form(rebuilt)
-                        canon = rebuilt._canon
-                    if not _new_form(filed, k, canon[0], out.__getitem__):
-                        continue
-                else:
-                    filed[k] = len(out)
-                child = _extend(parent, mask)
-                child._canon = canon
-                out.append(child)
-        else:
-            finished = True
+        records = ((p, marshal.load(pipes[i % workers])) for i, p in enumerate(parents))
+        out = _merge(records, confirm)
+    except EOFError:  # a worker's records ended early: reaped and reported below
+        pass
     finally:
         # kill before closing: a worker still writing would otherwise meet
         # the closed pipe and print its BrokenPipeError
-        if not finished:
+        if out is None:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
         for f in pipes:
             f.close()
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if any(statuses) or not finished:
+    if any(statuses) or out is None:
         raise RuntimeError(f"enumeration workers failed with exit statuses {statuses}")
-    return tuple(out)
+    return out
 
 
-def _work(
-    fd: int,
-    inherited: list[BinaryIO],
-    stream: Iterator[list[tuple[int, Hashable, Graph]]],
-) -> NoReturn:
-    """A forked worker: close the ``inherited`` read ends, write each record
-    of ``stream`` to ``fd``, each child graph as its canonical data (None
-    unless the worker searched it), then exit without returning to the
-    caller's frames.  ``os._exit`` leaves the
-    buffers inherited from the parent, such as unwritten standard output,
-    unflushed.  On failure ``fd`` stays open until ``os._exit``, after the
-    traceback: the records end, and the caller may kill its workers, only
-    once the report is out."""
+def _work(fd: int, inherited: list[BinaryIO], records: Iterator[_Record]) -> NoReturn:
+    """A forked worker: close the ``inherited`` read ends, write each of
+    ``records`` to ``fd``, without its parent and each child as its
+    canonical data, then exit without returning to the caller's frames.
+    ``os._exit`` leaves the buffers inherited from the parent, such as
+    unwritten standard output, unflushed.  On failure ``fd`` stays open
+    until ``os._exit``, after the traceback: the records end, and the
+    caller may kill its workers, only once the report is out."""
     status = 1
     try:
         for f in inherited:
             f.close()
         out = open(fd, "wb")
-        for kept in stream:
+        for _, kept in records:
             marshal.dump([(mask, k, child._canon) for mask, k, child in kept], out)
         out.close()
         status = 0

@@ -66,6 +66,10 @@ __all__ = [
 #: Names accepted by :func:`minimum_code` and the CLI filter grammar.
 PARAMETERS = ("gamma", "beta", "eta", "lambda")
 
+# the least order on which each parameter is defined: K1 has no vertex
+# pair to locate
+_LEAST_ORDER = {"gamma": 1, "beta": 2, "eta": 2, "lambda": 2}
+
 # the parameters whose minima bound each parameter from below
 _CHAIN_BELOW = {"eta": ("gamma", "beta"), "lambda": ("gamma", "beta", "eta")}
 
@@ -180,11 +184,15 @@ def minimum_code(
     minimum size, or None when no code of size <= k_max exists.  With the
     default k_max (the whole vertex set) a result is guaranteed: V itself
     is dominating, locating and locating-dominating; there a k_min above n
-    is a caller error and raises ``ValueError``.  A proven minimum is
-    kept on the graph and answers every later query with k_min up to it.
+    is a caller error and raises ``ValueError``, as does a graph below the
+    parameter's least order (1 for gamma, 2 for the others).  A proven
+    minimum is kept on the graph and answers every later query with k_min
+    up to it.
     """
     if param not in PARAMETERS:
         raise ValueError(f"unknown parameter {param!r}; expected one of {PARAMETERS}")
+    if g.n < _LEAST_ORDER[param]:
+        raise ValueError(f"{param} requires n >= {_LEAST_ORDER[param]}, got n = {g.n}")
     if k_max is None and k_min > g.n:
         raise ValueError(f"k_min = {k_min} exceeds n = {g.n}: no {param} code is that large")
     _require_connected(g, param)
@@ -227,9 +235,7 @@ def parameter_satisfies(g: Graph, param: str, op: str, value: int) -> bool:
     return _OPS[op](found[0] if found else value + 1, value)
 
 
-def _solve(g: Graph, param: str, n_min: int) -> tuple[int, Code]:
-    if g.n < n_min:
-        raise ValueError(f"{param} requires n >= {n_min}, got n = {g.n}")
+def _solve(g: Graph, param: str) -> tuple[int, Code]:
     result = minimum_code(g, param)
     assert result is not None
     return result
@@ -237,22 +243,22 @@ def _solve(g: Graph, param: str, n_min: int) -> tuple[int, Code]:
 
 def domination_number(g: Graph) -> tuple[int, Code]:
     """gamma(G) with the lexicographically least optimal dominating set."""
-    return _solve(g, "gamma", 1)
+    return _solve(g, "gamma")
 
 
 def metric_dimension(g: Graph) -> tuple[int, Code]:
     """beta(G) with the lexicographically least optimal locating set."""
-    return _solve(g, "beta", 2)
+    return _solve(g, "beta")
 
 
 def mld_number(g: Graph) -> tuple[int, Code]:
     """eta(G) with the lexicographically least optimal metric-locating-dominating set."""
-    return _solve(g, "eta", 2)
+    return _solve(g, "eta")
 
 
 def ld_number(g: Graph) -> tuple[int, Code]:
     """lambda(G) with the lexicographically least optimal locating-dominating set."""
-    return _solve(g, "lambda", 2)
+    return _solve(g, "lambda")
 
 
 def full_report(g: Graph) -> ParameterReport:

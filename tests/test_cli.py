@@ -92,6 +92,14 @@ class TestCompute:
         code, _, _ = run_cli(capsys, ["compute", "-", "--params", "delta"], stdin=P6_EDGE_LIST)
         assert code == 2
 
+    def test_repeated_param_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["compute", "-", "--params", "eta,eta", "--table"], stdin=P6_EDGE_LIST
+        )
+        assert code == 2
+        assert out == ""
+        assert "'eta' named twice" in err
+
     @pytest.mark.parametrize("params", [[], ["--params", "beta"]])
     def test_single_vertex_exits_3(self, capsys, params):
         # the empty set locates K1, so no parameter is reported for it
@@ -136,6 +144,22 @@ class TestEnumerate:
         )
         assert code == 0
         assert records(out)[0]["total"] > 0
+
+    @pytest.mark.parametrize("param", ["gamma", "beta", "eta", "lambda"])
+    @pytest.mark.parametrize("output", ["census", "graph6"])
+    def test_parameter_filter_over_order_1_exits_3(self, capsys, param, output):
+        # compute refuses K1, so a census must not count it either
+        argv = ["enumerate", "--n", "1..3", "--filter", f"n<=3 and {param}=1", "--output", output]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "n >= 2" in err
+
+    @pytest.mark.parametrize("term, total", [("n<=2", 2), ("diam=0", 1), ("diam<=1", 3)])
+    def test_structural_filter_over_order_1(self, capsys, term, total):
+        code, out, _ = run_cli(capsys, ["enumerate", "--n", "1..3", "--filter", term])
+        assert code == 0
+        assert records(out)[0]["total"] == total
 
     def test_bad_filter_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["enumerate", "--n", "4", "--filter", "zeta=1"])

@@ -77,10 +77,9 @@ def _edges(profile, rows, alive):
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_keys_forced_to_collide_keep_the_classes(monkeypatch, cpus, key, rule):
     # coarse keys: each child the rule keeps is settled by its canonical
-    # form, in the stream and, across workers, in the merge, and a holder
-    # is rebuilt, not built again as a child.  One key for every graph
-    # makes every class meet every other; with the edge count and no rule,
-    # every duplicate meets the first child of its key
+    # form in the one merge.  One key for every graph makes every class
+    # meet every other; with the edge count and no rule, every duplicate
+    # meets the first child of its key
     expected = {n: _data(_connected_classes(n)) for n in CHILDREN}
     extend = enumeration._extend
     built = []
@@ -89,19 +88,33 @@ def test_keys_forced_to_collide_keep_the_classes(monkeypatch, cpus, key, rule):
         built.append(mask)
         return extend(parent, mask)
 
+    def keyed(n):
+        # the children a worker sends: those the rule does not drop
+        parents = _connected_classes(n - 1)
+        keys = enumeration._connected_keys(parents)
+        return sum(
+            keys(i, p)(extend(p, m)) is not None
+            for i, p in enumerate(parents)
+            for m in _connected_masks(p)
+        )
+
     monkeypatch.setattr(enumeration, "_key", key)
     if not rule:  # no G - v counts as connected, so the rule drops nothing
         monkeypatch.setattr(enumeration, "_components", lambda rows, alive: [0])
+    sent = {n: keyed(n) for n in CHILDREN}
     monkeypatch.setattr(enumeration, "_extend", counted)
     for n in CHILDREN:
         built.clear()
         assert _data(_level(monkeypatch, n, cpus)) == expected[n], n
-        # forked, this process builds only the children the merge keeps
+        # forked, this process builds each child a worker sends once, in
+        # the merge: it keeps a new key's child and settles any other
         forked = min(cpus, len(_connected_classes(n - 1))) > 1
-        assert len(built) == (len(expected[n]) if forked else CHILDREN[n]), n
+        assert len(built) == (sent[n] if forked else CHILDREN[n]), n
 
 
-def test_searches_per_order(monkeypatch):
+def _searches(monkeypatch, cpus):
+    """Canonical searches per order in this process, building each level
+    afresh on ``cpus`` workers."""
     search = canonical._search
     calls = []
 
@@ -114,8 +127,18 @@ def test_searches_per_order(monkeypatch):
             automorphism_generators(parent)  # searched once, outside the count
     monkeypatch.setattr(canonical, "_search", counted)
     for n in SEARCHES:
-        _level(monkeypatch, n, 1)
-    assert {n: calls.count(n) for n in SEARCHES} == SEARCHES
+        _level(monkeypatch, n, cpus)
+    return {n: calls.count(n) for n in SEARCHES}
+
+
+def test_searches_per_order(monkeypatch):
+    assert _searches(monkeypatch, 1) == SEARCHES
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_workers_only_key(monkeypatch, cpus):
+    # the merge in this process runs every search the serial level runs
+    assert _searches(monkeypatch, cpus) == SEARCHES
 
 
 def test_classes_to_8_are_those_recorded():

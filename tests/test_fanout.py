@@ -97,6 +97,27 @@ def test_an_error_while_merging_reaps_every_worker(monkeypatch, capfd):
     assert capfd.readouterr().err == ""
 
 
+def test_an_error_while_settling_a_key_reaps_every_worker(monkeypatch, capfd):
+    # one key for every child: the merge settles the second child it reads,
+    # in this process and outside the pipe reader, while workers still write
+    main = os.getpid()
+    form = enumeration.canonical_form
+
+    def failing_in_main(g):
+        if os.getpid() == main:
+            raise KeyError("settle")
+        return form(g)
+
+    _force(monkeypatch, 2)
+    monkeypatch.setattr(enumeration, "_key", lambda profile, rows, alive: 0)
+    monkeypatch.setattr(enumeration, "canonical_form", failing_in_main)
+    parents = _connected_classes(6)
+    with pytest.raises(KeyError, match="settle"):
+        _children(parents, _connected_masks, keys=enumeration._connected_keys(parents))
+    _no_child_left()
+    assert capfd.readouterr().err == ""
+
+
 def _refuse_fork():
     raise AssertionError("forked")
 

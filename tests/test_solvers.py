@@ -109,6 +109,15 @@ class TestFullReport:
     def test_k1_domination_convention(self):
         assert domination_number(Graph(1)) == (1, (0,))
 
+    @pytest.mark.parametrize("param", ["beta", "eta", "lambda"])
+    def test_k1_has_no_location_parameter(self, param):
+        # the empty set locates K1, so no least code of size >= 1 is defined
+        with pytest.raises(ValueError, match="requires n >= 2"):
+            minimum_code(Graph(1), param)
+        with pytest.raises(ValueError, match="requires n >= 2"):
+            parameter_satisfies(Graph(1), param, "=", 1)
+        assert minimum_code(Graph(1), "gamma") == (1, (0,))
+
     def test_k2(self):
         r = full_report(path(2).graph)
         assert (r.gamma, r.beta, r.eta, r.lambda_) == (1, 1, 1, 1)
