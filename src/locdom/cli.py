@@ -446,6 +446,13 @@ def _cmd_verify(args, argv) -> int:
         numbered = _parse_graphs(data, "g6")
         if not _parameters_defined(numbered):
             return EXIT_PRECONDITION
+        if ids == ["tree-bounds"]:
+            # named alone, the tree sweep refuses what ``all`` would skip
+            line = next((line for line, g in numbered if not g.is_tree()), None)
+            if line is not None:
+                raise _InputError(
+                    f"tree-bounds requires a tree; the graph on input line {line} is not one"
+                )
         graphs = [g for _, g in numbered]
     out = _Emitter(argv, args.table, digest)
     try:

@@ -23,21 +23,25 @@ cuts a branch only where no completion can meet every set:
 The floor and the cuts only skip subsets that are not codes, so a search
 that finds nothing has exhausted every k-subset, and every smaller k is
 exhausted when a code of size k is returned; that is the optimality
-certificate.  For the same reason neither changes which code is found
-first: it is the one an exhaustive lexicographic scan of the k-subsets
-would accept first, so the witness is the lexicographically least
-optimal code and results are reproducible.  There is no ILP/SAT backend
-by design: this search is the oracle every other component is measured
-against.
+certificate.  On a tree of order >= 3, eta and lambda have an exact
+value instead (:func:`_tree_minimum`, a dynamic programme over two local
+lemmas), and the lemmas certify the minimum: the search runs at that k*
+alone, and no failing k is tried.  Neither the floor nor the cuts change
+which code is found first: it is the one an exhaustive lexicographic
+scan of the k-subsets would accept first, so the witness is the
+lexicographically least optimal code and results are reproducible.
+There is no ILP/SAT backend by design: this search is the oracle every
+other component is measured against.
 
 Each graph keeps its proven minima (``Graph._minima``), which answer
-repeated queries.  A new search starts at the counting floor or at the
-largest lower bound that the chain max(gamma, beta) <= eta <= min(gamma +
-beta, lambda) draws from them, whichever is higher, so no caller seeds
-one; a bounded query whose start lies above its k_max returns None
-before the hitting family is built.  ``full_report`` asserts the chain;
-a violation raises :class:`InvariantViolation`, which signals a solver bug
-and is never silently swallowed.
+repeated queries.  A new search starts at the tree value where there is
+one; elsewhere at the counting floor or at the largest lower bound that
+the chain max(gamma, beta) <= eta <= min(gamma + beta, lambda) draws from
+them, whichever is higher, so no caller seeds one.  A bounded query
+whose start lies above its k_max returns None before the hitting family
+is built.  ``full_report`` asserts the chain; a violation raises
+:class:`InvariantViolation`, which signals a solver bug and is never
+silently swallowed.
 """
 
 from __future__ import annotations
@@ -166,6 +170,110 @@ def _counting_floor(g: Graph, param: str) -> int:
     return k
 
 
+def _tree_minimum(g: Graph, param: str) -> int:
+    """eta or lambda of a tree of order >= 3, by a dynamic programme over
+    the tree rooted at a vertex of degree >= 2, so that every leaf is a
+    child.
+
+    On a tree both codes are local conditions on a dominating set S:
+
+    * lambda: two vertices outside S with equal traces of size >= 2 would
+      close a 4-cycle, so S is locating-dominating iff no x in S is the
+      only code neighbour of two vertices outside S (each code vertex has
+      one *slot*);
+    * eta: two vertices outside S with equal distance vectors hang off a
+      common code neighbour in branches free of code vertices, which
+      domination makes single leaves, so S is metric-locating-dominating
+      iff no code vertex has two leaf neighbours outside S.
+
+    Each vertex keeps the least code size in its subtree for each state
+    (:func:`_lambda_states`, :func:`_eta_states`), children before parents.
+    """
+    n, rows = g.n, g._rows
+    refusal = "_tree_minimum computes eta or lambda of a tree of order >= 3"
+    root = next((v for v in range(n) if rows[v] & (rows[v] - 1)), None)
+    if param not in ("eta", "lambda") or n < 3 or root is None:
+        raise ValueError(refusal)
+    children: list[list[int]] = [[] for _ in range(n)]
+    up = [0] * n  # the bit of each vertex's parent
+    order = [root]
+    reached = 1 << root
+    for v in order:
+        below = rows[v] & ~up[v]
+        if below & reached:  # a cycle
+            raise ValueError(refusal)
+        reached |= below
+        while below:
+            low = below & -below
+            c = low.bit_length() - 1
+            up[c] = 1 << v
+            children[v].append(c)
+            order.append(c)
+            below ^= low
+    if len(order) < n:  # another component
+        raise ValueError(refusal)
+    inf = n + 1  # no code is this large; a sum with such a term stays above n
+    best: list = [None] * n
+    for v in reversed(order):
+        if param == "lambda":
+            best[v] = _lambda_states([best[c] for c in children[v]], inf)
+        else:
+            inner = [best[c] for c in children[v] if children[c]]
+            best[v] = _eta_states(inner, len(children[v]) - len(inner), inf)
+    states = best[root]
+    # the root has no parent to dominate it or to take its slot
+    if param == "eta":
+        return min(states[0], states[1])
+    return min(states[0], states[1], states[3], states[5])
+
+
+def _lambda_states(kids: list[tuple[int, ...]], inf: int) -> tuple[int, ...]:
+    """The six lambda states of a vertex from those of its children: in S
+    with its slot free, or used by a child; out of S with no code child
+    (it needs a code parent and takes its slot), one code child whose slot
+    is free, one whose slot is used (it needs a code parent), or two or
+    more.  ``inf`` marks a state that no code reaches."""
+    in_s, out, mixed = 1, 0, 0
+    slot = one_free = one_used = inf
+    lift1 = lift2 = inf  # the two least extra costs of making a child a code child
+    for a, b, bare, one_f, one_u, two in kids:
+        # under a code vertex only a child with no code child takes the slot
+        free = min(a, b, one_f, one_u, two)
+        in_s += free
+        slot = min(slot, bare - free)
+        # under a vertex out of S a child must not need a code parent
+        alone = min(one_f, two)
+        out += alone
+        one_free = min(one_free, a - alone)
+        one_used = min(one_used, b - alone)
+        code = min(a, b)
+        least = min(code, alone)
+        mixed += least
+        lift = code - least
+        if lift < lift2:
+            lift1, lift2 = min(lift, lift1), max(lift, lift1)
+    return in_s, in_s + slot, out, out + one_free, out + one_used, mixed + lift1 + lift2
+
+
+def _eta_states(kids: list[tuple[int, int, int]], leaves: int, inf: int) -> tuple[int, int, int]:
+    """The three eta states of a vertex from those of ``kids``, its
+    children that are not leaves, and its number of leaf children: in S;
+    out of S and dominated by a child; out of S and waiting for a code
+    parent.  A leaf child outside S needs this vertex in S, and at most
+    one may be outside.  ``inf`` marks a state that no code reaches."""
+    in_s = 1 + max(leaves - 1, 0)
+    dominated = leaves
+    lift = 0 if leaves else inf  # the least extra cost of one child in S
+    waiting = inf if leaves else 0
+    for s, d, w in kids:
+        in_s += min(s, d, w)
+        least = min(s, d)
+        dominated += least
+        lift = min(lift, s - least)
+        waiting += d
+    return in_s, dominated + lift, waiting
+
+
 def _require_connected(g: Graph, param: str) -> None:
     if not g.is_connected():
         raise DisconnectedGraphError(f"{param} is only computed for connected graphs")
@@ -200,8 +308,11 @@ def minimum_code(
     if param in known and k_min <= known[param][0]:
         k, code = known[param]
         return (k, code) if k_max is None or k <= k_max else None
-    chain = [known[p][0] for p in _CHAIN_BELOW.get(param, ()) if p in known]
-    floor = max([_counting_floor(g, param), *chain])
+    if param in ("eta", "lambda") and g.n >= 3 and g.is_tree():
+        floor = _tree_minimum(g, param)  # exact: only the search at k* runs
+    else:
+        chain = [known[p][0] for p in _CHAIN_BELOW.get(param, ()) if p in known]
+        floor = max([_counting_floor(g, param), *chain])
     start = max(k_min, floor)
     if k_max is not None and start > k_max:
         return None

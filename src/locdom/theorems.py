@@ -43,7 +43,7 @@ from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, connected_graph
 from .enumeration import write_graph6
 from .graph import Graph
 from .predicates import Code, is_mld
-from .solvers import full_report, minimum_code
+from .solvers import _tree_minimum, full_report, minimum_code
 
 __all__ = [
     "Verdict",
@@ -169,7 +169,12 @@ def check_lambda_bounds(g: Graph) -> Verdict:
 
 
 def _eta_lambda(g: Graph) -> tuple[int, int]:
-    """(eta, lambda); eta first, so it bounds the lambda search from below."""
+    """(eta, lambda).  A tree of order >= 3 reads both from the exact tree
+    programme (:func:`~locdom.solvers._tree_minimum`) and runs no search;
+    any other graph searches eta first, so it bounds the lambda search from
+    below."""
+    if g.n >= 3 and g.is_tree():
+        return _tree_minimum(g, "eta"), _tree_minimum(g, "lambda")
     return minimum_code(g, "eta")[0], minimum_code(g, "lambda")[0]
 
 
@@ -181,7 +186,7 @@ def check_tree_bounds(g: Graph) -> Verdict:
     scope, g6 = _where(g)
     if g.n < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
-    eta, lam = _eta_lambda(g)
+    eta, lam = _tree_minimum(g, "eta"), _tree_minimum(g, "lambda")
     detail = f"eta={eta} lambda={lam}"
     if g.n == 6 and g.diameter() == 5:  # P6, the only such tree
         exception = "violates upper bound" if lam > 2 * eta - 2 else "within bounds"
@@ -373,7 +378,8 @@ def verify_realization(a: int, b: int, c: int) -> Verdict:
 
 
 def verify_tree_realization(a: int, b: int) -> Verdict:
-    """Build the spider tree with (eta, lambda) = (a, b) and brute-force it."""
+    """Build the spider tree with (eta, lambda) = (a, b) and read both
+    values from the exact tree programme, with no search."""
     name = "tree-realization"
     scope = f"(a,b)=({a},{b})"
     if not 3 <= a <= b <= 2 * a - 2:
@@ -421,6 +427,18 @@ def _orders(theorem: str, lo: int, hi: int, top: Optional[int] = None) -> range:
     return range(lo, hi + 1)
 
 
+def _trees_only(checker: Callable[[Graph], Verdict], theorem: str) -> Callable[[Graph], Verdict]:
+    """``checker`` on trees; any other graph of a supplied stream is out of
+    the theorem's scope and skipped."""
+
+    def check(g: Graph) -> Verdict:
+        if g.is_tree():
+            return checker(g)
+        return Verdict(theorem, _where(g)[0], SKIPPED, "hypothesis unmet: not a tree")
+
+    return check
+
+
 def _sweep_runner(
     checker: Callable[[Graph], Verdict],
     lo: int,
@@ -430,7 +448,8 @@ def _sweep_runner(
 ):
     """A runner sweeping ``checker`` over the supplied graphs or every
     connected graph (or tree) class of order lo..n_max, and merging the
-    sweep with the parts ``tightness`` yields.  The sweep's verdict is
+    sweep with the parts ``tightness`` yields.  A tree sweep skips the
+    graphs of a supplied stream that are not trees.  The sweep's verdict is
     named ``name``, by default the theorem id.  An n_max above ``largest``,
     or above the enumerator's largest order, is refused."""
 
@@ -438,17 +457,16 @@ def _sweep_runner(
         theorem: str, n_max: int, graphs: Optional[Iterable[Graph]], largest: Optional[int]
     ) -> Verdict:
         scope = "supplied graphs"
-        if graphs is None:
+        check = checker
+        if graphs is not None and trees:
+            check = _trees_only(checker, name or theorem)
+        elif graphs is None:
             top = largest or (_MAX_TREE_ORDER if trees else MAX_ENUMERATION_ORDER)
             orders = _orders(theorem, lo, n_max, top)
-            if trees:
-                # copies, so the cached classes keep none of the distances
-                # and minima the sweep computes
-                graphs = (Graph._from_rows(t._rows) for n in orders for t in tree_classes(n))
-            else:
-                graphs = (g for n in orders for g in connected_graphs(n))
+            classes = tree_classes if trees else connected_graphs
+            graphs = (g for n in orders for g in classes(n))
             scope = f"{'trees' if trees else 'connected graphs'}, {lo} <= n <= {n_max}"
-        verdict = sweep(checker, graphs, name or theorem, scope)
+        verdict = sweep(check, graphs, name or theorem, scope)
         if tightness is None:
             return verdict
         return _combine(theorem, scope, [verdict, *tightness()])

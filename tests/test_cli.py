@@ -416,6 +416,15 @@ class TestVerify:
         assert out == ""
         assert "requires a tree" in err
 
+    def test_all_skips_non_trees_in_the_tree_sweep(self, capsys):
+        blob = "".join(write_graph6(g).decode() + "\n" for g in (path(4).graph, complete(4).graph))
+        code, out, err = run_cli(capsys, ["verify", "all", "--input", "-"], stdin=blob)
+        assert code == 0, err
+        verdicts = {r["theorem"]: r for r in records(out) if r["type"] == "verdict"}
+        assert all(v["status"] == "holds" for v in verdicts.values())
+        assert verdicts["tree-bounds"]["reason"] == "checked=1 skipped=1"
+        assert verdicts["inequality-chain"]["reason"] == "checked=2 skipped=0"
+
     def test_input_rejected_for_fixed_scope_theorems(self, capsys):
         code, _, err = run_cli(capsys, ["verify", "realization", "--input", "-"], stdin="A_\n")
         assert code == 2
