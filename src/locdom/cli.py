@@ -39,7 +39,7 @@ import time
 from typing import Callable, Optional
 
 from . import __version__, families
-from .enumeration import MAX_ENUMERATION_ORDER, census, connected_graphs, write_graph6
+from .enumeration import MAX_ENUMERATION_ORDER, _filtered, census, write_graph6
 from .graph import DisconnectedGraphError, Graph
 from .graph6 import Graph6Error, read_graph6
 from .solvers import (
@@ -146,10 +146,12 @@ def _parse_filter(expr: str) -> list[tuple[str, str, int]]:
     return terms
 
 
-def _filter_predicate(terms: list[tuple[str, str, int]]) -> Callable[[Graph], bool]:
+def _filter_predicate(terms: list[tuple[str, str, int]]) -> Optional[Callable[[Graph], bool]]:
     """Does a graph meet every term?  Structural terms are evaluated first;
     parameter terms use bounded searches, so 'eta=2' never computes eta
-    exactly on a large graph."""
+    exactly on a large graph.  No terms give None: no predicate to run."""
+    if not terms:
+        return None
 
     def predicate(g: Graph) -> bool:
         for key, op, value in terms:
@@ -295,10 +297,9 @@ def _cmd_enumerate(args, argv) -> int:
         return EXIT_PRECONDITION
     predicate = _filter_predicate(terms)
     if args.output == "graph6":
-        for n in orders:
-            for g in connected_graphs(n):
-                if predicate(g):
-                    sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
+        for _, hits in _filtered(orders, predicate):
+            for g in hits:
+                sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
         return EXIT_OK
     out = _Emitter(argv, args.table, None)
     report = census(orders, predicate, args.filter or "all")

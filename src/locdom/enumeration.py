@@ -67,18 +67,18 @@ generation order; ``_keyed`` builds and keys each parent's children and
 files nothing.  With a complete key (a tree's, or the canonical form) it
 leaves out a child whose key its own stream met before: that child is
 isomorphic to an earlier one in generation order, so the merge would
-drop it.  A level with many parents is spread across CPU cores: it forks
-W = min(CPUs this process may use, parents // ``_PARENTS_PER_WORKER``)
-workers when W >= 2 and ``os.fork`` exists.  Worker w keys the parents
-i = w (mod W), parent i by its index in the whole level, and writes one
-``marshal`` record per parent to a pipe, each child as its mask, its key
-and the canonical data the worker found.  The main process reads the
-records in parent order, parent i's as the next from worker i mod W,
-and merges them as the serial records, building a child only when the
-merge keeps or settles it.  Workers are forked from a process that
-starts no threads, and exit with ``os._exit``; a worker that fails prints
-its traceback, its records end early, and the call raises once every
-worker is reaped.
+drop it.  ``_fan_out`` spreads a pass over many items across CPU cores:
+it forks W = min(CPUs this process may use, items //
+``_ITEMS_PER_WORKER``) workers when W >= 2 and ``os.fork`` exists.
+Worker w handles the items i = w (mod W) and writes one ``marshal``
+record per item to a pipe, and the main process reads item i's as the
+next from worker i mod W.  A level's items are its parents, each record
+the children as mask, key and the canonical data the worker found; the
+merge builds a child only when it keeps or settles it.  A census
+filter's items are the classes of an order, each record the filter's
+truth.  Workers are forked from a process that starts no threads, and
+exit with ``os._exit``; a worker that fails prints its traceback, its
+records end early, and the call raises once every worker is reaped.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import (
     BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence,
+    TypeVar,
 )
 
 from .canonical import _orbit_labels, _tree_key, automorphism_generators, canonical_form
@@ -109,10 +110,11 @@ __all__ = [
 
 MAX_ENUMERATION_ORDER = 9
 _MAX_TREE_ORDER = 18
-# parents per forked worker.  A fork and reap costs about 2 ms, and a
-# two-worker fan-out breaks even on tree levels, the cheapest per parent,
-# between 235 and 551 parents (measured), so a level forks from 512 parents
-_PARENTS_PER_WORKER = 256
+# items per forked worker, parents of a level or classes under a census
+# filter.  A fork and reap costs about 2 ms, and a two-worker fan-out breaks
+# even on tree levels, the cheapest per parent, between 235 and 551 parents
+# (measured), so a pass forks from 512 items
+_ITEMS_PER_WORKER = 256
 
 # keys(i, parent): the function that keys each child of parents[i], or
 # gives None for a child dropped unkeyed (see ``_connected_keys``)
@@ -247,6 +249,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _workers(items: int) -> int:
+    """How many forked workers share ``items`` items: 0 or 1 means none."""
+    if not hasattr(os, "fork"):
+        return 0
+    return min(_cpus(), items // _ITEMS_PER_WORKER)
+
+
 def _children(
     parents: Iterable[Graph],
     masks: Callable[[Graph], Iterable[int]],
@@ -263,30 +272,51 @@ def _children(
     confirm = keys is not None
     if not confirm:
         keys = lambda i, parent: key
-    workers = min(_cpus(), len(parents) // _PARENTS_PER_WORKER)
-    if workers < 2 or not hasattr(os, "fork"):
+    workers = _workers(len(parents))
+    if workers < 2:
         return _merge(_keyed(parents, range(len(parents)), masks, keys, not confirm), confirm)
-    return _fan_out(parents, masks, keys, confirm, workers)
+
+    def work(indices: Iterable[int]) -> Iterator[list]:
+        for _, kept in _keyed(parents, indices, masks, keys, not confirm):
+            yield [(mask, k, child._canon) for mask, k, child in kept]
+
+    def merge(records: Iterator[list]) -> tuple[Graph, ...]:
+        return _merge(zip(parents, records), confirm)
+
+    return _fan_out(len(parents), work, merge, workers)
+
+
+_T = TypeVar("_T")
 
 
 def _fan_out(
-    parents: Sequence[Graph],
-    masks: Callable[[Graph], Iterable[int]],
-    keys: _Keys,
-    confirm: bool,
+    items: int,
+    work: Callable[[Iterable[int]], Iterator[object]],
+    consume: Callable[[Iterator[object]], _T],
     workers: int,
-) -> tuple[Graph, ...]:
-    """``_children`` on ``workers`` forked processes: worker w keys the
-    parents i = w (mod ``workers``) and writes their records in order of i,
-    each child as ``(mask, key, child._canon)``, so parent i's record is
-    the next one on pipe i mod ``workers``.  The records, read in parent
-    order, feed ``_merge``.  Every worker is reaped on the way out; one
-    that failed, or a pipe that ends early, raises."""
+) -> _T:
+    """``consume`` of the records of items 0..``items`` - 1, made on
+    ``workers`` forked processes: worker w writes ``work(range(w, items,
+    workers))``, one ``marshal`` record per item in order, so item i's
+    record is the next one on pipe i mod ``workers``, and ``consume``
+    reads them in item order.  Every worker is reaped on the way out; one
+    that failed, or a pipe that ends early, raises, and an error raised in
+    ``consume`` passes through as it is."""
     import signal  # here, so that a process that never forks never loads it
 
     pids: list[int] = []
     pipes: list[BinaryIO] = []
-    out = None
+    done = ended = False
+
+    def records() -> Iterator[object]:
+        nonlocal ended
+        for i in range(items):
+            try:
+                yield marshal.load(pipes[i % workers])
+            except EOFError:  # a worker's records ended early: reaped and reported below
+                ended = True
+                return
+
     try:
         for w in range(workers):
             read, write = os.pipe()
@@ -294,44 +324,40 @@ def _fan_out(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    indices = range(w, len(parents), workers)
-                    _work(write, pipes, _keyed(parents, indices, masks, keys, not confirm))
+                    _work(write, pipes, work(range(w, items, workers)))
             finally:
                 os.close(write)  # the worker never returns here
             pids.append(pid)
-        records = ((p, marshal.load(pipes[i % workers])) for i, p in enumerate(parents))
-        out = _merge(records, confirm)
-    except EOFError:  # a worker's records ended early: reaped and reported below
-        pass
+        out = consume(records())
+        done = not ended
     finally:
         # kill before closing: a worker still writing would otherwise meet
         # the closed pipe and print its BrokenPipeError
-        if out is None:
+        if not done:
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
         for f in pipes:
             f.close()
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    if any(statuses) or out is None:
+    if any(statuses) or not done:
         raise RuntimeError(f"enumeration workers failed with exit statuses {statuses}")
     return out
 
 
-def _work(fd: int, inherited: list[BinaryIO], records: Iterator[_Record]) -> NoReturn:
+def _work(fd: int, inherited: list[BinaryIO], records: Iterator[object]) -> NoReturn:
     """A forked worker: close the ``inherited`` read ends, write each of
-    ``records`` to ``fd``, without its parent and each child as its
-    canonical data, then exit without returning to the caller's frames.
-    ``os._exit`` leaves the buffers inherited from the parent, such as
-    unwritten standard output, unflushed.  On failure ``fd`` stays open
-    until ``os._exit``, after the traceback: the records end, and the
+    ``records`` to ``fd``, then exit without returning to the caller's
+    frames.  ``os._exit`` leaves the buffers inherited from the parent,
+    such as unwritten standard output, unflushed.  On failure ``fd`` stays
+    open until ``os._exit``, after the traceback: the records end, and the
     caller may kill its workers, only once the report is out."""
     status = 1
     try:
         for f in inherited:
             f.close()
         out = open(fd, "wb")
-        for _, kept in records:
-            marshal.dump([(mask, k, child._canon) for mask, k, child in kept], out)
+        for record in records:
+            marshal.dump(record, out)
         out.close()
         status = 0
     except Exception:
@@ -486,25 +512,23 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     )
 
 
+def _classes(n: int, caller: str) -> tuple[Graph, ...]:
+    if not 1 <= n <= MAX_ENUMERATION_ORDER:
+        raise ValueError(f"{caller} supports 1 <= n <= {MAX_ENUMERATION_ORDER}, got {n}")
+    return _connected_classes(n)
+
+
 def connected_graphs(n: int) -> Iterator[Graph]:
     """All connected graphs of order n, one per isomorphism class.
 
     Generation order is deterministic.  Supported for 1 <= n <= 9.
     """
-    if not 1 <= n <= MAX_ENUMERATION_ORDER:
-        raise ValueError(
-            f"connected_graphs supports 1 <= n <= {MAX_ENUMERATION_ORDER}, got {n}"
-        )
-    return iter(_connected_classes(n))
+    return iter(_classes(n, "connected_graphs"))
 
 
 def connected_graph_count(n: int) -> int:
     """Number of isomorphism classes of connected graphs of order n."""
-    if not 1 <= n <= MAX_ENUMERATION_ORDER:
-        raise ValueError(
-            f"connected_graph_count supports 1 <= n <= {MAX_ENUMERATION_ORDER}, got {n}"
-        )
-    return len(_connected_classes(n))
+    return len(_classes(n, "connected_graph_count"))
 
 
 @lru_cache(maxsize=None)
@@ -550,31 +574,76 @@ class CensusReport:
         return self.counts.get(order, 0)
 
 
+def _meeting(graphs: Sequence[Graph], predicate: Callable[[Graph], object]) -> list[Graph]:
+    """The graphs that meet ``predicate``, in order.  Many graphs fork as
+    a level does: worker w sends the truth of the predicate on each graph
+    i = w (mod W).  A worker whose predicate raises sends None and stops,
+    and the main process runs the predicate on that graph again, so the
+    serial pass's error is raised."""
+    workers = _workers(len(graphs))
+    if workers < 2:
+        return [g for g in graphs if predicate(g)]
+
+    def work(indices: Iterable[int]) -> Iterator[Optional[bool]]:
+        for i in indices:
+            g = graphs[i]
+            try:
+                ok = bool(predicate(g))
+            except Exception:
+                yield None
+                return
+            # they would die with the worker: dropping them now bounds its memory
+            g._dist = g._minima = None
+            yield ok
+
+    def consume(records: Iterator[Optional[bool]]) -> list[Graph]:
+        out = []
+        for g, ok in zip(graphs, records):
+            if ok is None:
+                predicate(g)
+                raise RuntimeError(
+                    f"the predicate raised in a worker but not here, on "
+                    f"{write_graph6(g).decode('ascii')}: it must be a pure function"
+                )
+            if ok:
+                out.append(g)
+        return out
+
+    return _fan_out(len(graphs), work, consume, workers)
+
+
+def _filtered(
+    orders: Iterable[int], predicate: Optional[Callable[[Graph], object]]
+) -> Iterator[tuple[int, Sequence[Graph]]]:
+    """Each order with its connected classes that meet ``predicate``, in
+    generation order, or all of them when it is None."""
+    for n in orders:
+        graphs = _classes(n, "census")
+        yield n, graphs if predicate is None else _meeting(graphs, predicate)
+
+
 def census(
     orders: Iterable[int],
-    predicate: Callable[[Graph], bool],
+    predicate: Optional[Callable[[Graph], object]],
     description: str = "",
 ) -> CensusReport:
-    """Count the connected graph classes per order that satisfy ``predicate``.
+    """Count the connected graph classes per order that satisfy
+    ``predicate``, read as a bool, or every class when it is None, which
+    runs no predicate.
 
     Representatives are recorded in generation order; they are pairwise
-    non-isomorphic by construction.
+    non-isomorphic by construction.  The predicate must be a pure
+    function of the graph: on an order with many classes it runs in
+    forked workers, so its side effects, and the distances and minima it
+    leaves on the graphs, do not reach the caller.
     """
     counts: dict[int, int] = {}
     reps: list[CensusEntry] = []
-    for n in orders:
-        hits = 0
-        for g in connected_graphs(n):
-            if predicate(g):
-                hits += 1
-                reps.append(
-                    CensusEntry(
-                        order=n,
-                        canonical=canonical_form(g),
-                        graph6=write_graph6(g).decode("ascii"),
-                    )
-                )
-        counts[n] = hits
+    for n, hits in _filtered(orders, predicate):
+        counts[n] = len(hits)
+        reps += (
+            CensusEntry(n, canonical_form(g), write_graph6(g).decode("ascii")) for g in hits
+        )
     return CensusReport(
         description=description,
         counts=counts,

@@ -170,10 +170,20 @@ def _counting_floor(g: Graph, param: str) -> int:
     return k
 
 
+_TREE_REFUSAL = "_tree_minimum computes eta or lambda of a tree of order >= 3"
+
+
 def _tree_minimum(g: Graph, param: str) -> int:
-    """eta or lambda of a tree of order >= 3, by a dynamic programme over
-    the tree rooted at a vertex of degree >= 2, so that every leaf is a
-    child.
+    """eta or lambda of a tree of order >= 3 (see :func:`_tree_minima`)."""
+    if param not in ("eta", "lambda"):
+        raise ValueError(_TREE_REFUSAL)
+    return _tree_minima(g, (param,))[0]
+
+
+def _tree_minima(g: Graph, params: tuple[str, ...] = ("eta", "lambda")) -> tuple[int, ...]:
+    """eta and lambda, or those of ``params``, of a tree of order >= 3, by
+    a dynamic programme over the tree rooted once at a vertex of degree
+    >= 2, so that every leaf is a child.
 
     On a tree both codes are local conditions on a dominating set S:
 
@@ -190,10 +200,9 @@ def _tree_minimum(g: Graph, param: str) -> int:
     (:func:`_lambda_states`, :func:`_eta_states`), children before parents.
     """
     n, rows = g.n, g._rows
-    refusal = "_tree_minimum computes eta or lambda of a tree of order >= 3"
     root = next((v for v in range(n) if rows[v] & (rows[v] - 1)), None)
-    if param not in ("eta", "lambda") or n < 3 or root is None:
-        raise ValueError(refusal)
+    if n < 3 or root is None:
+        raise ValueError(_TREE_REFUSAL)
     children: list[list[int]] = [[] for _ in range(n)]
     up = [0] * n  # the bit of each vertex's parent
     order = [root]
@@ -201,7 +210,7 @@ def _tree_minimum(g: Graph, param: str) -> int:
     for v in order:
         below = rows[v] & ~up[v]
         if below & reached:  # a cycle
-            raise ValueError(refusal)
+            raise ValueError(_TREE_REFUSAL)
         reached |= below
         while below:
             low = below & -below
@@ -211,20 +220,24 @@ def _tree_minimum(g: Graph, param: str) -> int:
             order.append(c)
             below ^= low
     if len(order) < n:  # another component
-        raise ValueError(refusal)
+        raise ValueError(_TREE_REFUSAL)
     inf = n + 1  # no code is this large; a sum with such a term stays above n
-    best: list = [None] * n
-    for v in reversed(order):
-        if param == "lambda":
-            best[v] = _lambda_states([best[c] for c in children[v]], inf)
+    out = []
+    for param in params:
+        best: list = [None] * n
+        for v in reversed(order):
+            if param == "lambda":
+                best[v] = _lambda_states([best[c] for c in children[v]], inf)
+            else:
+                inner = [best[c] for c in children[v] if children[c]]
+                best[v] = _eta_states(inner, len(children[v]) - len(inner), inf)
+        states = best[root]
+        # the root has no parent to dominate it or to take its slot
+        if param == "eta":
+            out.append(min(states[0], states[1]))
         else:
-            inner = [best[c] for c in children[v] if children[c]]
-            best[v] = _eta_states(inner, len(children[v]) - len(inner), inf)
-    states = best[root]
-    # the root has no parent to dominate it or to take its slot
-    if param == "eta":
-        return min(states[0], states[1])
-    return min(states[0], states[1], states[3], states[5])
+            out.append(min(states[0], states[1], states[3], states[5]))
+    return tuple(out)
 
 
 def _lambda_states(kids: list[tuple[int, ...]], inf: int) -> tuple[int, ...]:
@@ -275,6 +288,9 @@ def _eta_states(kids: list[tuple[int, int, int]], leaves: int, inf: int) -> tupl
 
 
 def _require_connected(g: Graph, param: str) -> None:
+    if param in ("beta", "eta", "full_report"):
+        # these read every distance anyway: connectivity is read from them
+        g.distance_matrix()
     if not g.is_connected():
         raise DisconnectedGraphError(f"{param} is only computed for connected graphs")
 

@@ -43,7 +43,7 @@ from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, connected_graph
 from .enumeration import write_graph6
 from .graph import Graph
 from .predicates import Code, is_mld
-from .solvers import _tree_minimum, full_report, minimum_code
+from .solvers import _tree_minima, full_report, minimum_code
 
 __all__ = [
     "Verdict",
@@ -170,11 +170,11 @@ def check_lambda_bounds(g: Graph) -> Verdict:
 
 def _eta_lambda(g: Graph) -> tuple[int, int]:
     """(eta, lambda).  A tree of order >= 3 reads both from the exact tree
-    programme (:func:`~locdom.solvers._tree_minimum`) and runs no search;
+    programme (:func:`~locdom.solvers._tree_minima`) and runs no search;
     any other graph searches eta first, so it bounds the lambda search from
     below."""
     if g.n >= 3 and g.is_tree():
-        return _tree_minimum(g, "eta"), _tree_minimum(g, "lambda")
+        return _tree_minima(g)
     return minimum_code(g, "eta")[0], minimum_code(g, "lambda")[0]
 
 
@@ -186,7 +186,7 @@ def check_tree_bounds(g: Graph) -> Verdict:
     scope, g6 = _where(g)
     if g.n < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
-    eta, lam = _tree_minimum(g, "eta"), _tree_minimum(g, "lambda")
+    eta, lam = _tree_minima(g)
     detail = f"eta={eta} lambda={lam}"
     if g.n == 6 and g.diameter() == 5:  # P6, the only such tree
         exception = "violates upper bound" if lam > 2 * eta - 2 else "within bounds"

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -34,3 +35,15 @@ def random_connected_graph(rng: random.Random, n: int):
 @pytest.fixture
 def rng():
     return random.Random(0xC0DE)
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Fail a test that leaves a child process unreaped, such as a forked
+    enumeration or census worker."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process (waitpid gave pid {pid}, status {status})")

@@ -48,7 +48,7 @@ def _level(monkeypatch, n, cpus):
     forced on every level with more than one parent."""
     with monkeypatch.context() as m:
         if cpus > 1:
-            m.setattr(enumeration, "_PARENTS_PER_WORKER", 1)
+            m.setattr(enumeration, "_ITEMS_PER_WORKER", 1)
         m.setattr(enumeration, "_cpus", lambda: cpus)
         return _connected_classes.__wrapped__(n)
 

@@ -162,7 +162,7 @@ class TestFanOutRecords:
                 os._exit(0)
             return canonical_form(g)
 
-        monkeypatch.setattr(enumeration, "_PARENTS_PER_WORKER", 1)
+        monkeypatch.setattr(enumeration, "_ITEMS_PER_WORKER", 1)
         monkeypatch.setattr(enumeration, "_cpus", lambda: 2)
 
         def masks(parent):

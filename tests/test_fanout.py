@@ -1,9 +1,11 @@
 """The enumeration's fan-out across forked workers.
 
 A level with enough parents splits them among forked workers and merges
-their records in parent order; the result must be the serial one, byte for
-byte, and no worker may outlive the call.  The fan-out is forced on small
-levels by lowering the parents-per-worker constant and faking the CPU count.
+their records in parent order, and a census filter over enough classes
+splits the classes; the result must be the serial one, byte for byte, and
+no worker may outlive the call (``conftest.py`` checks that after every
+test).  The fan-out is forced on small passes by lowering the
+items-per-worker constant and faking the CPU count.
 """
 
 import os
@@ -15,7 +17,10 @@ import pytest
 
 from locdom import enumeration
 from locdom.canonical import _canonical_data, _tree_key, canonical_form
-from locdom.enumeration import _children, _connected_classes, _extension_masks, _leaf_masks, _tree_classes
+from locdom.cli import _filter_predicate, _parse_filter, main
+from locdom.enumeration import (
+    _children, _connected_classes, _extension_masks, _leaf_masks, _tree_classes, census,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -46,13 +51,8 @@ def _data(graphs):
 
 
 def _force(monkeypatch, cpus):
-    monkeypatch.setattr(enumeration, "_PARENTS_PER_WORKER", 1)
+    monkeypatch.setattr(enumeration, "_ITEMS_PER_WORKER", 1)
     monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("classes, masks, key, n_max", LEVELS)
@@ -65,7 +65,6 @@ def test_fan_out_matches_the_serial_path(monkeypatch, classes, masks, key, n_max
         _force(monkeypatch, cpus)
         assert _carried(_children(parents, masks, key)) == serial, n
         monkeypatch.undo()
-    _no_child_left()
 
 
 def test_a_failing_worker_raises_and_every_worker_is_reaped(monkeypatch, capfd):
@@ -75,7 +74,6 @@ def test_a_failing_worker_raises_and_every_worker_is_reaped(monkeypatch, capfd):
     _force(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="workers failed"):
         _children(_connected_classes(4), _connected_masks, broken_key)
-    _no_child_left()
     assert "ValueError: broken key" in capfd.readouterr().err
 
 
@@ -92,7 +90,6 @@ def test_an_error_while_merging_reaps_every_worker(monkeypatch, capfd):
     monkeypatch.setattr(enumeration, "_extend", failing_in_main)
     with pytest.raises(KeyError, match="merge"):
         _children(_connected_classes(6), _connected_masks, canonical_form)
-    _no_child_left()
     # killed, not left to fail on the closed pipe and print that
     assert capfd.readouterr().err == ""
 
@@ -114,7 +111,6 @@ def test_an_error_while_settling_a_key_reaps_every_worker(monkeypatch, capfd):
     parents = _connected_classes(6)
     with pytest.raises(KeyError, match="settle"):
         _children(parents, _connected_masks, keys=enumeration._connected_keys(parents))
-    _no_child_left()
     assert capfd.readouterr().err == ""
 
 
@@ -124,13 +120,13 @@ def _refuse_fork():
 
 @pytest.mark.parametrize(
     "per_worker, cpus",
-    [(1, 1), (enumeration._PARENTS_PER_WORKER, 64)],  # one CPU; 112 parents, a small level
+    [(1, 1), (enumeration._ITEMS_PER_WORKER, 64)],  # one CPU; 112 parents, a small level
     ids=["one-cpu", "small-level"],
 )
 def test_one_cpu_or_a_small_level_never_forks(monkeypatch, per_worker, cpus):
     parents = _connected_classes(6)
     expected = _data(_connected_classes(7))
-    monkeypatch.setattr(enumeration, "_PARENTS_PER_WORKER", per_worker)
+    monkeypatch.setattr(enumeration, "_ITEMS_PER_WORKER", per_worker)
     monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", _refuse_fork)
     assert _data(_children(parents, _connected_masks, canonical_form)) == expected
@@ -148,7 +144,7 @@ def _enumerate_graph6(cpus):
     # the fan-out is forced at every level with more than one parent
     script = (
         "import sys; import locdom.enumeration as e; "
-        f"e._PARENTS_PER_WORKER = 1; e._cpus = lambda: {cpus}; "
+        f"e._ITEMS_PER_WORKER = 1; e._cpus = lambda: {cpus}; "
         "from locdom.cli import main; sys.exit(main(sys.argv[1:]))"
     )
     argv = [sys.executable, "-c", script, "enumerate", "--n", "3..7", "--output", "graph6"]
@@ -166,3 +162,110 @@ def test_cli_output_is_byte_identical_with_the_fan_out_forced():
     assert forked == serial
     lines = forked.splitlines()
     assert len(lines) == len(set(lines)) == 2 + 6 + 21 + 112 + 853
+
+
+# -- the census filter ------------------------------------------------------
+
+FILTERS = ["eta=2", "lambda<=3 and diam>=2", "beta=1"]
+ORDERS = range(2, 8)
+
+
+def _forget():
+    # drop the distances and minima that earlier passes left on the cached
+    # classes, so that forked workers compute them rather than inherit them
+    for n in ORDERS:
+        for g in _connected_classes(n):
+            g._dist = g._minima = None
+
+
+def _census(expr):
+    return census(ORDERS, _filter_predicate(_parse_filter(expr)), expr)
+
+
+def _counting_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+@pytest.mark.parametrize("expr", FILTERS)
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_census_matches_the_serial_path(monkeypatch, expr, cpus):
+    _forget()
+    _force(monkeypatch, cpus)
+    forks = _counting_forks(monkeypatch)
+    forked = _census(expr)
+    assert forks  # the levels are cached: every fork is the filter's
+    monkeypatch.undo()
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
+    assert forked == _census(expr)
+    assert forked.representatives  # canonical bytes and graph6 compared too
+
+
+@pytest.mark.parametrize("expr", FILTERS)
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_graph6_stream_matches_the_serial_path(monkeypatch, capsys, expr, cpus):
+    argv = ["enumerate", "--n", "2..7", "--filter", expr, "--output", "graph6"]
+    _forget()
+    _force(monkeypatch, cpus)
+    assert main(argv) == 0
+    forked = capsys.readouterr().out
+    monkeypatch.undo()
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
+    assert main(argv) == 0
+    assert forked == capsys.readouterr().out
+    assert forked
+
+
+# EOFError is also what a pipe that ends early raises
+@pytest.mark.parametrize("error", [ZeroDivisionError, EOFError])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_raising_predicate_raises_its_own_error(monkeypatch, capfd, cpus, error):
+    def unicyclic_fails(g):
+        if g.edge_count == g.n:
+            raise error("one cycle")
+        return g.is_tree()
+
+    _force(monkeypatch, cpus)
+    with pytest.raises(error, match="one cycle"):
+        census(ORDERS, unicyclic_fails)
+    # the worker sends no traceback; the main process raises the error
+    assert capfd.readouterr().err == ""
+
+
+def test_a_predicate_that_raises_only_in_a_worker_is_refused(monkeypatch):
+    main_pid = os.getpid()
+
+    def impure(g):
+        if os.getpid() != main_pid and g.n == 5:
+            raise KeyError("worker")
+        return True
+
+    _force(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="pure function"):
+        census(ORDERS, impure)
+
+
+def test_the_predicate_is_read_as_a_bool(monkeypatch):
+    # neither a graph nor a list can be marshalled: workers send their truth
+    def truthy(g):
+        return g if g.is_tree() else []
+
+    expected = census(ORDERS, lambda g: g.is_tree())
+    _force(monkeypatch, 2)
+    assert census(ORDERS, truthy) == expected
+
+
+def test_an_unfiltered_census_never_forks(monkeypatch, capsys):
+    counts = {n: len(_connected_classes(n)) for n in ORDERS}
+    _force(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    assert census(ORDERS, None).counts == counts
+    assert main(["enumerate", "--n", "2..7", "--output", "census"]) == 0
+    assert '"total": 995' in capsys.readouterr().out

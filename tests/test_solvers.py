@@ -14,6 +14,7 @@ from locdom import (
     parameter_satisfies,
     tree_profile,
 )
+from locdom import graph as graph_mod
 from locdom.enumeration import tree_classes
 from locdom.families import complete, complete_bipartite, cycle, path, star, wheel
 
@@ -172,6 +173,21 @@ class TestSearchCertificates:
         assert g._minima is None
         assert minimum_code(g, "eta") == _brute.brute_minimum(g, "eta")
         assert set(g._minima) == {"eta"}
+
+    @pytest.mark.parametrize("graph", [PETERSEN, path(7).graph], ids=["petersen", "P7"])
+    def test_a_bounded_eta_query_runs_one_bfs_per_vertex(self, monkeypatch, graph):
+        # connectivity is read from the distance matrix, not from a BFS of its own
+        calls = []
+        bfs_row = graph_mod._bfs_row
+
+        def counted(rows, n, src):
+            calls.append(src)
+            return bfs_row(rows, n, src)
+
+        monkeypatch.setattr(graph_mod, "_bfs_row", counted)
+        g = Graph._from_rows(graph._rows)
+        parameter_satisfies(g, "eta", "=", 2)
+        assert sorted(calls) == list(range(g.n))
 
     def test_unknown_operator(self):
         with pytest.raises(ValueError):
