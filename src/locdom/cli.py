@@ -23,8 +23,10 @@ switches to a human-readable rendering.
 
 Exit codes: 0 success/holds; 1 verification failure (mismatch or
 counterexample); 2 input parse error; 3 precondition violation (e.g.
-disconnected input, or a parameter asked of one vertex); 4 internal invariant violation; 141 (128 + SIGPIPE)
-standard output closed before the output was written, as by ``| head``.
+disconnected input, or a parameter asked of one vertex); 4 internal
+error: an invariant violation, or a forked worker that died or raised
+where the main process did not; 141 (128 + SIGPIPE) standard output
+closed before the output was written, as by ``| head``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import time
 from typing import Callable, Optional
 
 from . import __version__, families
-from .enumeration import MAX_ENUMERATION_ORDER, _filtered, census, write_graph6
+from .enumeration import MAX_ENUMERATION_ORDER, WorkerError, _filtered, write_graph6
 from .graph import DisconnectedGraphError, Graph
 from .graph6 import Graph6Error, read_graph6
 from .solvers import (
@@ -50,7 +52,7 @@ from .solvers import (
     minimum_code,
     parameter_satisfies,
 )
-from .theorems import THEOREM_IDS, Verdict, _capped, run_theorem
+from .theorems import THEOREM_IDS, Verdict, _capped, _run_theorems
 
 __all__ = ["main"]
 
@@ -302,13 +304,15 @@ def _cmd_enumerate(args, argv) -> int:
                 sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
         return EXIT_OK
     out = _Emitter(argv, args.table, None)
-    report = census(orders, predicate, args.filter or "all")
+    # counts alone: census() would also find every hit's canonical form
+    counts = {n: len(hits) for n, hits in _filtered(orders, predicate)}
     if args.output == "census":
-        for n in orders:
-            rec = {"type": "census", "order": n, "count": report.count(n)}
-            out.record(rec, f"n={n}: {report.count(n)}")
-    rec = {"type": "count", "filter": args.filter or "all", "total": report.total}
-    out.record(rec, f"total: {report.total}")
+        for n, count in counts.items():
+            rec = {"type": "census", "order": n, "count": count}
+            out.record(rec, f"n={n}: {count}")
+    total = sum(counts.values())
+    rec = {"type": "count", "filter": args.filter or "all", "total": total}
+    out.record(rec, f"total: {total}")
     out.close()
     return EXIT_OK
 
@@ -461,10 +465,8 @@ def _cmd_verify(args, argv) -> int:
         # nothing to check prints no partial result.  One named theorem
         # refuses a cap above its largest order; all lowers it there
         every = args.theorem == "all"
-        verdicts = [
-            run_theorem(tid, n_max=_capped(tid, args.n_max) if every else args.n_max, graphs=graphs)
-            for tid in ids
-        ]
+        requests = [(tid, _capped(tid, args.n_max) if every else args.n_max) for tid in ids]
+        verdicts = _run_theorems(requests, graphs)
     except DisconnectedGraphError:
         raise
     except ValueError as exc:
@@ -552,7 +554,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except InvariantViolation as exc:
+    except (InvariantViolation, WorkerError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -74,11 +74,13 @@ Worker w handles the items i = w (mod W) and writes one ``marshal``
 record per item to a pipe, and the main process reads item i's as the
 next from worker i mod W.  A level's items are its parents, each record
 the children as mask, key and the canonical data the worker found; the
-merge builds a child only when it keeps or settles it.  A census
-filter's items are the classes of an order, each record the filter's
-truth.  Workers are forked from a process that starts no threads, and
-exit with ``os._exit``; a worker that fails prints its traceback, its
-records end early, and the call raises once every worker is reaped.
+merge builds a child only when it keeps or settles it.  ``_mapped``
+applies a function to the classes of an order: each record is its value
+on one class, the truth of a census filter or the outcomes of the
+theorem sweeps (:mod:`locdom.theorems`).  Workers are forked from a
+process that starts no threads, and exit with ``os._exit``; a worker
+that fails prints its traceback, its records end early, and the call
+raises :class:`WorkerError` once every worker is reaped.
 """
 
 from __future__ import annotations
@@ -242,6 +244,11 @@ def _merge(records: Iterable[_Record], confirm: bool) -> tuple[Graph, ...]:
     return tuple(out)
 
 
+class WorkerError(RuntimeError):
+    """A forked worker failed, or a function raised in a worker but not in
+    the main process."""
+
+
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -300,8 +307,8 @@ def _fan_out(
     workers))``, one ``marshal`` record per item in order, so item i's
     record is the next one on pipe i mod ``workers``, and ``consume``
     reads them in item order.  Every worker is reaped on the way out; one
-    that failed, or a pipe that ends early, raises, and an error raised in
-    ``consume`` passes through as it is."""
+    that failed, or a pipe that ends early, raises :class:`WorkerError`,
+    and an error raised in ``consume`` passes through as it is."""
     import signal  # here, so that a process that never forks never loads it
 
     pids: list[int] = []
@@ -340,7 +347,7 @@ def _fan_out(
             f.close()
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if any(statuses) or not done:
-        raise RuntimeError(f"enumeration workers failed with exit statuses {statuses}")
+        raise WorkerError(f"forked workers failed with exit statuses {statuses}")
     return out
 
 
@@ -574,52 +581,61 @@ class CensusReport:
         return self.counts.get(order, 0)
 
 
-def _meeting(graphs: Sequence[Graph], predicate: Callable[[Graph], object]) -> list[Graph]:
-    """The graphs that meet ``predicate``, in order.  Many graphs fork as
-    a level does: worker w sends the truth of the predicate on each graph
-    i = w (mod W).  A worker whose predicate raises sends None and stops,
-    and the main process runs the predicate on that graph again, so the
-    serial pass's error is raised."""
+_R = TypeVar("_R")
+
+
+def _mapped(
+    graphs: Sequence[Graph],
+    fn: Callable[[Graph], _R],
+    consume: Callable[[Iterator[_R]], _T],
+) -> _T:
+    """``consume`` of ``fn(g)`` for each of the graphs, in order.  Many
+    graphs fork as a level does: worker w sends ``fn`` of each graph i = w
+    (mod W), a ``marshal``-able value other than None, then drops the
+    distances and minima it left on the graph, which would die with the
+    worker anyway.  A worker whose ``fn`` raises sends None and stops, and
+    the main process runs ``fn`` on that graph again, so the serial pass's
+    error is raised."""
     workers = _workers(len(graphs))
     if workers < 2:
-        return [g for g in graphs if predicate(g)]
+        return consume(map(fn, graphs))
 
-    def work(indices: Iterable[int]) -> Iterator[Optional[bool]]:
+    def work(indices: Iterable[int]) -> Iterator[Optional[_R]]:
         for i in indices:
             g = graphs[i]
             try:
-                ok = bool(predicate(g))
+                value = fn(g)
             except Exception:
                 yield None
                 return
-            # they would die with the worker: dropping them now bounds its memory
             g._dist = g._minima = None
-            yield ok
+            yield value
 
-    def consume(records: Iterator[Optional[bool]]) -> list[Graph]:
-        out = []
-        for g, ok in zip(graphs, records):
-            if ok is None:
-                predicate(g)
-                raise RuntimeError(
-                    f"the predicate raised in a worker but not here, on "
+    def values(records: Iterator[Optional[_R]]) -> Iterator[_R]:
+        for g, value in zip(graphs, records):
+            if value is None:
+                fn(g)
+                raise WorkerError(
+                    f"a function raised in a worker but not here, on "
                     f"{write_graph6(g).decode('ascii')}: it must be a pure function"
                 )
-            if ok:
-                out.append(g)
-        return out
+            yield value
 
-    return _fan_out(len(graphs), work, consume, workers)
+    return _fan_out(len(graphs), work, lambda records: consume(values(records)), workers)
 
 
 def _filtered(
     orders: Iterable[int], predicate: Optional[Callable[[Graph], object]]
 ) -> Iterator[tuple[int, Sequence[Graph]]]:
     """Each order with its connected classes that meet ``predicate``, in
-    generation order, or all of them when it is None."""
+    generation order, or all of them when it is None.  The predicate's
+    truth is a ``_mapped`` value, so many classes fork."""
     for n in orders:
         graphs = _classes(n, "census")
-        yield n, graphs if predicate is None else _meeting(graphs, predicate)
+        if predicate is not None:
+            truth = _mapped(graphs, lambda g: bool(predicate(g)), list)
+            graphs = [g for g, ok in zip(graphs, truth) if ok]
+        yield n, graphs
 
 
 def census(

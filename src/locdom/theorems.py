@@ -28,6 +28,22 @@ The checked statements, writing n for the order, D for the diameter and
 * realization: every feasible (gamma, beta, eta) triple and every
   feasible tree pair (eta, lambda) is realized by the constructions in
   :mod:`locdom.families`.
+
+Requested theorems run in one pass (``_run_theorems``; :func:`run_theorem`
+is its one-theorem case).  Every request's order range is checked first,
+in request order, so a cap that leaves nothing to check or lies beyond
+the enumerator is refused before any graph is.  Then each connected class
+goes once through the checker of every sweep whose orders hold it, with
+its graph6 encoded once for all of them, and each sweep keeps a partial
+verdict: graphs checked and skipped, and counterexamples in class order.
+An order with many classes fans out across forked workers
+(:func:`~locdom.enumeration._mapped`): a worker sends, per class, each
+sweep's (skipped, counterexamples), and the main process adds them up in
+class order.  A checker that raises in a worker is run again on its class
+in the main process, which raises the error of the serial pass.  A
+supplied graph stream is one more list of classes; the tree sweep walks
+its tree classes serially.  At the end the partial verdicts, with their
+tightness parts, become the verdicts.
 """
 
 from __future__ import annotations
@@ -40,9 +56,9 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import families
 from .canonical import canonical_form
 from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, connected_graphs, tree_classes
-from .enumeration import write_graph6
+from .enumeration import _mapped, write_graph6
 from .graph import Graph
-from .predicates import Code, is_mld
+from .predicates import Code, _hitting_family
 from .solvers import _tree_minima, full_report, minimum_code
 
 __all__ = [
@@ -121,22 +137,42 @@ def _where(g: Graph) -> tuple[str, str]:
     return f"graph {g6} (n={g.n})", g6
 
 
+# a checker body: a verdict on one graph, given the graph's ``_where``
+_Check = Callable[[Graph, tuple[str, str]], Verdict]
+
+
+def _one_graph(body: _Check) -> Callable[[Graph], Verdict]:
+    """The public checker ``check(g)``, ``body(g, _where(g))``, named and
+    documented as ``body``.  A sweep calls ``check.body`` with the
+    ``_where`` it encodes once per graph for every checker."""
+
+    def check(g: Graph) -> Verdict:
+        return body(g, _where(g))
+
+    check.__name__ = check.__qualname__ = body.__name__
+    check.__doc__ = body.__doc__
+    check.body = body
+    return check
+
+
 # -- single-graph checkers --------------------------------------------------
 
 
-def check_inequality_chain(g: Graph) -> Verdict:
+@_one_graph
+def check_inequality_chain(g: Graph, where: tuple[str, str]) -> Verdict:
     """max(gamma, beta) <= eta <= min(gamma + beta, lambda)."""
     r = full_report(g)
     lo, hi = max(r.gamma, r.beta), min(r.gamma + r.beta, r.lambda_)
     detail = f"gamma={r.gamma} beta={r.beta} eta={r.eta} lambda={r.lambda_}"
-    scope, g6 = _where(g)
+    scope, g6 = where
     return _judge("inequality-chain", scope, lo <= r.eta <= hi, detail, g6)
 
 
-def check_eta_bounds(g: Graph) -> Verdict:
+@_one_graph
+def check_eta_bounds(g: Graph, where: tuple[str, str]) -> Verdict:
     """eta + ceil(2D/3) <= n <= eta + eta * 3^(eta-1), for D >= 3."""
     name = "eta-bounds"
-    scope, g6 = _where(g)
+    scope, g6 = where
     d = g.diameter()
     if d < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: diameter {d} < 3")
@@ -151,10 +187,11 @@ def check_eta_bounds(g: Graph) -> Verdict:
     return _judge(name, scope, lower <= g.n <= upper, "; ".join(notes), g6)
 
 
-def check_lambda_bounds(g: Graph) -> Verdict:
+@_one_graph
+def check_lambda_bounds(g: Graph, where: tuple[str, str]) -> Verdict:
     """lambda + ceil((3D-1)/5) <= n for D >= 3, and n <= lambda + 2^lambda - 1."""
     name = "lambda-bounds"
-    scope, g6 = _where(g)
+    scope, g6 = where
     d = g.diameter()
     lam = minimum_code(g, "lambda")[0]
     detail = f"lambda={lam} D={d} n={g.n}"
@@ -178,12 +215,13 @@ def _eta_lambda(g: Graph) -> tuple[int, int]:
     return minimum_code(g, "eta")[0], minimum_code(g, "lambda")[0]
 
 
-def check_tree_bounds(g: Graph) -> Verdict:
+@_one_graph
+def check_tree_bounds(g: Graph, where: tuple[str, str]) -> Verdict:
     """eta <= lambda <= 2*eta - 2 for trees of order >= 3 other than P6."""
     name = "tree-bounds"
     if not g.is_tree():
         raise ValueError("check_tree_bounds requires a tree")
-    scope, g6 = _where(g)
+    scope, g6 = where
     if g.n < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
     eta, lam = _tree_minima(g)
@@ -199,10 +237,11 @@ def check_tree_bounds(g: Graph) -> Verdict:
     return _judge(name, scope, eta <= lam <= 2 * eta - 2, "; ".join(notes), g6)
 
 
-def check_eta_equals_lambda_conditions(g: Graph) -> Verdict:
+@_one_graph
+def check_eta_equals_lambda_conditions(g: Graph, where: tuple[str, str]) -> Verdict:
     """D = 2 or beta >= n - 3 implies eta = lambda."""
     name = "eta-equals-lambda"
-    scope, g6 = _where(g)
+    scope, g6 = where
     d = g.diameter()
     beta = minimum_code(g, "beta")[0]
     if d != 2 and beta < g.n - 3:
@@ -263,7 +302,8 @@ def king_grid_subgraph_check(g: Graph, mapping: Sequence[int]) -> bool:
     return all(king.has_edge(mapping[x], mapping[y]) for x, y in g.edges())
 
 
-def check_eta2_membership(g: Graph) -> Verdict:
+@_one_graph
+def check_eta2_membership(g: Graph, where: tuple[str, str]) -> Verdict:
     """For eta(G) = 2: 3 <= n <= 8, every optimal 2-code is at distance <= 3,
     and the metric-coordinate map of some optimal 2-code draws G inside the
     5x5 king grid (each edge becomes a king move).
@@ -274,17 +314,18 @@ def check_eta2_membership(g: Graph) -> Verdict:
     preserve the full metric.
     """
     name = "eta2-membership"
-    scope, g6 = _where(g)
+    scope, g6 = where
     found = minimum_code(g, "eta", k_max=2)
     if found is None or found[0] != 2:
         eta_desc = "eta=1" if found else "eta>2"
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: {eta_desc}")
     dist = g.distance_matrix()
+    family = _hitting_family(g, "eta")  # a pair is a code when it meets every set
     codes = [
         (u, w)
         for u in range(g.n)
         for w in range(u + 1, g.n)
-        if is_mld(g, (u, w))
+        if all(s & (1 << u | 1 << w) for s in family)
     ]
     bad = []
     if not 3 <= g.n <= 8:
@@ -321,7 +362,8 @@ def _extremal_forms(n: int) -> frozenset[bytes]:
     )
 
 
-def check_lambda_extremal(g: Graph) -> Verdict:
+@_one_graph
+def check_lambda_extremal(g: Graph, where: tuple[str, str]) -> Verdict:
     """Extremal behaviour near lambda = n - 2 (order >= 3):
 
     (a) lambda >= n-2 implies D <= 3; (b) lambda = n-2 iff eta = n-2;
@@ -329,7 +371,7 @@ def check_lambda_extremal(g: Graph) -> Verdict:
     (d) eta = n-3 implies lambda = n-3.
     """
     name = "lambda-extremal"
-    scope, g6 = _where(g)
+    scope, g6 = where
     if g.n < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
     r = full_report(g)
@@ -390,7 +432,27 @@ def verify_tree_realization(a: int, b: int) -> Verdict:
     return _judge(name, scope, (eta, lam) == (a, b), detail, _g6(inst.graph))
 
 
-# -- sweeps and the registry -------------------------------------------------
+# -- sweeps -----------------------------------------------------------------
+
+
+class _Tally:
+    """One sweep's partial verdict: the graphs checked and skipped, and the
+    counterexamples in graph order."""
+
+    def __init__(self) -> None:
+        self.checked = self.skipped = 0
+        self.cx: list[tuple[str, str]] = []
+
+    def add(self, skipped: bool, cx: Sequence[tuple[str, str]]) -> None:
+        if skipped:
+            self.skipped += 1
+        else:
+            self.checked += 1
+            self.cx.extend(cx)
+
+    def verdict(self, theorem: str, scope: str) -> Verdict:
+        reason = f"checked={self.checked} skipped={self.skipped}"
+        return Verdict(theorem, scope, FAILS if self.cx else HOLDS, reason, tuple(self.cx))
 
 
 def sweep(
@@ -400,20 +462,39 @@ def sweep(
     scope: str,
 ) -> Verdict:
     """Run a single-graph checker over a stream and merge the verdicts."""
-    checked = skipped = 0
-    cx: list[tuple[str, str]] = []
+    tally = _Tally()
     for g in graphs:
         v = checker(g)
-        if v.status == SKIPPED:
-            skipped += 1
-        else:
-            checked += 1
-            cx.extend(v.counterexamples)
-    reason = f"checked={checked} skipped={skipped}"
-    return Verdict(theorem, scope, FAILS if cx else HOLDS, reason, tuple(cx))
+        tally.add(v.status == SKIPPED, v.counterexamples)
+    return tally.verdict(theorem, scope)
 
 
-def _orders(theorem: str, lo: int, hi: int, top: Optional[int] = None) -> range:
+def _sweep_graphs(graphs: Sequence[Graph], sweeps: list[tuple[_Tally, _Check]], fork: bool) -> None:
+    """Check each graph under every sweep's check, with its ``_where``
+    encoded once for all of them, and add the outcomes to the tallies in
+    graph order.  With ``fork``, many graphs fan out across forked workers
+    (:func:`~locdom.enumeration._mapped`), each graph's record its
+    (skipped, counterexamples) per sweep."""
+
+    def outcomes(g: Graph) -> list[tuple[bool, tuple]]:
+        where = _where(g)
+        return [
+            (v.status == SKIPPED, v.counterexamples)
+            for v in (check(g, where) for _, check in sweeps)
+        ]
+
+    def add(records: Iterator[list[tuple[bool, tuple]]]) -> None:
+        for record in records:
+            for (tally, _), outcome in zip(sweeps, record):
+                tally.add(*outcome)
+
+    if fork:
+        _mapped(graphs, outcomes, add)
+    else:
+        add(map(outcomes, graphs))
+
+
+def _orders(theorem: str, lo: int, hi: int, top: int) -> range:
     """The orders lo..hi of a sweep; a cap that leaves none is a caller
     error, never a vacuous pass, and so is one above ``top``, the largest
     order the sweep's enumerator reaches: a lazy sweep would meet that limit
@@ -422,56 +503,38 @@ def _orders(theorem: str, lo: int, hi: int, top: Optional[int] = None) -> range:
         raise ValueError(
             f"{theorem}: n_max = {hi} is below its lowest order {lo}; nothing to check"
         )
-    if top is not None and hi > top:
+    if hi > top:
         raise ValueError(f"{theorem}: n_max = {hi} is beyond the supported orders {lo}..{top}")
     return range(lo, hi + 1)
 
 
-def _trees_only(checker: Callable[[Graph], Verdict], theorem: str) -> Callable[[Graph], Verdict]:
-    """``checker`` on trees; any other graph of a supplied stream is out of
+def _trees_only(check: _Check, theorem: str) -> _Check:
+    """``check`` on trees; any other graph of a supplied stream is out of
     the theorem's scope and skipped."""
 
-    def check(g: Graph) -> Verdict:
+    def on_trees(g: Graph, where: tuple[str, str]) -> Verdict:
         if g.is_tree():
-            return checker(g)
-        return Verdict(theorem, _where(g)[0], SKIPPED, "hypothesis unmet: not a tree")
+            return check(g, where)
+        return Verdict(theorem, where[0], SKIPPED, "hypothesis unmet: not a tree")
 
-    return check
+    return on_trees
 
 
-def _sweep_runner(
-    checker: Callable[[Graph], Verdict],
-    lo: int,
-    tightness: Optional[Callable[[], Iterator[Verdict]]] = None,
-    trees: bool = False,
-    name: Optional[str] = None,
-):
-    """A runner sweeping ``checker`` over the supplied graphs or every
-    connected graph (or tree) class of order lo..n_max, and merging the
-    sweep with the parts ``tightness`` yields.  A tree sweep skips the
-    graphs of a supplied stream that are not trees.  The sweep's verdict is
-    named ``name``, by default the theorem id.  An n_max above ``largest``,
-    or above the enumerator's largest order, is refused."""
+class _Sweep:
+    """A theorem checked graph by graph: ``check`` over the supplied graphs
+    or every connected graph (or tree) class of its orders, merged with the
+    parts ``tightness`` yields.  A tree sweep skips the graphs of a supplied
+    stream that are not trees.  The sweep's verdict is named ``name``, by
+    default the theorem id."""
 
-    def run(
-        theorem: str, n_max: int, graphs: Optional[Iterable[Graph]], largest: Optional[int]
-    ) -> Verdict:
-        scope = "supplied graphs"
-        check = checker
-        if graphs is not None and trees:
-            check = _trees_only(checker, name or theorem)
-        elif graphs is None:
-            top = largest or (_MAX_TREE_ORDER if trees else MAX_ENUMERATION_ORDER)
-            orders = _orders(theorem, lo, n_max, top)
-            classes = tree_classes if trees else connected_graphs
-            graphs = (g for n in orders for g in classes(n))
-            scope = f"{'trees' if trees else 'connected graphs'}, {lo} <= n <= {n_max}"
-        verdict = sweep(check, graphs, name or theorem, scope)
-        if tightness is None:
-            return verdict
-        return _combine(theorem, scope, [verdict, *tightness()])
-
-    return run
+    def __init__(
+        self,
+        check: _Check,
+        tightness: Optional[Callable[[], Iterator[Verdict]]] = None,
+        trees: bool = False,
+        name: Optional[str] = None,
+    ):
+        self.check, self.tightness, self.trees, self.name = check, tightness, trees, name
 
 
 def _eta_tightness() -> Iterator[Verdict]:
@@ -506,10 +569,11 @@ def _tree_tightness() -> Iterator[Verdict]:
         yield _judge("tree-bounds/upper-attained", high.name, attained, f"eta={eta} lambda={lam}")
 
 
-def _run_realization(theorem, bound, graphs, largest):
+def _run_realization(theorem: str, orders: range) -> Verdict:
+    bound = orders[-1]
     parts = [
         verify_realization(a, b, c)
-        for a in _orders(theorem, 1, bound, largest)
+        for a in orders
         for b in range(1, bound + 1)
         for c in range(max(a, b), a + b + 1)
     ]
@@ -517,33 +581,87 @@ def _run_realization(theorem, bound, graphs, largest):
     return _combine(theorem, scope, parts, f"checked={len(parts)} combinations")
 
 
-def _run_tree_realization(theorem, hi, graphs, largest):
-    parts = [
-        verify_tree_realization(a, b)
-        for a in _orders(theorem, 3, hi, largest)
-        for b in range(a, 2 * a - 1)
-    ]
-    scope = f"all pairs with 3 <= a <= {hi}"
+def _run_tree_realization(theorem: str, orders: range) -> Verdict:
+    parts = [verify_tree_realization(a, b) for a in orders for b in range(a, 2 * a - 1)]
+    scope = f"all pairs with 3 <= a <= {orders[-1]}"
     return _combine(theorem, scope, parts, f"checked={len(parts)} pairs")
 
 
-# theorem id -> (runner, default n_max, largest n_max if below the enumerator's,
-# else None)
-_RUNNERS = {
-    "prop1": (_sweep_runner(check_inequality_chain, 2, name="inequality-chain"), 7, None),
-    "eta-bounds": (_sweep_runner(check_eta_bounds, 2, _eta_tightness), 7, None),
-    "lambda-bounds": (_sweep_runner(check_lambda_bounds, 2, _lambda_tightness), 7, None),
-    "tree-bounds": (_sweep_runner(check_tree_bounds, 3, _tree_tightness, trees=True), 12, None),
+# -- the registry and the pass -----------------------------------------------
+
+# theorem id -> (a sweep, or the runner of a parameter grid over a range of
+# its first parameter; the lowest order; the default n_max; the largest n_max
+# if below the enumerator's, else None)
+_THEOREMS = {
+    "prop1": (_Sweep(check_inequality_chain.body, name="inequality-chain"), 2, 7, None),
+    "eta-bounds": (_Sweep(check_eta_bounds.body, _eta_tightness), 2, 7, None),
+    "lambda-bounds": (_Sweep(check_lambda_bounds.body, _lambda_tightness), 2, 7, None),
+    "tree-bounds": (_Sweep(check_tree_bounds.body, _tree_tightness, trees=True), 3, 12, None),
     "eta-lambda-conditions": (
-        _sweep_runner(check_eta_equals_lambda_conditions, 2, name="eta-equals-lambda"), 7, None
+        _Sweep(check_eta_equals_lambda_conditions.body, name="eta-equals-lambda"), 2, 7, None
     ),
-    "eta2-membership": (_sweep_runner(check_eta2_membership, 2), 8, 8),
-    "lambda-extremal": (_sweep_runner(check_lambda_extremal, 3), 7, None),
-    "realization": (_run_realization, 3, 4),
-    "tree-realization": (_run_tree_realization, 5, 6),
+    "eta2-membership": (_Sweep(check_eta2_membership.body), 2, 8, 8),
+    "lambda-extremal": (_Sweep(check_lambda_extremal.body), 3, 7, None),
+    "realization": (_run_realization, 1, 3, 4),
+    "tree-realization": (_run_tree_realization, 3, 5, 6),
 }
 
-THEOREM_IDS = tuple(_RUNNERS)
+THEOREM_IDS = tuple(_THEOREMS)
+
+
+def _run_theorems(
+    requests: Sequence[tuple[str, Optional[int]]],
+    graphs: Optional[Iterable[Graph]] = None,
+) -> list[Verdict]:
+    """The verdicts of the theorems (id, n_max) of ``requests``, in order,
+    from one pass over the graphs (see the module docstring).  An n_max of
+    None is the theorem's default; a supplied graph stream replaces every
+    sweep's orders.  Every request is checked, in order, before any graph:
+    an unknown id, or a cap that leaves nothing to check or lies above the
+    theorem's largest order, raises ``ValueError``."""
+    plans = []
+    for tid, n_max in requests:
+        if tid not in _THEOREMS:
+            raise ValueError(f"unknown theorem id {tid!r}; known ids: {', '.join(THEOREM_IDS)}")
+        spec, lo, default, largest = _THEOREMS[tid]
+        sweeping = isinstance(spec, _Sweep)
+        orders = None
+        if not sweeping or graphs is None:
+            top = largest or (_MAX_TREE_ORDER if spec.trees else MAX_ENUMERATION_ORDER)
+            orders = _orders(tid, lo, default if n_max is None else n_max, top)
+        plans.append((tid, spec, orders, _Tally() if sweeping else None))
+    sweeps = [plan for plan in plans if plan[3] is not None]
+    if graphs is not None:
+        checks = [
+            (tally, _trees_only(spec.check, spec.name or tid) if spec.trees else spec.check)
+            for tid, spec, _, tally in sweeps
+        ]
+        _sweep_graphs(tuple(graphs), checks, fork=True)
+    else:
+        connected = [(orders, tally, spec.check) for _, spec, orders, tally in sweeps
+                     if not spec.trees]
+        for n in sorted({n for orders, _, _ in connected for n in orders}):
+            active = [(tally, check) for orders, tally, check in connected if n in orders]
+            _sweep_graphs(tuple(connected_graphs(n)), active, fork=True)
+        for _, spec, orders, tally in sweeps:
+            if spec.trees:  # serial, over each order's cached tree classes
+                for n in orders:
+                    _sweep_graphs(tree_classes(n), [(tally, spec.check)], fork=False)
+    verdicts = []
+    for tid, spec, orders, tally in plans:
+        if tally is None:
+            verdicts.append(spec(tid, orders))
+            continue
+        if orders is None:
+            scope = "supplied graphs"
+        else:
+            kind = "trees" if spec.trees else "connected graphs"
+            scope = f"{kind}, {orders[0]} <= n <= {orders[-1]}"
+        verdict = tally.verdict(spec.name or tid, scope)
+        if spec.tightness is not None:
+            verdict = _combine(tid, scope, [verdict, *spec.tightness()])
+        verdicts.append(verdict)
+    return verdicts
 
 
 def run_theorem(
@@ -555,15 +673,10 @@ def run_theorem(
     """Run one registered checker over its default scope, a capped order
     range, or an explicit graph stream.  A cap above the theorem's largest
     order is an error, raised before any graph is checked."""
-    if theorem_id not in _RUNNERS:
-        raise ValueError(
-            f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}"
-        )
-    runner, default_n, largest_n = _RUNNERS[theorem_id]
-    return runner(theorem_id, default_n if n_max is None else n_max, graphs, largest_n)
+    return _run_theorems([(theorem_id, n_max)], graphs)[0]
 
 
 def _capped(theorem_id: str, n_max: Optional[int]) -> Optional[int]:
     """``n_max`` lowered to the largest order of the theorem, if it has one."""
-    largest_n = _RUNNERS[theorem_id][2]
+    largest_n = _THEOREMS[theorem_id][3]
     return n_max if n_max is None or largest_n is None else min(n_max, largest_n)

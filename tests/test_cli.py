@@ -127,6 +127,35 @@ class TestEnumerate:
         totals = [r for r in recs if r["type"] == "count"]
         assert totals[0]["total"] == 16
 
+    @pytest.mark.parametrize(
+        "output, expected",
+        [
+            ("count", ['{"filter": "all", "total": 143, "type": "count"}']),
+            (
+                "census",
+                [f'{{"count": {c}, "order": {n}, "type": "census"}}'
+                 for n, c in enumerate([1, 1, 2, 6, 21, 112], start=1)]
+                + ['{"filter": "all", "total": 143, "type": "count"}'],
+            ),
+        ],
+    )
+    def test_counts_search_no_canonical_form(self, capsys, monkeypatch, output, expected):
+        # only counts are printed: no class needs its canonical form
+        from locdom import enumeration
+
+        calls = []
+        form = enumeration.canonical_form
+
+        def counted(g):
+            calls.append(g)
+            return form(g)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counted)
+        code, out, _ = run_cli(capsys, ["enumerate", "--n", "1..6", "--output", output])
+        assert code == 0
+        assert out.splitlines()[:-1] == expected
+        assert calls == []
+
     def test_graph6_stream_output(self, capsys):
         code, out, _ = run_cli(
             capsys, ["enumerate", "--n", "4..4", "--filter", "n=4", "--output", "graph6"]
@@ -372,11 +401,11 @@ class TestVerify:
 
         asked = {}
 
-        def fake(tid, n_max, graphs):
-            asked[tid] = n_max
-            return Verdict(tid, "scope", "holds")
+        def fake(requests, graphs):
+            asked.update(requests)
+            return [Verdict(tid, "scope", "holds") for tid, _ in requests]
 
-        monkeypatch.setattr(cli_mod, "run_theorem", fake)
+        monkeypatch.setattr(cli_mod, "_run_theorems", fake)
         code, out, _ = run_cli(capsys, ["verify", "all", "--n-max", "9"])
         assert code == 0
         assert asked == {
@@ -461,12 +490,12 @@ class TestDeterminismAndManifest:
 
         import locdom.cli as cli_mod
 
-        def slow_census(*args):
+        def slow_filtered(*args):
             time.sleep(0.2)
-            return census(*args)
+            return filtered(*args)
 
-        census = cli_mod.census
-        monkeypatch.setattr(cli_mod, "census", slow_census)
+        filtered = cli_mod._filtered
+        monkeypatch.setattr(cli_mod, "_filtered", slow_filtered)
         _, out, _ = run_cli(capsys, ["enumerate", "--n", "3", "--output", "census"])
         assert records(out)[-1]["manifest"]["wall_time_s"] >= 0.2
 

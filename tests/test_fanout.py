@@ -1,10 +1,10 @@
 """The enumeration's fan-out across forked workers.
 
 A level with enough parents splits them among forked workers and merges
-their records in parent order, and a census filter over enough classes
-splits the classes; the result must be the serial one, byte for byte, and
-no worker may outlive the call (``conftest.py`` checks that after every
-test).  The fan-out is forced on small passes by lowering the
+their records in parent order, and a census filter or the theorem sweeps
+over enough classes split the classes; the result must be the serial one,
+byte for byte, and no worker may outlive the call (``conftest.py`` checks
+that after every test).  The fan-out is forced on small passes by lowering the
 items-per-worker constant and faking the CPU count.
 """
 
@@ -15,12 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from locdom import enumeration
+from locdom import enumeration, theorems
 from locdom.canonical import _canonical_data, _tree_key, canonical_form
 from locdom.cli import _filter_predicate, _parse_filter, main
 from locdom.enumeration import (
     _children, _connected_classes, _extension_masks, _leaf_masks, _tree_classes, census,
+    write_graph6,
 )
+from locdom.solvers import InvariantViolation
+from locdom.theorems import THEOREM_IDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -269,3 +272,104 @@ def test_an_unfiltered_census_never_forks(monkeypatch, capsys):
     assert census(ORDERS, None).counts == counts
     assert main(["enumerate", "--n", "2..7", "--output", "census"]) == 0
     assert '"total": 995' in capsys.readouterr().out
+
+
+# -- a dead worker ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "2..6", "--filter", "eta=2", "--output", "census"],
+        ["verify", "prop1", "--n-max", "6"],
+    ],
+    ids=["enumerate", "verify"],
+)
+def test_a_dead_worker_exits_4_with_one_line(monkeypatch, capsys, argv):
+    _connected_classes(6)  # cached: the filter's or the sweep's workers die
+    _force(monkeypatch, 2)
+    monkeypatch.setattr(enumeration, "_work", lambda fd, inherited, records: os._exit(1))
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: forked workers failed")
+    assert err.count("\n") == 1
+
+
+# -- the theorem sweeps -----------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "verify_payloads.jsonl"
+# the connected sweeps, each with its line of the recording (all at n = 6)
+SWEEPS = {
+    "prop1": 0, "eta-bounds": 1, "lambda-bounds": 2, "eta-lambda-conditions": 4,
+    "eta2-membership": 5, "lambda-extremal": 6,
+}
+
+
+def _payload(capsys, argv):
+    # forget first, so that forked workers solve rather than inherit
+    _forget()
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()[:-1]
+
+
+def _serial_and_forked(monkeypatch, capsys, argv, cpus):
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    serial = _payload(capsys, argv)
+    monkeypatch.undo()
+    _force(monkeypatch, cpus)
+    forks = _counting_forks(monkeypatch)
+    forked = _payload(capsys, argv)
+    assert forks
+    return serial, forked
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_every_sweep_in_one_forked_pass_matches_the_serial_one(monkeypatch, capsys, cpus):
+    serial, forked = _serial_and_forked(
+        monkeypatch, capsys, ["verify", "all", "--n-max", "6"], cpus
+    )
+    assert forked == serial
+    golden = GOLDEN.read_text(encoding="ascii").splitlines()
+    for tid, row in SWEEPS.items():
+        assert forked[THEOREM_IDS.index(tid)] == golden[row], tid
+
+
+@pytest.mark.parametrize("tid", SWEEPS)
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_each_sweep_alone_forked_matches_the_serial_one(monkeypatch, capsys, tid, cpus):
+    serial, forked = _serial_and_forked(monkeypatch, capsys, ["verify", tid, "--n-max", "6"], cpus)
+    golden = GOLDEN.read_text(encoding="ascii").splitlines()
+    assert forked == serial == [golden[SWEEPS[tid]]]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_forked_input_stream_matches_the_serial_one(monkeypatch, capsys, tmp_path, cpus):
+    # every connected class of orders 2..6 and the trees of order 7, in a
+    # file; tree-bounds skips the graphs that are not trees
+    graphs = [g for n in range(2, 7) for g in _connected_classes(n)] + list(_tree_classes(7))
+    stream = tmp_path / "stream.g6"
+    stream.write_bytes(b"".join(write_graph6(g) + b"\n" for g in graphs))
+    argv = ["verify", "all", "--input", str(stream)]
+    serial, forked = _serial_and_forked(monkeypatch, capsys, argv, cpus)
+    assert forked == serial
+    assert '"reason": "checked=153 skipped=0"' in serial[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_checker_raising_in_a_worker_exits_4(monkeypatch, capsys, cpus):
+    report = theorems.full_report
+
+    def broken(g):
+        if g.n == 5 and g.edge_count == 6:
+            raise InvariantViolation("synthetic solver bug")
+        return report(g)
+
+    _force(monkeypatch, cpus)
+    monkeypatch.setattr(theorems, "full_report", broken)
+    _forget()
+    assert main(["verify", "prop1", "--n-max", "6"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: synthetic solver bug\n"
