@@ -52,7 +52,7 @@ from .solvers import (
     minimum_code,
     parameter_satisfies,
 )
-from .theorems import THEOREM_IDS, Verdict, _capped, _run_theorems
+from .theorems import _THEOREMS, THEOREM_IDS, Verdict, _run_theorems
 
 __all__ = ["main"]
 
@@ -89,6 +89,7 @@ def _parse_edge_list(text: str) -> Graph:
     if not re.fullmatch(r"[0-9]+", lines[0]):
         raise _InputError(f"edge list must start with the vertex count, got {lines[0]!r}")
     n = int(lines[0])
+    _graph6_order(n)
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -99,6 +100,13 @@ def _parse_edge_list(text: str) -> Graph:
         return Graph(n, edges)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+
+
+def _graph6_order(n: int) -> None:
+    """Refuse, before any work, an order too large for the graph6 that the
+    output carries."""
+    if n > 62:
+        raise _InputError(f"order {n} is above 62, the largest that graph6 encodes")
 
 
 def _parse_graphs(data: bytes, fmt: str) -> list[tuple[int, Graph]]:
@@ -249,7 +257,9 @@ def _parameters_defined(graphs: list[tuple[int, Graph]]) -> bool:
 def _cmd_compute(args, argv) -> int:
     data = _read_source(args.input)
     graphs = _parse_graphs(data, args.format)
-    params = [p.strip() for p in args.params.split(",")] if args.params else list(PARAMETERS)
+    params = list(PARAMETERS)
+    if args.params is not None:  # an empty value names the empty parameter, refused below
+        params = [p.strip() for p in args.params.split(",")]
     for i, p in enumerate(params):
         if p not in PARAMETERS:
             raise _InputError(f"unknown parameter {p!r}; expected subset of {','.join(PARAMETERS)}")
@@ -290,7 +300,7 @@ def _cmd_compute(args, argv) -> int:
 
 def _cmd_enumerate(args, argv) -> int:
     orders = _parse_order_range(args.n)
-    terms = _parse_filter(args.filter) if args.filter else []
+    terms = [] if args.filter is None else _parse_filter(args.filter)
     if args.output == "graph6" and args.table:
         raise _InputError("--table does not apply to --output graph6, a bare graph6 stream")
     if orders[0] < 2 and any(key in PARAMETERS for key, _, _ in terms):
@@ -376,6 +386,8 @@ def _cmd_family(args, argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     g = inst.graph
+    if args.emit != "edgelist" or args.verify:
+        _graph6_order(g.n)
     if args.emit == "graph6":
         sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
     elif args.emit == "edgelist":
@@ -432,16 +444,13 @@ def _verdict_record(v: Verdict) -> dict:
 
 def _cmd_verify(args, argv) -> int:
     ids = list(THEOREM_IDS) if args.theorem == "all" else [args.theorem]
-    for tid in ids:
-        if tid not in THEOREM_IDS:
-            raise _InputError(
-                f"unknown theorem {tid!r}; known: all, {', '.join(THEOREM_IDS)}"
-            )
+    if ids[0] not in _THEOREMS:
+        raise _InputError(f"unknown theorem {ids[0]!r}; known: all, {', '.join(THEOREM_IDS)}")
+    rows = [_THEOREMS[tid] for tid in ids]
     graphs = None
     digest = None
-    if args.input:
-        fixed_scope = {"realization", "tree-realization"}
-        if set(ids) <= fixed_scope:
+    if args.input is not None:
+        if all(row.grid for row in rows):
             raise _InputError(
                 f"--input does not apply to {args.theorem!r}; its scope is the "
                 "parameter grid, not a graph stream"
@@ -451,12 +460,12 @@ def _cmd_verify(args, argv) -> int:
         numbered = _parse_graphs(data, "g6")
         if not _parameters_defined(numbered):
             return EXIT_PRECONDITION
-        if ids == ["tree-bounds"]:
+        if rows[0].trees and len(rows) == 1:
             # named alone, the tree sweep refuses what ``all`` would skip
             line = next((line for line, g in numbered if not g.is_tree()), None)
             if line is not None:
                 raise _InputError(
-                    f"tree-bounds requires a tree; the graph on input line {line} is not one"
+                    f"{args.theorem} requires a tree; the graph on input line {line} is not one"
                 )
         graphs = [g for _, g in numbered]
     out = _Emitter(argv, args.table, digest)
@@ -464,8 +473,11 @@ def _cmd_verify(args, argv) -> int:
         # every verdict before the first record: a cap that leaves a sweep
         # nothing to check prints no partial result.  One named theorem
         # refuses a cap above its largest order; all lowers it there
-        every = args.theorem == "all"
-        requests = [(tid, _capped(tid, args.n_max) if every else args.n_max) for tid in ids]
+        n_max, every = args.n_max, args.theorem == "all"
+        requests = [
+            (tid, min(n_max, row.largest) if every and None not in (n_max, row.largest) else n_max)
+            for tid, row in zip(ids, rows)
+        ]
         verdicts = _run_theorems(requests, graphs)
     except DisconnectedGraphError:
         raise

@@ -64,10 +64,7 @@ general search gives.
 
 One function, ``_merge``, files the keys and settles those met again, in
 generation order; ``_keyed`` builds and keys each parent's children and
-files nothing.  With a complete key (a tree's, or the canonical form) it
-leaves out a child whose key its own stream met before: that child is
-isomorphic to an earlier one in generation order, so the merge would
-drop it.  ``_fan_out`` spreads a pass over many items across CPU cores:
+files nothing.  ``_fan_out`` spreads a pass over many items across CPU cores:
 it forks W = min(CPUs this process may use, items //
 ``_ITEMS_PER_WORKER``) workers when W >= 2 and ``os.fork`` exists.
 Worker w handles the items i = w (mod W) and writes one ``marshal``
@@ -193,12 +190,9 @@ def _keyed(
     indices: Iterable[int],
     masks: Callable[[Graph], Iterable[int]],
     keys: _Keys,
-    complete: bool,
 ) -> Iterator[_Record]:
     """Yield the record of each parent ``parents[i]`` with i in ``indices``:
-    its children that ``keys`` does not drop.  A ``complete`` key met
-    before in this stream is a class met before, and its child is left out."""
-    met = set()  # stays empty unless complete
+    its children that ``keys`` does not drop."""
     for i in indices:
         parent = parents[i]
         key = keys(i, parent)
@@ -206,11 +200,8 @@ def _keyed(
         for mask in masks(parent):
             child = _extend(parent, mask)
             k = key(child)
-            if k is None or k in met:
-                continue
-            if complete:
-                met.add(k)
-            kept.append((mask, k, child))
+            if k is not None:
+                kept.append((mask, k, child))
         yield parent, kept
 
 
@@ -281,10 +272,10 @@ def _children(
         keys = lambda i, parent: key
     workers = _workers(len(parents))
     if workers < 2:
-        return _merge(_keyed(parents, range(len(parents)), masks, keys, not confirm), confirm)
+        return _merge(_keyed(parents, range(len(parents)), masks, keys), confirm)
 
     def work(indices: Iterable[int]) -> Iterator[list]:
-        for _, kept in _keyed(parents, indices, masks, keys, not confirm):
+        for _, kept in _keyed(parents, indices, masks, keys):
             yield [(mask, k, child._canon) for mask, k, child in kept]
 
     def merge(records: Iterator[list]) -> tuple[Graph, ...]:

@@ -30,20 +30,25 @@ The checked statements, writing n for the order, D for the diameter and
   :mod:`locdom.families`.
 
 Requested theorems run in one pass (``_run_theorems``; :func:`run_theorem`
-is its one-theorem case).  Every request's order range is checked first,
-in request order, so a cap that leaves nothing to check or lies beyond
-the enumerator is refused before any graph is.  Then each connected class
-goes once through the checker of every sweep whose orders hold it, with
-its graph6 encoded once for all of them, and each sweep keeps a partial
-verdict: graphs checked and skipped, and counterexamples in class order.
-An order with many classes fans out across forked workers
-(:func:`~locdom.enumeration._mapped`): a worker sends, per class, each
-sweep's (skipped, counterexamples), and the main process adds them up in
-class order.  A checker that raises in a worker is run again on its class
-in the main process, which raises the error of the serial pass.  A
-supplied graph stream is one more list of classes; the tree sweep walks
-its tree classes serially.  At the end the partial verdicts, with their
-tightness parts, become the verdicts.
+is its one-theorem case) over one table, ``_THEOREMS``, of a row per
+theorem: its checker or parameter-grid runner, its orders and whether it
+sweeps trees.  Every request's order range is checked first, in request
+order, so a cap that leaves nothing to check or lies beyond the
+enumerator is refused before any graph is.  Then a supplied graph stream
+is checked once, or else one loop walks the sorted (trees, n) levels of
+the requests, connected orders first.  Each class goes once through the
+checker of every sweep whose orders hold it, given its graph6 encoded
+once for all of them (the checker's ``where``), and each sweep keeps a
+partial verdict: graphs checked and skipped, and counterexamples in class
+order.  A connected order or a supplied stream with many classes fans out
+across forked workers (:func:`~locdom.enumeration._mapped`): a worker
+sends, per class, each sweep's (skipped, counterexamples), and the main
+process adds them up in class order.  A checker that raises in a worker
+is run again on its class in the main process, which raises the error of
+the serial pass.  A tree order runs serially over its cached classes,
+whose checks cost less than a fork.  At the end the partial verdicts,
+with their tightness parts, become the verdicts, and each grid row runs
+its grid.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
 from .canonical import canonical_form
@@ -137,42 +142,29 @@ def _where(g: Graph) -> tuple[str, str]:
     return f"graph {g6} (n={g.n})", g6
 
 
-# a checker body: a verdict on one graph, given the graph's ``_where``
-_Check = Callable[[Graph, tuple[str, str]], Verdict]
-
-
-def _one_graph(body: _Check) -> Callable[[Graph], Verdict]:
-    """The public checker ``check(g)``, ``body(g, _where(g))``, named and
-    documented as ``body``.  A sweep calls ``check.body`` with the
-    ``_where`` it encodes once per graph for every checker."""
-
-    def check(g: Graph) -> Verdict:
-        return body(g, _where(g))
-
-    check.__name__ = check.__qualname__ = body.__name__
-    check.__doc__ = body.__doc__
-    check.body = body
-    return check
+# a sweep's checker: a verdict on one graph, given the graph's ``_where``,
+# encoded once per graph for every checker; a public checker called with
+# no ``where`` encodes its own
+_Where = Optional[tuple[str, str]]
+_Check = Callable[[Graph, _Where], Verdict]
 
 
 # -- single-graph checkers --------------------------------------------------
 
 
-@_one_graph
-def check_inequality_chain(g: Graph, where: tuple[str, str]) -> Verdict:
+def check_inequality_chain(g: Graph, where: _Where = None) -> Verdict:
     """max(gamma, beta) <= eta <= min(gamma + beta, lambda)."""
+    scope, g6 = where or _where(g)
     r = full_report(g)
     lo, hi = max(r.gamma, r.beta), min(r.gamma + r.beta, r.lambda_)
     detail = f"gamma={r.gamma} beta={r.beta} eta={r.eta} lambda={r.lambda_}"
-    scope, g6 = where
     return _judge("inequality-chain", scope, lo <= r.eta <= hi, detail, g6)
 
 
-@_one_graph
-def check_eta_bounds(g: Graph, where: tuple[str, str]) -> Verdict:
+def check_eta_bounds(g: Graph, where: _Where = None) -> Verdict:
     """eta + ceil(2D/3) <= n <= eta + eta * 3^(eta-1), for D >= 3."""
+    scope, g6 = where or _where(g)
     name = "eta-bounds"
-    scope, g6 = where
     d = g.diameter()
     if d < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: diameter {d} < 3")
@@ -187,11 +179,10 @@ def check_eta_bounds(g: Graph, where: tuple[str, str]) -> Verdict:
     return _judge(name, scope, lower <= g.n <= upper, "; ".join(notes), g6)
 
 
-@_one_graph
-def check_lambda_bounds(g: Graph, where: tuple[str, str]) -> Verdict:
+def check_lambda_bounds(g: Graph, where: _Where = None) -> Verdict:
     """lambda + ceil((3D-1)/5) <= n for D >= 3, and n <= lambda + 2^lambda - 1."""
+    scope, g6 = where or _where(g)
     name = "lambda-bounds"
-    scope, g6 = where
     d = g.diameter()
     lam = minimum_code(g, "lambda")[0]
     detail = f"lambda={lam} D={d} n={g.n}"
@@ -215,13 +206,12 @@ def _eta_lambda(g: Graph) -> tuple[int, int]:
     return minimum_code(g, "eta")[0], minimum_code(g, "lambda")[0]
 
 
-@_one_graph
-def check_tree_bounds(g: Graph, where: tuple[str, str]) -> Verdict:
+def check_tree_bounds(g: Graph, where: _Where = None) -> Verdict:
     """eta <= lambda <= 2*eta - 2 for trees of order >= 3 other than P6."""
+    scope, g6 = where or _where(g)
     name = "tree-bounds"
     if not g.is_tree():
         raise ValueError("check_tree_bounds requires a tree")
-    scope, g6 = where
     if g.n < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
     eta, lam = _tree_minima(g)
@@ -237,11 +227,10 @@ def check_tree_bounds(g: Graph, where: tuple[str, str]) -> Verdict:
     return _judge(name, scope, eta <= lam <= 2 * eta - 2, "; ".join(notes), g6)
 
 
-@_one_graph
-def check_eta_equals_lambda_conditions(g: Graph, where: tuple[str, str]) -> Verdict:
+def check_eta_equals_lambda_conditions(g: Graph, where: _Where = None) -> Verdict:
     """D = 2 or beta >= n - 3 implies eta = lambda."""
+    scope, g6 = where or _where(g)
     name = "eta-equals-lambda"
-    scope, g6 = where
     d = g.diameter()
     beta = minimum_code(g, "beta")[0]
     if d != 2 and beta < g.n - 3:
@@ -302,8 +291,7 @@ def king_grid_subgraph_check(g: Graph, mapping: Sequence[int]) -> bool:
     return all(king.has_edge(mapping[x], mapping[y]) for x, y in g.edges())
 
 
-@_one_graph
-def check_eta2_membership(g: Graph, where: tuple[str, str]) -> Verdict:
+def check_eta2_membership(g: Graph, where: _Where = None) -> Verdict:
     """For eta(G) = 2: 3 <= n <= 8, every optimal 2-code is at distance <= 3,
     and the metric-coordinate map of some optimal 2-code draws G inside the
     5x5 king grid (each edge becomes a king move).
@@ -313,8 +301,8 @@ def check_eta2_membership(g: Graph, where: tuple[str, str]) -> Verdict:
     exact.  The verdict reason records how many code maps do happen to
     preserve the full metric.
     """
+    scope, g6 = where or _where(g)
     name = "eta2-membership"
-    scope, g6 = where
     found = minimum_code(g, "eta", k_max=2)
     if found is None or found[0] != 2:
         eta_desc = "eta=1" if found else "eta>2"
@@ -362,16 +350,15 @@ def _extremal_forms(n: int) -> frozenset[bytes]:
     )
 
 
-@_one_graph
-def check_lambda_extremal(g: Graph, where: tuple[str, str]) -> Verdict:
+def check_lambda_extremal(g: Graph, where: _Where = None) -> Verdict:
     """Extremal behaviour near lambda = n - 2 (order >= 3):
 
     (a) lambda >= n-2 implies D <= 3; (b) lambda = n-2 iff eta = n-2;
     (c) every lambda = n-2 graph is one of the seven families;
     (d) eta = n-3 implies lambda = n-3.
     """
+    scope, g6 = where or _where(g)
     name = "lambda-extremal"
-    scope, g6 = where
     if g.n < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
     r = full_report(g)
@@ -520,23 +507,6 @@ def _trees_only(check: _Check, theorem: str) -> _Check:
     return on_trees
 
 
-class _Sweep:
-    """A theorem checked graph by graph: ``check`` over the supplied graphs
-    or every connected graph (or tree) class of its orders, merged with the
-    parts ``tightness`` yields.  A tree sweep skips the graphs of a supplied
-    stream that are not trees.  The sweep's verdict is named ``name``, by
-    default the theorem id."""
-
-    def __init__(
-        self,
-        check: _Check,
-        tightness: Optional[Callable[[], Iterator[Verdict]]] = None,
-        trees: bool = False,
-        name: Optional[str] = None,
-    ):
-        self.check, self.tightness, self.trees, self.name = check, tightness, trees, name
-
-
 def _eta_tightness() -> Iterator[Verdict]:
     for k in (2, 3, 4):
         g = families.path(3 * k).graph
@@ -589,21 +559,40 @@ def _run_tree_realization(theorem: str, orders: range) -> Verdict:
 
 # -- the registry and the pass -----------------------------------------------
 
-# theorem id -> (a sweep, or the runner of a parameter grid over a range of
-# its first parameter; the lowest order; the default n_max; the largest n_max
-# if below the enumerator's, else None)
+
+class _Theorem(NamedTuple):
+    """A registered theorem.  A sweep's ``run`` is its single-graph
+    checker, run over the supplied graphs or over every connected graph
+    (with ``trees``, every tree) class of its orders and merged with the
+    parts ``tightness`` yields; a tree sweep skips the supplied graphs that
+    are not trees.  A sweep's verdict is named ``name``, by default the
+    theorem id.  A ``grid`` theorem's ``run`` is the runner of a parameter
+    grid over a range of its first parameter.  The orders run from ``lo``
+    to ``default`` or the requested cap; ``largest`` is the largest cap if
+    below the enumerator's, else None."""
+
+    run: Callable
+    lo: int
+    default: int
+    largest: Optional[int] = None
+    tightness: Optional[Callable[[], Iterator[Verdict]]] = None
+    trees: bool = False
+    name: Optional[str] = None
+    grid: bool = False
+
+
 _THEOREMS = {
-    "prop1": (_Sweep(check_inequality_chain.body, name="inequality-chain"), 2, 7, None),
-    "eta-bounds": (_Sweep(check_eta_bounds.body, _eta_tightness), 2, 7, None),
-    "lambda-bounds": (_Sweep(check_lambda_bounds.body, _lambda_tightness), 2, 7, None),
-    "tree-bounds": (_Sweep(check_tree_bounds.body, _tree_tightness, trees=True), 3, 12, None),
-    "eta-lambda-conditions": (
-        _Sweep(check_eta_equals_lambda_conditions.body, name="eta-equals-lambda"), 2, 7, None
+    "prop1": _Theorem(check_inequality_chain, 2, 7, name="inequality-chain"),
+    "eta-bounds": _Theorem(check_eta_bounds, 2, 7, tightness=_eta_tightness),
+    "lambda-bounds": _Theorem(check_lambda_bounds, 2, 7, tightness=_lambda_tightness),
+    "tree-bounds": _Theorem(check_tree_bounds, 3, 12, tightness=_tree_tightness, trees=True),
+    "eta-lambda-conditions": _Theorem(
+        check_eta_equals_lambda_conditions, 2, 7, name="eta-equals-lambda"
     ),
-    "eta2-membership": (_Sweep(check_eta2_membership.body), 2, 8, 8),
-    "lambda-extremal": (_Sweep(check_lambda_extremal.body), 3, 7, None),
-    "realization": (_run_realization, 1, 3, 4),
-    "tree-realization": (_run_tree_realization, 3, 5, 6),
+    "eta2-membership": _Theorem(check_eta2_membership, 2, 8, 8),
+    "lambda-extremal": _Theorem(check_lambda_extremal, 3, 7),
+    "realization": _Theorem(_run_realization, 1, 3, 4, grid=True),
+    "tree-realization": _Theorem(_run_tree_realization, 3, 5, 6, grid=True),
 }
 
 THEOREM_IDS = tuple(_THEOREMS)
@@ -623,43 +612,38 @@ def _run_theorems(
     for tid, n_max in requests:
         if tid not in _THEOREMS:
             raise ValueError(f"unknown theorem id {tid!r}; known ids: {', '.join(THEOREM_IDS)}")
-        spec, lo, default, largest = _THEOREMS[tid]
-        sweeping = isinstance(spec, _Sweep)
+        row = _THEOREMS[tid]
         orders = None
-        if not sweeping or graphs is None:
-            top = largest or (_MAX_TREE_ORDER if spec.trees else MAX_ENUMERATION_ORDER)
-            orders = _orders(tid, lo, default if n_max is None else n_max, top)
-        plans.append((tid, spec, orders, _Tally() if sweeping else None))
-    sweeps = [plan for plan in plans if plan[3] is not None]
+        if row.grid or graphs is None:
+            top = row.largest or (_MAX_TREE_ORDER if row.trees else MAX_ENUMERATION_ORDER)
+            orders = _orders(tid, row.lo, row.default if n_max is None else n_max, top)
+        plans.append((tid, row, orders, _Tally()))
+    sweeps = [(tid, row, orders, tally) for tid, row, orders, tally in plans if not row.grid]
     if graphs is not None:
         checks = [
-            (tally, _trees_only(spec.check, spec.name or tid) if spec.trees else spec.check)
-            for tid, spec, _, tally in sweeps
+            (tally, _trees_only(row.run, row.name or tid) if row.trees else row.run)
+            for tid, row, _, tally in sweeps
         ]
         _sweep_graphs(tuple(graphs), checks, fork=True)
-    else:
-        connected = [(orders, tally, spec.check) for _, spec, orders, tally in sweeps
-                     if not spec.trees]
-        for n in sorted({n for orders, _, _ in connected for n in orders}):
-            active = [(tally, check) for orders, tally, check in connected if n in orders]
-            _sweep_graphs(tuple(connected_graphs(n)), active, fork=True)
-        for _, spec, orders, tally in sweeps:
-            if spec.trees:  # serial, over each order's cached tree classes
-                for n in orders:
-                    _sweep_graphs(tree_classes(n), [(tally, spec.check)], fork=False)
+    else:  # connected orders forked, then tree orders serially over their cached classes
+        for trees, n in sorted({(row.trees, n) for _, row, orders, _ in sweeps for n in orders}):
+            active = [(tally, row.run) for _, row, orders, tally in sweeps
+                      if row.trees == trees and n in orders]
+            level = tree_classes(n) if trees else tuple(connected_graphs(n))
+            _sweep_graphs(level, active, fork=not trees)
     verdicts = []
-    for tid, spec, orders, tally in plans:
-        if tally is None:
-            verdicts.append(spec(tid, orders))
+    for tid, row, orders, tally in plans:
+        if row.grid:
+            verdicts.append(row.run(tid, orders))
             continue
         if orders is None:
             scope = "supplied graphs"
         else:
-            kind = "trees" if spec.trees else "connected graphs"
+            kind = "trees" if row.trees else "connected graphs"
             scope = f"{kind}, {orders[0]} <= n <= {orders[-1]}"
-        verdict = tally.verdict(spec.name or tid, scope)
-        if spec.tightness is not None:
-            verdict = _combine(tid, scope, [verdict, *spec.tightness()])
+        verdict = tally.verdict(row.name or tid, scope)
+        if row.tightness is not None:
+            verdict = _combine(tid, scope, [verdict, *row.tightness()])
         verdicts.append(verdict)
     return verdicts
 
@@ -674,9 +658,3 @@ def run_theorem(
     range, or an explicit graph stream.  A cap above the theorem's largest
     order is an error, raised before any graph is checked."""
     return _run_theorems([(theorem_id, n_max)], graphs)[0]
-
-
-def _capped(theorem_id: str, n_max: Optional[int]) -> Optional[int]:
-    """``n_max`` lowered to the largest order of the theorem, if it has one."""
-    largest_n = _THEOREMS[theorem_id][3]
-    return n_max if n_max is None or largest_n is None else min(n_max, largest_n)

@@ -100,6 +100,30 @@ class TestCompute:
         assert out == ""
         assert "'eta' named twice" in err
 
+    def test_empty_params_exits_2(self, capsys):
+        # an empty value is not the default, all four parameters
+        code, out, err = run_cli(capsys, ["compute", "-", "--params", ""], stdin=P6_EDGE_LIST)
+        assert code == 2
+        assert out == ""
+        assert "unknown parameter ''" in err
+
+    def test_edge_list_above_graph6_orders_exits_2_before_any_search(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import locdom.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli_mod, "full_report", never)
+        monkeypatch.setattr(cli_mod, "minimum_code", never)
+        f = tmp_path / "p63.txt"
+        f.write_text("63\n" + "".join(f"{i} {i + 1}\n" for i in range(62)))
+        code, out, err = run_cli(capsys, ["compute", str(f)])
+        assert code == 2
+        assert out == ""
+        assert "order 63 is above 62" in err
+
     @pytest.mark.parametrize("params", [[], ["--params", "beta"]])
     def test_single_vertex_exits_3(self, capsys, params):
         # the empty set locates K1, so no parameter is reported for it
@@ -195,6 +219,13 @@ class TestEnumerate:
         assert code == 2
         assert "filter" in err
 
+    def test_empty_filter_exits_2(self, capsys):
+        # an empty value is not the default, every class
+        code, out, err = run_cli(capsys, ["enumerate", "--n", "4", "--filter", ""])
+        assert code == 2
+        assert out == ""
+        assert "empty term in filter ''" in err
+
     def test_bad_range_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["enumerate", "--n", "5..3"])
         assert code == 2
@@ -254,6 +285,33 @@ class TestFamily:
         code, out, _ = run_cli(capsys, ["family", "complete", "1", "--emit", "graph6"])
         assert code == 0
         assert out.strip() == "@"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["path", "63"],
+            ["strong-grid", "8", "8", "--emit", "graph6"],
+            ["path", "63", "--emit", "edgelist", "--verify"],
+        ],
+    )
+    def test_graph6_output_above_its_orders_exits_2_before_any_search(
+        self, capsys, monkeypatch, argv
+    ):
+        import locdom.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(cli_mod, "minimum_code", never)
+        code, out, err = run_cli(capsys, ["family", *argv])
+        assert code == 2
+        assert out == ""
+        assert "is above 62" in err
+
+    def test_edgelist_alone_has_no_graph6_order_limit(self, capsys):
+        code, out, _ = run_cli(capsys, ["family", "path", "63", "--emit", "edgelist"])
+        assert code == 0
+        assert out.splitlines()[:2] == ["63", "0 1"] and len(out.splitlines()) == 63
 
     @pytest.mark.parametrize("emit", ["graph6", "edgelist"])
     def test_table_with_emit_alone_exits_2(self, capsys, emit):
@@ -458,6 +516,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, ["verify", "realization", "--input", "-"], stdin="A_\n")
         assert code == 2
         assert "does not apply" in err
+
+    def test_empty_input_path_exits_2(self, capsys):
+        # an empty value is not the default, the enumerated orders
+        code, out, err = run_cli(capsys, ["verify", "prop1", "--input", ""])
+        assert code == 2
+        assert out == ""
+        assert "cannot read" in err
 
     def test_realization_ids(self, capsys):
         code, out, _ = run_cli(capsys, ["verify", "realization"])

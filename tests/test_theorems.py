@@ -17,6 +17,7 @@ from locdom import (
     minimum_code,
     run_theorem,
     sweep,
+    tree_classes,
     verify_realization,
     verify_tree_realization,
 )
@@ -49,6 +50,30 @@ class TestVerdictType:
         assert Verdict("t", "s", "holds").ok
         assert Verdict("t", "s", "skipped", reason="r").ok
         assert not Verdict("t", "s", "fails", counterexamples=(("g", "d"),)).ok
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_inequality_chain,
+        check_eta_bounds,
+        check_lambda_bounds,
+        check_tree_bounds,
+        check_eta_equals_lambda_conditions,
+        check_eta2_membership,
+        check_lambda_extremal,
+    ],
+    ids=lambda check: check.__name__,
+)
+def test_checker_gives_the_same_verdict_with_and_without_where(check):
+    # a sweep passes the graph's scope and graph6, encoded once for every
+    # checker; called alone, the checker encodes its own
+    if check is check_tree_bounds:
+        graphs = [t for n in range(3, 10) for t in tree_classes(n)]
+    else:
+        graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    for g in graphs:
+        assert check(g, theorems._where(g)) == check(g)
 
 
 class TestInequalityChain:

@@ -4,14 +4,19 @@
 summary) of the commands below, run in this order: every sweep capped at
 n = 6, the tree sweep at n = 10 (it reports the spider counterexample) and
 the two realization grids at their default scope.  A refactor of the
-checkers must reproduce them exactly.
+checkers must reproduce them exactly, and the outputs that the
+benchmark's ``verify7`` and ``trees12`` workloads expect.
 """
 
+import json
 from pathlib import Path
+
+import pytest
 
 from locdom.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "verify_payloads.jsonl"
+BENCH_EXPECTED = Path(__file__).parents[1] / "bench" / "expected"
 
 COMMANDS = [
     ["verify", "prop1", "--n-max", "6"],
@@ -34,3 +39,23 @@ def test_verify_payloads_match_the_recording(capsys):
         assert '"type": "summary"' in out[-1]
         lines += out[:-1]
     assert lines == GOLDEN.read_text(encoding="ascii").splitlines()
+
+
+@pytest.mark.parametrize(
+    "name, argv, code",
+    [
+        ("verify7", ["verify", "all", "--n-max", "7"], 0),
+        ("trees12", ["verify", "tree-bounds", "--n-max", "12"], 1),
+    ],
+)
+def test_verify_matches_the_benchmark_s_expected_output(capsys, name, argv, code):
+    # as the benchmark compares them: payload lines byte for byte, and the
+    # summary without its manifest, which holds the run's wall time
+    assert main(argv) == code
+    got = capsys.readouterr().out.splitlines()
+    want = (BENCH_EXPECTED / f"{name}.jsonl").read_text(encoding="ascii").splitlines()
+    assert got[:-1] == want[:-1]
+    summaries = [json.loads(line) for line in (got[-1], want[-1])]
+    for summary in summaries:
+        del summary["manifest"]
+    assert summaries[0] == summaries[1]
