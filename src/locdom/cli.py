@@ -24,8 +24,8 @@ switches to a human-readable rendering.
 Exit codes: 0 success/holds; 1 verification failure (mismatch or
 counterexample); 2 input parse error; 3 precondition violation (e.g.
 disconnected input, or a parameter asked of one vertex); 4 internal
-error: an invariant violation, or a forked worker that died or raised
-where the main process did not; 141 (128 + SIGPIPE) standard output
+error: an invariant violation, a worker that could not be forked, or a
+forked worker that died or raised where the main process did not; 141 (128 + SIGPIPE) standard output
 closed before the output was written, as by ``| head``.
 """
 

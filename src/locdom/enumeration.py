@@ -64,20 +64,21 @@ general search gives.
 
 One function, ``_merge``, files the keys and settles those met again, in
 generation order; ``_keyed`` builds and keys each parent's children and
-files nothing.  ``_fan_out`` spreads a pass over many items across CPU cores:
-it forks W = min(CPUs this process may use, items //
-``_ITEMS_PER_WORKER``) workers when W >= 2 and ``os.fork`` exists.
-Worker w handles the items i = w (mod W) and writes one ``marshal``
-record per item to a pipe, and the main process reads item i's as the
-next from worker i mod W.  A level's items are its parents, each record
-the children as mask, key and the canonical data the worker found; the
-merge builds a child only when it keeps or settles it.  ``_mapped``
-applies a function to the classes of an order: each record is its value
-on one class, the truth of a census filter or the outcomes of the
-theorem sweeps (:mod:`locdom.theorems`).  Workers are forked from a
-process that starts no threads, and exit with ``os._exit``; a worker
-that fails prints its traceback, its records end early, and the call
-raises :class:`WorkerError` once every worker is reaped.
+files nothing.  ``_fan_out``, the one worker loop, spreads a pass over
+many items across CPU cores: it forks W = min(CPUs this process may use,
+items // ``_ITEMS_PER_WORKER``) workers when W >= 2 and ``os.fork``
+exists, and worker w sends ``one(i)`` for each item i = w (mod W) as one
+``marshal`` record.  Workers are forked from a process that starts no
+threads.  A level's items are its parents, each record the
+children as mask, key and the canonical data the worker found, less
+those whose complete key the worker sent before; the merge builds a
+child only when it keeps or settles it.  ``_mapped`` applies a function
+to the classes of an order, trees as connected graphs: a census filter's
+truth or the theorem sweeps' outcomes (:mod:`locdom.theorems`).  Every
+pass fails one way: a worker whose ``one(i)`` raises sends None and
+stops, and the main process runs ``one(i)``, which raises the serial
+pass's error or else :class:`WorkerError`; a failed fork, a dead worker
+or records that end early raise :class:`WorkerError`.
 """
 
 from __future__ import annotations
@@ -273,15 +274,19 @@ def _children(
     workers = _workers(len(parents))
     if workers < 2:
         return _merge(_keyed(parents, range(len(parents)), masks, keys), confirm)
+    met: set = set()  # the complete keys a worker sent, whose later children the merge drops
 
-    def work(indices: Iterable[int]) -> Iterator[list]:
-        for _, kept in _keyed(parents, indices, masks, keys):
-            yield [(mask, k, child._canon) for mask, k, child in kept]
+    def one(i: int) -> list:
+        _, kept = next(_keyed(parents, (i,), masks, keys))
+        out = [(mask, k, child._canon) for mask, k, child in kept if k not in met]
+        if not confirm:
+            met.update(k for _, k, _ in out)
+        return out
 
     def merge(records: Iterator[list]) -> tuple[Graph, ...]:
         return _merge(zip(parents, records), confirm)
 
-    return _fan_out(len(parents), work, merge, workers)
+    return _fan_out(len(parents), one, merge, workers)
 
 
 _T = TypeVar("_T")
@@ -289,31 +294,47 @@ _T = TypeVar("_T")
 
 def _fan_out(
     items: int,
-    work: Callable[[Iterable[int]], Iterator[object]],
+    one: Callable[[int], object],
     consume: Callable[[Iterator[object]], _T],
     workers: int,
 ) -> _T:
-    """``consume`` of the records of items 0..``items`` - 1, made on
-    ``workers`` forked processes: worker w writes ``work(range(w, items,
-    workers))``, one ``marshal`` record per item in order, so item i's
-    record is the next one on pipe i mod ``workers``, and ``consume``
-    reads them in item order.  Every worker is reaped on the way out; one
-    that failed, or a pipe that ends early, raises :class:`WorkerError`,
-    and an error raised in ``consume`` passes through as it is."""
+    """``consume`` of ``one(i)`` for the items i = 0..``items`` - 1, in
+    order, made on ``workers`` forked processes: worker w writes ``one(i)``
+    as a ``marshal`` record for each i = w (mod ``workers``), so item i's
+    record is the next one on pipe i mod ``workers``.  A worker whose
+    ``one`` raises writes None and stops, and the main process runs
+    ``one(i)`` itself, so the serial pass's error is raised, or else
+    :class:`WorkerError`.  Every worker is reaped on the way out; a fork
+    that fails, a worker that fails or a pipe that ends early raises
+    :class:`WorkerError`, and an error in ``consume`` passes through."""
     import signal  # here, so that a process that never forks never loads it
 
     pids: list[int] = []
     pipes: list[BinaryIO] = []
     done = ended = False
 
+    def written(w: int) -> Iterator[object]:
+        for i in range(w, items, workers):
+            try:
+                yield one(i)
+            except Exception:
+                yield None
+                return
+
     def records() -> Iterator[object]:
         nonlocal ended
         for i in range(items):
             try:
-                yield marshal.load(pipes[i % workers])
+                record = marshal.load(pipes[i % workers])
             except EOFError:  # a worker's records ended early: reaped and reported below
                 ended = True
                 return
+            if record is None:
+                one(i)
+                raise WorkerError(
+                    f"item {i} raised in a worker but not here: it must be a pure function"
+                )
+            yield record
 
     try:
         for w in range(workers):
@@ -322,7 +343,9 @@ def _fan_out(
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(write, pipes, work(range(w, items, workers)))
+                    _work(write, pipes, written(w))
+            except OSError as exc:  # EAGAIN or ENOMEM: the workers started are killed below
+                raise WorkerError(f"cannot fork a worker: {exc}") from exc
             finally:
                 os.close(write)  # the worker never returns here
             pids.append(pid)
@@ -346,9 +369,10 @@ def _work(fd: int, inherited: list[BinaryIO], records: Iterator[object]) -> NoRe
     """A forked worker: close the ``inherited`` read ends, write each of
     ``records`` to ``fd``, then exit without returning to the caller's
     frames.  ``os._exit`` leaves the buffers inherited from the parent,
-    such as unwritten standard output, unflushed.  On failure ``fd`` stays
-    open until ``os._exit``, after the traceback: the records end, and the
-    caller may kill its workers, only once the report is out."""
+    such as unwritten standard output, unflushed.  A record that cannot be
+    written prints its traceback and exits 1; ``fd`` stays open until
+    ``os._exit``, so the records end, and the caller may kill its workers,
+    only once the report is out."""
     status = 1
     try:
         for f in inherited:
@@ -581,38 +605,21 @@ def _mapped(
     consume: Callable[[Iterator[_R]], _T],
 ) -> _T:
     """``consume`` of ``fn(g)`` for each of the graphs, in order.  Many
-    graphs fork as a level does: worker w sends ``fn`` of each graph i = w
-    (mod W), a ``marshal``-able value other than None, then drops the
-    distances and minima it left on the graph, which would die with the
-    worker anyway.  A worker whose ``fn`` raises sends None and stops, and
-    the main process runs ``fn`` on that graph again, so the serial pass's
-    error is raised."""
+    graphs fork (``_fan_out``): a worker's record is ``fn`` of one graph, a
+    ``marshal``-able value other than None, and the worker then drops the
+    distances and minima it left on the graph, which would die with it
+    anyway."""
     workers = _workers(len(graphs))
     if workers < 2:
         return consume(map(fn, graphs))
 
-    def work(indices: Iterable[int]) -> Iterator[Optional[_R]]:
-        for i in indices:
-            g = graphs[i]
-            try:
-                value = fn(g)
-            except Exception:
-                yield None
-                return
-            g._dist = g._minima = None
-            yield value
+    def one(i: int) -> _R:
+        g = graphs[i]
+        value = fn(g)
+        g._dist = g._minima = None
+        return value
 
-    def values(records: Iterator[Optional[_R]]) -> Iterator[_R]:
-        for g, value in zip(graphs, records):
-            if value is None:
-                fn(g)
-                raise WorkerError(
-                    f"a function raised in a worker but not here, on "
-                    f"{write_graph6(g).decode('ascii')}: it must be a pure function"
-                )
-            yield value
-
-    return _fan_out(len(graphs), work, lambda records: consume(values(records)), workers)
+    return _fan_out(len(graphs), one, consume, workers)
 
 
 def _filtered(

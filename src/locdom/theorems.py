@@ -40,15 +40,14 @@ the requests, connected orders first.  Each class goes once through the
 checker of every sweep whose orders hold it, given its graph6 encoded
 once for all of them (the checker's ``where``), and each sweep keeps a
 partial verdict: graphs checked and skipped, and counterexamples in class
-order.  A connected order or a supplied stream with many classes fans out
-across forked workers (:func:`~locdom.enumeration._mapped`): a worker
-sends, per class, each sweep's (skipped, counterexamples), and the main
-process adds them up in class order.  A checker that raises in a worker
-is run again on its class in the main process, which raises the error of
-the serial pass.  A tree order runs serially over its cached classes,
-whose checks cost less than a fork.  At the end the partial verdicts,
-with their tightness parts, become the verdicts, and each grid row runs
-its grid.
+order.  An order, connected or of trees, or a supplied stream with many
+classes fans out across forked workers
+(:func:`~locdom.enumeration._mapped`): a worker sends, per class, each
+sweep's (skipped, counterexamples), and the main process adds them up in
+class order.  A checker that raises in a worker is run again on its
+class in the main process, which raises the error of the serial pass.
+At the end the partial verdicts, with their tightness parts, become the
+verdicts, and each grid row runs its grid.
 """
 
 from __future__ import annotations
@@ -456,10 +455,10 @@ def sweep(
     return tally.verdict(theorem, scope)
 
 
-def _sweep_graphs(graphs: Sequence[Graph], sweeps: list[tuple[_Tally, _Check]], fork: bool) -> None:
+def _sweep_graphs(graphs: Sequence[Graph], sweeps: list[tuple[_Tally, _Check]]) -> None:
     """Check each graph under every sweep's check, with its ``_where``
     encoded once for all of them, and add the outcomes to the tallies in
-    graph order.  With ``fork``, many graphs fan out across forked workers
+    graph order.  Many graphs fan out across forked workers
     (:func:`~locdom.enumeration._mapped`), each graph's record its
     (skipped, counterexamples) per sweep."""
 
@@ -475,10 +474,7 @@ def _sweep_graphs(graphs: Sequence[Graph], sweeps: list[tuple[_Tally, _Check]], 
             for (tally, _), outcome in zip(sweeps, record):
                 tally.add(*outcome)
 
-    if fork:
-        _mapped(graphs, outcomes, add)
-    else:
-        add(map(outcomes, graphs))
+    _mapped(graphs, outcomes, add)
 
 
 def _orders(theorem: str, lo: int, hi: int, top: int) -> range:
@@ -624,13 +620,13 @@ def _run_theorems(
             (tally, _trees_only(row.run, row.name or tid) if row.trees else row.run)
             for tid, row, _, tally in sweeps
         ]
-        _sweep_graphs(tuple(graphs), checks, fork=True)
-    else:  # connected orders forked, then tree orders serially over their cached classes
+        _sweep_graphs(tuple(graphs), checks)
+    else:  # connected orders, then tree orders
         for trees, n in sorted({(row.trees, n) for _, row, orders, _ in sweeps for n in orders}):
             active = [(tally, row.run) for _, row, orders, tally in sweeps
                       if row.trees == trees and n in orders]
             level = tree_classes(n) if trees else tuple(connected_graphs(n))
-            _sweep_graphs(level, active, fork=not trees)
+            _sweep_graphs(level, active)
     verdicts = []
     for tid, row, orders, tally in plans:
         if row.grid:

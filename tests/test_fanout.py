@@ -71,13 +71,57 @@ def test_fan_out_matches_the_serial_path(monkeypatch, classes, masks, key, n_max
 
 
 def test_a_failing_worker_raises_and_every_worker_is_reaped(monkeypatch, capfd):
+    # the worker sends no traceback; the main process raises the key's error
     def broken_key(g):
         raise ValueError("broken key")
 
     _force(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="workers failed"):
+    with pytest.raises(ValueError, match="broken key"):
         _children(_connected_classes(4), _connected_masks, broken_key)
-    assert "ValueError: broken key" in capfd.readouterr().err
+    assert capfd.readouterr().err == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_key_that_raises_only_in_a_worker_is_refused(monkeypatch):
+    main_pid = os.getpid()
+
+    def impure(g):
+        if os.getpid() != main_pid and g.edge_count == g.n:
+            raise KeyError("worker")
+        return canonical_form(g)
+
+    _force(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="pure function"):
+        _children(_connected_classes(4), _connected_masks, impure)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_worker_sends_no_complete_key_it_sent_before(monkeypatch, cpus):
+    # the merge drops a child whose complete key was met before, so a
+    # worker leaves out the keys of its own earlier records
+    merge = enumeration._merge
+    levels = []
+
+    def recorded(records, confirm):
+        records = list(records)
+        levels.append(records)
+        return merge(records, confirm)
+
+    parents = [_tree_classes(n - 1) for n in range(2, 12)]
+    _force(monkeypatch, cpus)
+    monkeypatch.setattr(enumeration, "_merge", recorded)
+    for level in parents:
+        _children(level, _leaf_masks, _tree_key_of)
+    forked = [records for records in levels if len(records) > 1]  # orders 5..11
+    assert len(forked) == 7
+    for records in forked:
+        sent = [set() for _ in range(cpus)]
+        for i, (parent, kept) in enumerate(records):
+            assert all(canon is None for _, _, canon in kept)  # read from a worker
+            keys = {k for _, k, _ in kept}
+            assert not keys & sent[i % cpus], (parent.n, i)
+            sent[i % cpus] |= keys
 
 
 def test_an_error_while_merging_reaps_every_worker(monkeypatch, capfd):
@@ -296,6 +340,31 @@ def test_a_dead_worker_exits_4_with_one_line(monkeypatch, capsys, argv):
     assert err.count("\n") == 1
 
 
+def test_a_failed_fork_exits_4_with_one_line(monkeypatch, capsys):
+    # the second fork fails as it does without processes or memory left;
+    # the first worker is killed and reaped
+    forks = []
+    fork = os.fork
+
+    def second_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    _connected_classes(6)
+    _force(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", second_fails)
+    argv = ["enumerate", "--n", "3..6", "--filter", "eta=2", "--output", "census"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "internal error: cannot fork a worker: [Errno 11] Resource temporarily unavailable\n"
+    )
+    assert len(forks) == 2
+
+
 # -- the theorem sweeps -----------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "data" / "verify_payloads.jsonl"
@@ -306,21 +375,21 @@ SWEEPS = {
 }
 
 
-def _payload(capsys, argv):
+def _payload(capsys, argv, code):
     # forget first, so that forked workers solve rather than inherit
     _forget()
-    assert main(argv) == 0
+    assert main(argv) == code
     return capsys.readouterr().out.splitlines()[:-1]
 
 
-def _serial_and_forked(monkeypatch, capsys, argv, cpus):
+def _serial_and_forked(monkeypatch, capsys, argv, cpus, code=0):
     monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", _refuse_fork)
-    serial = _payload(capsys, argv)
+    serial = _payload(capsys, argv, code)
     monkeypatch.undo()
     _force(monkeypatch, cpus)
     forks = _counting_forks(monkeypatch)
-    forked = _payload(capsys, argv)
+    forked = _payload(capsys, argv, code)
     assert forks
     return serial, forked
 
@@ -342,6 +411,17 @@ def test_each_sweep_alone_forked_matches_the_serial_one(monkeypatch, capsys, tid
     serial, forked = _serial_and_forked(monkeypatch, capsys, ["verify", tid, "--n-max", "6"], cpus)
     golden = GOLDEN.read_text(encoding="ascii").splitlines()
     assert forked == serial == [golden[SWEEPS[tid]]]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_forked_tree_sweep_matches_the_serial_one(monkeypatch, capsys, cpus):
+    # the tree levels are cached first, so every fork counted is the sweep's;
+    # exit 1 is the known counterexample
+    _tree_classes(10)
+    argv = ["verify", "tree-bounds", "--n-max", "10"]
+    serial, forked = _serial_and_forked(monkeypatch, capsys, argv, cpus, code=1)
+    golden = GOLDEN.read_text(encoding="ascii").splitlines()
+    assert forked == serial == [golden[3]]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

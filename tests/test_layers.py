@@ -10,6 +10,7 @@ wraps entry points by name, so those names must keep resolving.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -110,3 +111,15 @@ def test_every_traced_name_resolves():
             else:
                 assert callable(getattr(mod, name, None)), f"{layer}.{name}"
     assert callable(enumeration._extend)
+
+
+def test_one_worker_loop_forks():
+    # every forked pass runs on enumeration._fan_out; a second loop that
+    # forks would bring back a second failure contract
+    package = Path(enumeration.__file__).parent
+    forks = {
+        path.name: path.read_text(encoding="utf-8").count("os.fork(")
+        for path in package.glob("*.py")
+    }
+    assert sum(forks.values()) == forks["enumeration.py"] == 1
+    assert "os.fork(" in inspect.getsource(enumeration._fan_out)
