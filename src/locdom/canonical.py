@@ -28,19 +28,19 @@ the same labelling and automorphisms; ``tests/_brute.py`` keeps that
 refinement as the reference.  Validated against brute-force permutation
 isomorphism on all connected graphs up to n = 5.
 
-Trees need no search.  One pass, ``_peel``, peels leaves layer by layer
-down to the one or two centres and names each vertex's AHU code (Aho,
-Hopcroft and Ullman 1974) as it goes.  From it the tree generator takes a
-key, ``_tree_key``, the least code rooted at a centre, and the orbits of
-the vertices, ``_orbit_labels``, which follow the codes down from the
-centres.
+Trees need no search.  ``_peel`` names each vertex's AHU code (Aho,
+Hopcroft and Ullman 1974) along ``graph._peel_order``, the leaves peeled
+down to the one or two centres, which ``solvers`` roots its tree
+programme at too.  From it the tree generator takes a key, ``_tree_key``,
+the least code rooted at a centre, and the orbits of the vertices,
+``_orbit_labels``, which follow the codes down from the centres.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .graph import Graph
+from .graph import Graph, _peel_order
 from .graph6 import _bit_weights, _encode
 
 __all__ = [
@@ -225,41 +225,22 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def _peel(rows: Sequence[int]) -> tuple[list[int], list[int], list[int], list[str]]:
-    """Peel the leaves of the tree ``rows``, layer by layer, down to its one
-    or two centres, naming each vertex's AHU code (Aho, Hopcroft and Ullman
-    1974) as it is peeled: "(" + the sorted codes of its children, the
-    neighbours peeled before it, + ")".  Two rooted trees are isomorphic iff
-    their codes are equal.
+    """The peel of the tree ``rows`` (:func:`~locdom.graph._peel_order`)
+    and each vertex's AHU code (Aho, Hopcroft and Ullman 1974): "(" + the
+    sorted codes of its children, the neighbours peeled before it, + ")".
+    Two rooted trees are isomorphic iff their codes are equal.
 
-    Returns the centres, every vertex in peel order (the centres last), each
-    vertex's parent (its one neighbour left when it is peeled; -1 for a
-    centre) and the codes.  A centre's code is that of its own side: with
-    two centres, neither counts the other as a child."""
-    n = len(rows)
-    degree = [r.bit_count() for r in rows]
-    parent = [-1] * n
-    kids: list[list[str]] = [[] for _ in range(n)]
-    codes = [""] * n
-    order: list[int] = []
-    alive = (1 << n) - 1
-    layer = [v for v, d in enumerate(degree) if d <= 1]
-    while n - len(order) > 2:
-        order += layer
-        for v in layer:
-            alive ^= 1 << v
-        peeled = []
-        for v in layer:
-            u = (rows[v] & alive).bit_length() - 1  # a leaf's one neighbour
-            codes[v] = "(" + "".join(sorted(kids[v])) + ")"
-            parent[v] = u
-            kids[u].append(codes[v])
-            degree[u] -= 1
-            if degree[u] == 1:
-                peeled.append(u)
-        layer = peeled
-    for c in layer:
-        codes[c] = "(" + "".join(sorted(kids[c])) + ")"
-    return layer, order + layer, parent, codes
+    Returns the centres, the peel order, the parents and the codes.  A
+    centre's code is that of its own side: with two centres, neither counts
+    the other as a child."""
+    centres, order, parent = _peel_order(rows)
+    kids: list[list[str]] = [[] for _ in rows]
+    codes = [""] * len(rows)
+    for v in order:
+        codes[v] = "(" + "".join(sorted(kids[v])) + ")"
+        if parent[v] >= 0:
+            kids[parent[v]].append(codes[v])
+    return centres, order, parent, codes
 
 
 def _tree_key(rows: Sequence[int]) -> str:

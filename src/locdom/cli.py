@@ -24,9 +24,10 @@ switches to a human-readable rendering.
 Exit codes: 0 success/holds; 1 verification failure (mismatch or
 counterexample); 2 input parse error; 3 precondition violation (e.g.
 disconnected input, or a parameter asked of one vertex); 4 internal
-error: an invariant violation, a worker that could not be forked, or a
-forked worker that died or raised where the main process did not; 141 (128 + SIGPIPE) standard output
-closed before the output was written, as by ``| head``.
+error: an invariant violation, a worker that could not be forked, a
+forked worker that died or raised where the main process did not, or
+memory ran out; 141 (128 + SIGPIPE) standard output closed before the
+output was written, as by ``| head``.
 """
 
 from __future__ import annotations
@@ -568,6 +569,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_PRECONDITION
     except (InvariantViolation, WorkerError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except MemoryError:
+        print("internal error: out of memory; try a smaller input or order", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -10,6 +10,8 @@ Graphs are immutable and hashable; derived data (all-pairs distances,
 canonical form, proven parameter minima) is cached on the instance, which
 is semantically invisible.  Disconnected graphs are representable, but
 operations that need connectivity raise :class:`DisconnectedGraphError`.
+
+``_peel_order`` roots a tree at its centres for ``canonical`` and ``solvers``.
 """
 
 from __future__ import annotations
@@ -245,6 +247,34 @@ def relabeled(g: Graph, mapping: Sequence[int]) -> Graph:
 
 
 # -- trees ---------------------------------------------------------------
+
+
+def _peel_order(rows: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """Peel the leaves of the tree ``rows``, layer by layer, down to its one
+    or two centres (two centres are adjacent).
+
+    Returns the centres, every vertex once in peel order (the centres last,
+    so each vertex comes before its parent) and each vertex's parent: its
+    one neighbour left when it is peeled, or -1 for a centre."""
+    n = len(rows)
+    degree = [r.bit_count() for r in rows]
+    parent = [-1] * n
+    order: list[int] = []
+    alive = (1 << n) - 1
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    while n - len(order) > 2:
+        order += layer
+        for v in layer:
+            alive ^= 1 << v
+        peeled = []
+        for v in layer:
+            u = (rows[v] & alive).bit_length() - 1  # a leaf's one neighbour
+            parent[v] = u
+            degree[u] -= 1
+            if degree[u] == 1:
+                peeled.append(u)
+        layer = peeled
+    return layer, order + layer, parent
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,13 @@ The floor and the cuts only skip subsets that are not codes, so a search
 that finds nothing has exhausted every k-subset, and every smaller k is
 exhausted when a code of size k is returned; that is the optimality
 certificate.  On a tree of order >= 3, eta and lambda have an exact
-value instead (:func:`_tree_minimum`, a dynamic programme over two local
-lemmas), and the lemmas certify the minimum: the search runs at that k*
-alone, and no failing k is tried.  Neither the floor nor the cuts change
-which code is found first: it is the one an exhaustive lexicographic
-scan of the k-subsets would accept first, so the witness is the
-lexicographically least optimal code and results are reproducible.
+value instead (:func:`_tree_minima`, a dynamic programme over two local
+lemmas on the tree rooted at a centre of its leaf peel), and the lemmas
+certify the minimum: the search runs at that k* alone, and no failing k
+is tried.  Neither the floor nor the cuts change which code is found
+first: it is the one an exhaustive lexicographic scan of the k-subsets
+would accept first, so the witness is the lexicographically least
+optimal code and results are reproducible.
 There is no ILP/SAT backend by design: this search is the oracle every
 other component is measured against.
 
@@ -51,7 +52,7 @@ from functools import reduce
 from operator import and_, eq, ge, gt, le, lt, ne
 from typing import Optional
 
-from .graph import DisconnectedGraphError, Graph
+from .graph import DisconnectedGraphError, Graph, _peel_order
 from .predicates import Code, _hitting_family
 
 __all__ = [
@@ -170,20 +171,11 @@ def _counting_floor(g: Graph, param: str) -> int:
     return k
 
 
-_TREE_REFUSAL = "_tree_minimum computes eta or lambda of a tree of order >= 3"
-
-
-def _tree_minimum(g: Graph, param: str) -> int:
-    """eta or lambda of a tree of order >= 3 (see :func:`_tree_minima`)."""
-    if param not in ("eta", "lambda"):
-        raise ValueError(_TREE_REFUSAL)
-    return _tree_minima(g, (param,))[0]
-
-
 def _tree_minima(g: Graph, params: tuple[str, ...] = ("eta", "lambda")) -> tuple[int, ...]:
     """eta and lambda, or those of ``params``, of a tree of order >= 3, by
-    a dynamic programme over the tree rooted once at a vertex of degree
-    >= 2, so that every leaf is a child.
+    a dynamic programme over the tree rooted at the last centre of its peel
+    (:func:`~locdom.graph._peel_order`), whose degree >= 2 makes every leaf
+    a child.
 
     On a tree both codes are local conditions on a dominating set S:
 
@@ -197,35 +189,26 @@ def _tree_minima(g: Graph, params: tuple[str, ...] = ("eta", "lambda")) -> tuple
       iff no code vertex has two leaf neighbours outside S.
 
     Each vertex keeps the least code size in its subtree for each state
-    (:func:`_lambda_states`, :func:`_eta_states`), children before parents.
+    (:func:`_lambda_states`, :func:`_eta_states`), in peel order, so
+    children before parents.
     """
-    n, rows = g.n, g._rows
-    root = next((v for v in range(n) if rows[v] & (rows[v] - 1)), None)
-    if n < 3 or root is None:
-        raise ValueError(_TREE_REFUSAL)
+    if not (g.n >= 3 and g.is_tree() and {*params} <= {"eta", "lambda"}):
+        raise ValueError("_tree_minima computes eta or lambda of a tree of order >= 3")
+    n = g.n
+    centres, order, parent = _peel_order(g._rows)
+    root = order[-1]
+    for c in centres[:-1]:  # the other centre is a child of the root
+        parent[c] = root
     children: list[list[int]] = [[] for _ in range(n)]
-    up = [0] * n  # the bit of each vertex's parent
-    order = [root]
-    reached = 1 << root
-    for v in order:
-        below = rows[v] & ~up[v]
-        if below & reached:  # a cycle
-            raise ValueError(_TREE_REFUSAL)
-        reached |= below
-        while below:
-            low = below & -below
-            c = low.bit_length() - 1
-            up[c] = 1 << v
-            children[v].append(c)
-            order.append(c)
-            below ^= low
-    if len(order) < n:  # another component
-        raise ValueError(_TREE_REFUSAL)
+    for v in order[:-1]:
+        children[parent[v]].append(v)
     inf = n + 1  # no code is this large; a sum with such a term stays above n
+    parents = [v for v in order if children[v]]
     out = []
     for param in params:
-        best: list = [None] * n
-        for v in reversed(order):
+        # a leaf's lambda states are fixed, and the eta programme only counts leaves
+        best: list = [_lambda_states([], inf)] * n
+        for v in parents:
             if param == "lambda":
                 best[v] = _lambda_states([best[c] for c in children[v]], inf)
             else:
@@ -325,7 +308,7 @@ def minimum_code(
         k, code = known[param]
         return (k, code) if k_max is None or k <= k_max else None
     if param in ("eta", "lambda") and g.n >= 3 and g.is_tree():
-        floor = _tree_minimum(g, param)  # exact: only the search at k* runs
+        floor = _tree_minima(g, (param,))[0]  # exact: only the search at k* runs
     else:
         chain = [known[p][0] for p in _CHAIN_BELOW.get(param, ()) if p in known]
         floor = max([_counting_floor(g, param), *chain])

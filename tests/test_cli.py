@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -628,3 +629,21 @@ class TestClosedOutput:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141, err
         assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_out_of_memory_exits_4_with_one_line():
+    # P200000's adjacency rows need gigabytes; the address-space limit is
+    # set in the child alone, so the test never runs unlimited
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "locdom.cli", "family", "path", "200000"],
+        stdin=subprocess.DEVNULL, capture_output=True, preexec_fn=limit,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        "internal error: out of memory; try a smaller input or order"
+    ]

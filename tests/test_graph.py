@@ -14,7 +14,9 @@ from locdom import (
     strong_product,
     tree_profile,
 )
+from locdom.enumeration import tree_classes
 from locdom.families import complete, cycle, path, spider, star, strong_grid
+from locdom.graph import _peel_order
 
 from conftest import random_connected_graph
 import _brute
@@ -166,3 +168,26 @@ class TestTreeProfile:
             tree_profile(cycle(4).graph)
         with pytest.raises(ValueError):
             tree_profile(Graph(4, [(0, 1), (2, 3)]))
+
+
+class TestPeelOrder:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_k1_and_p2_are_all_centre(self, n):
+        assert _peel_order(path(n).graph._rows) == (list(range(n)), list(range(n)), [-1] * n)
+
+    def test_every_tree_to_12_peels_to_its_centres(self):
+        for n in range(1, 13):
+            for t in tree_classes(n):
+                centres, order, parent = _peel_order(t._rows)
+                assert sorted(order) == list(range(n)), t
+                assert order[-len(centres):] == centres and len(centres) in (1, 2), t
+                if len(centres) == 2:
+                    assert t.has_edge(*centres), t
+                ecc = [max(row) for row in t.distance_matrix()]
+                assert sorted(centres) == [v for v in range(n) if ecc[v] == min(ecc)], t
+                at = {v: i for i, v in enumerate(order)}
+                for v in order:
+                    if v in centres:
+                        assert parent[v] == -1, t
+                    else:
+                        assert t.has_edge(v, parent[v]) and at[parent[v]] > at[v], t

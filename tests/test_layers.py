@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from locdom import enumeration
+from locdom import canonical, enumeration, graph, solvers
 from locdom.canonical import _tree_key, canonical_form
 from locdom.enumeration import _connected_classes, _extension_masks, _leaf_masks, _tree_classes
 
@@ -123,3 +123,18 @@ def test_one_worker_loop_forks():
     }
     assert sum(forks.values()) == forks["enumeration.py"] == 1
     assert "os.fork(" in inspect.getsource(enumeration._fan_out)
+
+
+def test_one_peel_roots_every_tree():
+    # the tree key, the orbit labels and the tree programme all root a tree
+    # at a centre of graph._peel_order; a second rooting could disagree
+    package = Path(enumeration.__file__).parent
+    loop = "while n - len(order) > 2:"
+    peels = {
+        path.name: path.read_text(encoding="utf-8").count(loop) for path in package.glob("*.py")
+    }
+    assert sum(peels.values()) == peels["graph.py"] == 1
+    assert loop in inspect.getsource(graph._peel_order)
+    for caller in (canonical._peel, solvers._tree_minima):
+        assert "_peel_order(" in inspect.getsource(caller), caller.__name__
+    assert "from .canonical" not in inspect.getsource(solvers)

@@ -1,8 +1,9 @@
-"""The exact tree programme (``solvers._tree_minimum``) for eta and lambda
-against searches that never use it: the lexicographic hitting-set search
-from the counting floor alone, and the definitions-level oracle in
-``_brute``.  ``minimum_code`` starts its search at the programme's value
-on a tree, so its witnesses must stay those of the search without it."""
+"""The exact tree programme (``solvers._tree_minima``, rooted at a centre
+of the tree's peel) for eta and lambda against searches that never use
+it: the lexicographic hitting-set search from the counting floor alone,
+and the definitions-level oracle in ``_brute``.  ``minimum_code`` starts
+its search at the programme's value on a tree, so its witnesses must stay
+those of the search without it."""
 
 import random
 
@@ -13,7 +14,7 @@ from locdom.enumeration import tree_classes
 from locdom.families import cycle, path, spider
 from locdom.graph import relabeled
 from locdom.predicates import _hitting_family
-from locdom.solvers import _counting_floor, _least_hitting_set, _tree_minimum
+from locdom.solvers import _counting_floor, _least_hitting_set, _tree_minima
 from locdom.theorems import check_tree_bounds
 
 import _brute
@@ -44,7 +45,7 @@ def test_value_and_witness_match_the_search_on_every_tree_to_13(param):
     for n in range(3, 14):
         for t in tree_classes(n):
             k, code = searched(fresh(t), param)
-            assert _tree_minimum(t, param) == k, (t, param)
+            assert _tree_minima(t, (param,))[0] == k, (t, param)
             assert minimum_code(fresh(t), param) == (k, code), (t, param)
             checked += 1
     assert checked == TREES_TO_13
@@ -54,7 +55,7 @@ def test_value_and_witness_match_the_search_on_every_tree_to_13(param):
 def test_value_matches_the_oracle_on_every_tree_to_10(param):
     for n in range(3, 11):
         for t in tree_classes(n):
-            assert _tree_minimum(t, param) == _brute.brute_minimum(t, param)[0], (t, param)
+            assert _tree_minima(t, (param,))[0] == _brute.brute_minimum(t, param)[0], (t, param)
 
 
 @pytest.mark.parametrize(
@@ -71,7 +72,7 @@ def test_large_trees_keep_their_witnesses(graph, values):
         copies.append(relabeled(graph, perm))
     for g in copies:
         for param, value in zip(PARAMS, values):
-            assert _tree_minimum(g, param) == value
+            assert _tree_minima(g, (param,))[0] == value
             assert minimum_code(fresh(g), param) == searched(fresh(g), param), (g, param)
 
 
@@ -82,11 +83,17 @@ def test_orders_below_three_search_as_before():
         with pytest.raises(ValueError, match="requires n >= 2"):
             minimum_code(Graph(1), param)
         with pytest.raises(ValueError, match="order >= 3"):
-            _tree_minimum(p2, param)
+            _tree_minima(p2, (param,))[0]
     assert check_tree_bounds(p2).status == "skipped"
 
 
 @pytest.mark.parametrize("param", PARAMS)
 def test_refuses_a_graph_that_is_not_a_tree(param):
     with pytest.raises(ValueError, match="of a tree"):
-        _tree_minimum(cycle(5).graph, param)
+        _tree_minima(cycle(5).graph, (param,))[0]
+
+
+@pytest.mark.parametrize("params", [("gamma",), ("beta",), ("eta", "gamma")])
+def test_refuses_a_parameter_other_than_eta_or_lambda(params):
+    with pytest.raises(ValueError, match="eta or lambda of a tree of order >= 3"):
+        _tree_minima(path(5).graph, params)

@@ -5,9 +5,12 @@ summary) of the commands below, run in this order: every sweep capped at
 n = 6, the tree sweep at n = 10 (it reports the spider counterexample) and
 the two realization grids at their default scope.  A refactor of the
 checkers must reproduce them exactly, and the outputs that the
-benchmark's ``verify7`` and ``trees12`` workloads expect.
+benchmark's ``verify7`` and ``trees12`` workloads expect.  Two larger
+runs, the connected order 8 and the tree orders 13 and 14, are pinned by
+the SHA-256 of their payload lines.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -59,3 +62,25 @@ def test_verify_matches_the_benchmark_s_expected_output(capsys, name, argv, code
     for summary in summaries:
         del summary["manifest"]
     assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (
+            ["verify", "all", "--n-max", "8"], 0,
+            "fdad89a94d28973c6c914228b8ca2371c59142699ecf418dc59e84923eaf6031",
+        ),
+        (
+            ["verify", "tree-bounds", "--n-max", "14"], 1,
+            "34825095ff8dbeb8990133ad46391209beee04d0e630ddd454bd75266286a14d",
+        ),
+    ],
+    ids=["all-8", "tree-bounds-14"],
+)
+def test_verify_payload_digests(capsys, argv, code, digest):
+    # stdout without its summary line, as `head -n -1 | sha256sum` reads it
+    assert main(argv) == code
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert '"type": "summary"' in lines[-1]
+    assert hashlib.sha256("".join(lines[:-1]).encode("ascii")).hexdigest() == digest
