@@ -33,7 +33,6 @@ output was written, as by ``| head``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import re
@@ -238,6 +237,8 @@ class _Emitter:
 
 
 def _sha256(data: bytes) -> str:
+    import hashlib  # here, so that a run that takes no digest never loads OpenSSL
+
     return hashlib.sha256(data).hexdigest()
 
 

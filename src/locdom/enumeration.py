@@ -44,7 +44,8 @@ those of the canonical form alone.  Up to n = 7 no key is met twice; at
 n = 8, 228 searches settle the keys that children share.  Canonical data
 is otherwise found on demand (``canonical._canonical_data``): a class is
 searched for its automorphism generators when it becomes a parent, in
-``_extension_masks``, and a class of the top level only when a caller asks.
+``_extension_masks``, and any other class only when a caller asks, on the
+graph that caller reads.
 
 Trees are generated by the same augmentation restricted to one-vertex
 neighbourhoods (leaf augmentation), to n = 18, beyond the general
@@ -62,23 +63,30 @@ since the key, like the canonical form, is a complete invariant, each
 class keeps the same first child: the representatives are those the
 general search gives.
 
-One function, ``_merge``, files the keys and settles those met again, in
-generation order; ``_keyed`` builds and keys each parent's children and
-files nothing.  ``_fan_out``, the one worker loop, spreads a pass over
-many items across CPU cores: it forks W = min(CPUs this process may use,
-items // ``_ITEMS_PER_WORKER``) workers when W >= 2 and ``os.fork``
-exists, and worker w sends ``one(i)`` for each item i = w (mod W) as one
-``marshal`` record.  Workers are forked from a process that starts no
-threads.  A level's items are its parents, each record the
-children as mask, key and the canonical data the worker found, less
-those whose complete key the worker sent before; the merge builds a
-child only when it keeps or settles it.  ``_mapped`` applies a function
-to the classes of an order, trees as connected graphs: a census filter's
-truth or the theorem sweeps' outcomes (:mod:`locdom.theorems`).  Every
-pass fails one way: a worker whose ``one(i)`` raises sends None and
-stops, and the main process runs ``one(i)``, which raises the serial
-pass's error or else :class:`WorkerError`; a failed fork, a dead worker
-or records that end early raise :class:`WorkerError`.
+A level is a ``_Level``: one int per class, its parent's index and its
+mask packed together, which name the class, and a view that rebuilds
+class i, a new graph in a few microseconds, wherever it is read.  Only
+an order that serves as parents is also kept as graphs (``_parents``),
+so the top level costs 8 bytes a class.  One function, ``_merge``, files the keys
+and settles those met again, in generation order; ``_keyed`` builds and
+keys each parent's children and files nothing.  A key's holder is filed
+as its packed int and rebuilt only when a later child settles the key,
+and a child is built in the merge only to be settled.  ``_fan_out``, the
+one worker loop, spreads a pass over many items across CPU cores: it
+forks W = min(CPUs this process may use, items // ``_ITEMS_PER_WORKER``)
+workers when W >= 2 and ``os.fork`` exists, and worker w sends
+``one(i)`` for each item i = w (mod W) as one ``marshal`` record.
+Workers are forked from a process that starts no threads.  A level's
+items are its parents, each record the children as (mask, key), less
+those whose complete key the worker sent before.  ``_mapped`` applies a
+function to the classes of an order, trees as connected graphs, read
+through the level's view, so a forked worker builds the graphs it reads:
+a census filter's truth or the theorem sweeps' outcomes
+(:mod:`locdom.theorems`).  Every pass fails one way: a worker whose
+``one(i)`` raises sends None and stops, and the main process runs
+``one(i)``, which raises the serial pass's error or else
+:class:`WorkerError`; a failed fork, a dead worker or records that end
+early raise :class:`WorkerError`.
 """
 
 from __future__ import annotations
@@ -123,8 +131,9 @@ _Keys = Callable[[int, Graph], Callable[[Graph], Optional[Hashable]]]
 
 def _extend(parent: Graph, mask: int) -> Graph:
     """A child of the parent: one vertex more, adjacent to exactly the parent
-    vertices in mask.  Children are counted by the calls of this function
-    (``tests/test_layers.py``, the benchmark's tracer)."""
+    vertices in mask.  Every child built, and every class rebuilt from its
+    parent and mask, is a call of this function (``tests/test_layers.py``,
+    the benchmark's tracer)."""
     bit = 1 << parent.n
     rows = list(parent._rows)
     for v in range(parent.n):
@@ -180,10 +189,35 @@ def _leaf_masks(parent: Graph) -> list[int]:
     return list(first.values())
 
 
-# a record: a parent and its keyed children in mask order, each as
-# (mask, key, child), the child as its graph or, read from a worker, as the
-# canonical data the worker found (None if it searched none)
-_Record = tuple[Graph, list[tuple[int, Hashable, object]]]
+class _Level(Sequence[Graph]):
+    """The classes of one order as a sequence.  Class i is held as one int,
+    ``packed[i]``: its parent's index shifted past the parents' order, or'ed
+    with its mask.  Each read rebuilds it, a new graph."""
+
+    __slots__ = ("parents", "packed", "_shift")
+
+    def __init__(self, parents: Sequence[Graph]) -> None:
+        from array import array  # here, so that a run that enumerates nothing never loads it
+
+        self.parents = parents
+        self.packed = array("q")
+        self._shift = parents[0].n
+
+    def _build(self, code: int) -> Graph:
+        return _extend(self.parents[code >> self._shift], code & ~(-1 << self._shift))
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __getitem__(self, i: int) -> Graph:
+        return self._build(self.packed[i])
+
+    def __iter__(self) -> Iterator[Graph]:
+        return map(self._build, self.packed)
+
+
+# a record: the keyed children of one parent in mask order, each as (mask, key)
+_Record = list[tuple[int, Hashable]]
 
 
 def _keyed(
@@ -199,41 +233,39 @@ def _keyed(
         key = keys(i, parent)
         kept = []
         for mask in masks(parent):
-            child = _extend(parent, mask)
-            k = key(child)
+            k = key(_extend(parent, mask))
             if k is not None:
-                kept.append((mask, k, child))
-        yield parent, kept
+                kept.append((mask, k))
+        yield kept
 
 
-def _merge(records: Iterable[_Record], confirm: bool) -> tuple[Graph, ...]:
-    """The first child of each class among the records' children, in order.
-    A key not met before is a new class.  A key met before is a class met
-    before, unless ``confirm``, when canonical forms settle it: the key's
-    holder, its earlier entry in the output, is searched once, and from
-    then on the key files the set of forms met under it.  A child read
-    from a worker is built only here, when it is kept or settled."""
-    out: list[Graph] = []
+def _merge(parents: Sequence[Graph], records: Iterable[_Record], confirm: bool) -> _Level:
+    """The first child of each class among the children of the records, a
+    record per parent in order.  A key not met before is a new class.  A
+    key met before is a class met before, unless ``confirm``, when
+    canonical forms settle it: the key's holder, its earlier entry in the
+    level, is rebuilt and searched once, and from then on the key files the
+    set of forms met under it.  A child is built here only to be settled."""
+    level = _Level(parents)
+    shift, keep = level._shift, level.packed.append
     filed: dict = {}
-    for parent, kept in records:
-        for mask, k, child in kept:
+    for i, kept in enumerate(records):
+        for mask, k in kept:
+            code = i << shift | mask
             held = filed.get(k)
-            if held is not None and not confirm:
-                continue
-            if not isinstance(child, Graph):
-                canon, child = child, _extend(parent, mask)
-                child._canon = canon
             if held is None:
-                filed[k] = len(out)
+                filed[k] = code
+            elif not confirm:
+                continue
             else:
                 if not isinstance(held, set):
-                    held = filed[k] = {canonical_form(out[held])}
-                form = canonical_form(child)
+                    held = filed[k] = {canonical_form(level._build(held))}
+                form = canonical_form(_extend(parents[i], mask))
                 if form in held:
                     continue
                 held.add(form)
-            out.append(child)
-    return tuple(out)
+            keep(code)
+    return level
 
 
 class WorkerError(RuntimeError):
@@ -260,33 +292,29 @@ def _children(
     masks: Callable[[Graph], Iterable[int]],
     key: Optional[Callable[[Graph], Hashable]] = None,
     keys: Optional[_Keys] = None,
-) -> tuple[Graph, ...]:
-    """One graph per isomorphism class among the parents extended by a
-    vertex with each neighbourhood in ``masks(parent)``, each the first one
-    generated.  Either ``key`` is a complete isomorphism invariant, or
-    ``keys(i, parent)`` gives each child of parent i an invariant, or None
-    for one that is not the first of its class, and the canonical form
-    settles each key that two children share."""
+) -> _Level:
+    """The level of the parents extended by a vertex with each
+    neighbourhood in ``masks(parent)``: the first child generated in each
+    isomorphism class.  Either ``key`` is a complete isomorphism
+    invariant, or ``keys(i, parent)`` gives each child of parent i an
+    invariant, or None for one that is not the first of its class, and the
+    canonical form settles each key that two children share."""
     parents = tuple(parents)
     confirm = keys is not None
     if not confirm:
         keys = lambda i, parent: key
     workers = _workers(len(parents))
     if workers < 2:
-        return _merge(_keyed(parents, range(len(parents)), masks, keys), confirm)
+        return _merge(parents, _keyed(parents, range(len(parents)), masks, keys), confirm)
     met: set = set()  # the complete keys a worker sent, whose later children the merge drops
 
-    def one(i: int) -> list:
-        _, kept = next(_keyed(parents, (i,), masks, keys))
-        out = [(mask, k, child._canon) for mask, k, child in kept if k not in met]
+    def one(i: int) -> _Record:
+        kept = [(mask, k) for mask, k in next(_keyed(parents, (i,), masks, keys)) if k not in met]
         if not confirm:
-            met.update(k for _, k, _ in out)
-        return out
+            met.update(k for _, k in kept)
+        return kept
 
-    def merge(records: Iterator[list]) -> tuple[Graph, ...]:
-        return _merge(zip(parents, records), confirm)
-
-    return _fan_out(len(parents), one, merge, workers)
+    return _fan_out(len(parents), one, lambda records: _merge(parents, records, confirm), workers)
 
 
 _T = TypeVar("_T")
@@ -523,10 +551,10 @@ def _connected_keys(parents: Sequence[Graph]) -> _Keys:
 
 
 @lru_cache(maxsize=None)
-def _connected_classes(n: int) -> tuple[Graph, ...]:
+def _connected_classes(n: int) -> Sequence[Graph]:
     if n == 1:
         return (Graph(1),)
-    parents = _connected_classes(n - 1)
+    parents = _parents(n - 1, False)
     return _children(
         parents,
         lambda p: _extension_masks(p, range(1, 1 << p.n)),
@@ -534,14 +562,29 @@ def _connected_classes(n: int) -> tuple[Graph, ...]:
     )
 
 
-def _classes(n: int, caller: str) -> tuple[Graph, ...]:
+@lru_cache(maxsize=None)
+def _tree_classes(n: int) -> Sequence[Graph]:
+    if n == 1:
+        return (Graph(1),)
+    return _children(_parents(n - 1, True), _leaf_masks, lambda t: _tree_key(t._rows))
+
+
+@lru_cache(maxsize=None)
+def _parents(n: int, trees: bool) -> tuple[Graph, ...]:
+    """The classes of order n as graphs, built once and kept, for they are
+    the parents of order n + 1."""
+    return tuple(_tree_classes(n) if trees else _connected_classes(n))
+
+
+def _classes(n: int, caller: str) -> Sequence[Graph]:
     if not 1 <= n <= MAX_ENUMERATION_ORDER:
         raise ValueError(f"{caller} supports 1 <= n <= {MAX_ENUMERATION_ORDER}, got {n}")
     return _connected_classes(n)
 
 
 def connected_graphs(n: int) -> Iterator[Graph]:
-    """All connected graphs of order n, one per isomorphism class.
+    """All connected graphs of order n, one per isomorphism class, each
+    built as it is read.
 
     Generation order is deterministic.  Supported for 1 <= n <= 9.
     """
@@ -553,24 +596,22 @@ def connected_graph_count(n: int) -> int:
     return len(_classes(n, "connected_graph_count"))
 
 
-@lru_cache(maxsize=None)
-def _tree_classes(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph(1),)
-    return _children(_tree_classes(n - 1), _leaf_masks, lambda t: _tree_key(t._rows))
+def _trees(n: int, caller: str) -> Sequence[Graph]:
+    if not 1 <= n <= _MAX_TREE_ORDER:
+        raise ValueError(f"{caller} supports 1 <= n <= {_MAX_TREE_ORDER}, got {n}")
+    return _tree_classes(n)
 
 
 def tree_classes(n: int) -> tuple[Graph, ...]:
     """All trees of order n up to isomorphism, in generation order
-    (supported to n = 18; every order below n stays cached)."""
-    if not 1 <= n <= _MAX_TREE_ORDER:
-        raise ValueError(f"tree_classes supports 1 <= n <= {_MAX_TREE_ORDER}, got {n}")
-    return _tree_classes(n)
+    (supported to n = 18).  Each call builds a new tuple; the orders below
+    n stay cached as graphs, order n only as each class's parent and mask."""
+    return tuple(_trees(n, "tree_classes"))
 
 
 def trees(n: int) -> Iterator[Graph]:
-    """Iterator form of :func:`tree_classes`."""
-    return iter(tree_classes(n))
+    """Iterator form of :func:`tree_classes`: each tree is built as it is read."""
+    return iter(_trees(n, "trees"))
 
 
 # -- censuses -------------------------------------------------------------
@@ -606,20 +647,13 @@ def _mapped(
 ) -> _T:
     """``consume`` of ``fn(g)`` for each of the graphs, in order.  Many
     graphs fork (``_fan_out``): a worker's record is ``fn`` of one graph, a
-    ``marshal``-able value other than None, and the worker then drops the
-    distances and minima it left on the graph, which would die with it
-    anyway."""
+    ``marshal``-able value other than None.  A level's classes are built
+    where they are read, so a worker builds its own, and what ``fn`` leaves
+    on them dies with them."""
     workers = _workers(len(graphs))
     if workers < 2:
         return consume(map(fn, graphs))
-
-    def one(i: int) -> _R:
-        g = graphs[i]
-        value = fn(g)
-        g._dist = g._minima = None
-        return value
-
-    return _fan_out(len(graphs), one, consume, workers)
+    return _fan_out(len(graphs), lambda i: fn(graphs[i]), consume, workers)
 
 
 def _filtered(
@@ -632,7 +666,7 @@ def _filtered(
         graphs = _classes(n, "census")
         if predicate is not None:
             truth = _mapped(graphs, lambda g: bool(predicate(g)), list)
-            graphs = [g for g, ok in zip(graphs, truth) if ok]
+            graphs = [graphs[i] for i, ok in enumerate(truth) if ok]
         yield n, graphs
 
 

@@ -255,7 +255,8 @@ def _peel_order(rows: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
 
     Returns the centres, every vertex once in peel order (the centres last,
     so each vertex comes before its parent) and each vertex's parent: its
-    one neighbour left when it is peeled, or -1 for a centre."""
+    one neighbour left when it is peeled, or -1 for a centre.  A graph with
+    a cycle runs out of leaves above two vertices: ``ValueError``."""
     n = len(rows)
     degree = [r.bit_count() for r in rows]
     parent = [-1] * n
@@ -263,6 +264,8 @@ def _peel_order(rows: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     alive = (1 << n) - 1
     layer = [v for v, d in enumerate(degree) if d <= 1]
     while n - len(order) > 2:
+        if not layer:
+            raise ValueError(f"not a tree: {n - len(order)} vertices left with no leaf")
         order += layer
         for v in layer:
             alive ^= 1 << v

@@ -38,10 +38,12 @@ enumerator is refused before any graph is.  Then a supplied graph stream
 is checked once, or else one loop walks the sorted (trees, n) levels of
 the requests, connected orders first.  Each class goes once through the
 checker of every sweep whose orders hold it, given its graph6 encoded
-once for all of them (the checker's ``where``), and each sweep keeps a
-partial verdict: graphs checked and skipped, and counterexamples in class
-order.  An order, connected or of trees, or a supplied stream with many
-classes fans out across forked workers
+once for all of them (the checker's ``where``); an order's classes are
+read through its level's packed view, so each graph is built where it is
+checked and none is kept.  Each sweep keeps a partial verdict: graphs
+checked and skipped, and counterexamples in class order.  An order,
+connected or of trees, or a supplied stream with many classes fans out
+across forked workers
 (:func:`~locdom.enumeration._mapped`): a worker sends, per class, each
 sweep's (skipped, counterexamples), and the main process adds them up in
 class order.  A checker that raises in a worker is run again on its
@@ -59,8 +61,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
 from .canonical import canonical_form
-from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, connected_graphs, tree_classes
-from .enumeration import _mapped, write_graph6
+from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, _connected_classes, _mapped
+from .enumeration import _tree_classes, write_graph6
 from .graph import Graph
 from .predicates import Code, _hitting_family
 from .solvers import _tree_minima, full_report, minimum_code
@@ -625,8 +627,7 @@ def _run_theorems(
         for trees, n in sorted({(row.trees, n) for _, row, orders, _ in sweeps for n in orders}):
             active = [(tally, row.run) for _, row, orders, tally in sweeps
                       if row.trees == trees and n in orders]
-            level = tree_classes(n) if trees else tuple(connected_graphs(n))
-            _sweep_graphs(level, active)
+            _sweep_graphs(_tree_classes(n) if trees else _connected_classes(n), active)
     verdicts = []
     for tid, row, orders, tally in plans:
         if row.grid:

@@ -447,8 +447,8 @@ class TestVerify:
         def never(n):
             raise AssertionError(f"enumerated order {n}")
 
-        monkeypatch.setattr(theorems_mod, "connected_graphs", never)
-        monkeypatch.setattr(theorems_mod, "tree_classes", never)
+        monkeypatch.setattr(theorems_mod, "_connected_classes", never)
+        monkeypatch.setattr(theorems_mod, "_tree_classes", never)
         code, out, err = run_cli(capsys, ["verify", theorem, "--n-max", n_max])
         assert code == 2
         assert out == ""
@@ -647,3 +647,13 @@ def test_out_of_memory_exits_4_with_one_line():
     assert proc.stderr.decode().splitlines() == [
         "internal error: out of memory; try a smaller input or order"
     ]
+
+
+def test_importing_the_cli_loads_no_openssl():
+    # hashlib maps OpenSSL's libcrypto; only a run that takes a digest loads it
+    script = "import sys, locdom.cli; print('_hashlib' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
+    assert done.stdout == "False\n", done.stderr

@@ -11,17 +11,23 @@ key is forced to collide.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
 from locdom import canonical, enumeration
 from locdom.canonical import _canonical_data, automorphism_generators, canonical_form
-from locdom.enumeration import _children, _connected_classes, _extension_masks
+from locdom.enumeration import _children, _connected_classes, _extension_masks, tree_classes
 
 # the sha256 of repr((rows, canonical data)) over the connected classes of
 # orders 1..8 in generation order, as the enumeration gave them before the
 # rule existed
 CLASSES_TO_8_SHA256 = "d8b84b6b93518c568309bb3c1e030138cb575a5d2e58fbe7a965b1a38162e3a5"
+
+# the sha256 of repr of the rows of the tree classes of orders 1..14 in
+# generation order, as the enumeration gave them while it held every level
+# as graphs; tree levels fork from order 13 on two CPUs
+TREES_TO_14_SHA256 = "7077effb4e832f810b1e66b20c4dfd4866d85ff873925db632acf4bfebaaae4f"
 
 # canonical searches per order, the parents' generator searches not
 # counted.  A key met once needs none, and to n = 7 every child the rule
@@ -88,28 +94,32 @@ def test_keys_forced_to_collide_keep_the_classes(monkeypatch, cpus, key, rule):
         built.append(mask)
         return extend(parent, mask)
 
-    def keyed(n):
-        # the children a worker sends: those the rule does not drop
-        parents = _connected_classes(n - 1)
+    def settled(n):
+        # the children a worker sends, those the rule does not drop, that
+        # share their key with another: each is built in the merge, and
+        # their key's holder, the first of them, is rebuilt once
+        parents = enumeration._parents(n - 1, False)
         keys = enumeration._connected_keys(parents)
-        return sum(
-            keys(i, p)(extend(p, m)) is not None
+        sent = Counter(
+            keys(i, p)(extend(p, m))
             for i, p in enumerate(parents)
             for m in _connected_masks(p)
         )
+        return sum(count for k, count in sent.items() if k is not None and count > 1)
 
     monkeypatch.setattr(enumeration, "_key", key)
     if not rule:  # no G - v counts as connected, so the rule drops nothing
         monkeypatch.setattr(enumeration, "_components", lambda rows, alive: [0])
-    sent = {n: keyed(n) for n in CHILDREN}
+    merged = {n: settled(n) for n in CHILDREN}
     monkeypatch.setattr(enumeration, "_extend", counted)
     for n in CHILDREN:
         built.clear()
-        assert _data(_level(monkeypatch, n, cpus)) == expected[n], n
-        # forked, this process builds each child a worker sends once, in
-        # the merge: it keeps a new key's child and settles any other
+        level = _level(monkeypatch, n, cpus)
+        # forked, this process builds only what the merge settles; serial,
+        # it also builds every child to key it
         forked = min(cpus, len(_connected_classes(n - 1))) > 1
-        assert len(built) == (sent[n] if forked else CHILDREN[n]), n
+        assert len(built) == merged[n] + (0 if forked else CHILDREN[n]), n
+        assert _data(level) == expected[n], n
 
 
 def _searches(monkeypatch, cpus):
@@ -123,7 +133,7 @@ def _searches(monkeypatch, cpus):
         return search(g)
 
     for n in SEARCHES:
-        for parent in _connected_classes(n - 1):
+        for parent in enumeration._parents(n - 1, False):
             automorphism_generators(parent)  # searched once, outside the count
     monkeypatch.setattr(canonical, "_search", counted)
     for n in SEARCHES:
@@ -145,3 +155,8 @@ def test_classes_to_8_are_those_recorded():
     graphs = [g for n in range(1, 9) for g in _connected_classes(n)]
     data = repr(([g._rows for g in graphs], [_canonical_data(g) for g in graphs]))
     assert hashlib.sha256(data.encode()).hexdigest() == CLASSES_TO_8_SHA256
+
+
+def test_trees_to_14_are_those_recorded():
+    rows = [t._rows for n in range(1, 15) for t in tree_classes(n)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == TREES_TO_14_SHA256

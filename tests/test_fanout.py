@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from locdom import enumeration, theorems
-from locdom.canonical import _canonical_data, _tree_key, canonical_form
+from locdom.canonical import _tree_key, canonical_form
 from locdom.cli import _filter_predicate, _parse_filter, main
 from locdom.enumeration import (
     _children, _connected_classes, _extension_masks, _leaf_masks, _tree_classes, census,
@@ -42,15 +42,9 @@ LEVELS = [
 ]
 
 
-def _carried(graphs):
-    # what a level hands over: the rows and the canonical data it found
-    return [(g._rows, g._canon) for g in graphs]
-
-
-def _data(graphs):
-    # what a caller reads: canonical data is searched on demand where a
-    # level found none, as the connected levels leave it
-    return [(g._rows, _canonical_data(g)) for g in graphs]
+def _carried(level):
+    # what a level hands over: each class as its parent's index and its mask
+    return list(level.packed)
 
 
 def _force(monkeypatch, cpus):
@@ -103,10 +97,10 @@ def test_a_worker_sends_no_complete_key_it_sent_before(monkeypatch, cpus):
     merge = enumeration._merge
     levels = []
 
-    def recorded(records, confirm):
+    def recorded(parents, records, confirm):
         records = list(records)
         levels.append(records)
-        return merge(records, confirm)
+        return merge(parents, records, confirm)
 
     parents = [_tree_classes(n - 1) for n in range(2, 12)]
     _force(monkeypatch, cpus)
@@ -117,24 +111,20 @@ def test_a_worker_sends_no_complete_key_it_sent_before(monkeypatch, cpus):
     assert len(forked) == 7
     for records in forked:
         sent = [set() for _ in range(cpus)]
-        for i, (parent, kept) in enumerate(records):
-            assert all(canon is None for _, _, canon in kept)  # read from a worker
-            keys = {k for _, k, _ in kept}
-            assert not keys & sent[i % cpus], (parent.n, i)
+        for i, kept in enumerate(records):
+            keys = {k for _, k in kept}
+            assert not keys & sent[i % cpus], (len(records), i)
             sent[i % cpus] |= keys
 
 
 def test_an_error_while_merging_reaps_every_worker(monkeypatch, capfd):
-    main = os.getpid()
-    extend = enumeration._extend
-
-    def failing_in_main(parent, mask):
-        if os.getpid() == main:
-            raise KeyError("merge")
-        return extend(parent, mask)
+    # the merge fails after its first record, while workers still write
+    def failing(parents, records, confirm):
+        next(iter(records))
+        raise KeyError("merge")
 
     _force(monkeypatch, 2)
-    monkeypatch.setattr(enumeration, "_extend", failing_in_main)
+    monkeypatch.setattr(enumeration, "_merge", failing)
     with pytest.raises(KeyError, match="merge"):
         _children(_connected_classes(6), _connected_masks, canonical_form)
     # killed, not left to fail on the closed pipe and print that
@@ -172,19 +162,19 @@ def _refuse_fork():
 )
 def test_one_cpu_or_a_small_level_never_forks(monkeypatch, per_worker, cpus):
     parents = _connected_classes(6)
-    expected = _data(_connected_classes(7))
+    expected = _carried(_connected_classes(7))
     monkeypatch.setattr(enumeration, "_ITEMS_PER_WORKER", per_worker)
     monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", _refuse_fork)
-    assert _data(_children(parents, _connected_masks, canonical_form)) == expected
+    assert _carried(_children(parents, _connected_masks, canonical_form)) == expected
 
 
 def test_no_fork_means_the_serial_path(monkeypatch):
     parents = _connected_classes(6)
-    expected = _data(_connected_classes(7))
+    expected = _carried(_connected_classes(7))
     _force(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
-    assert _data(_children(parents, _connected_masks, canonical_form)) == expected
+    assert _carried(_children(parents, _connected_masks, canonical_form)) == expected
 
 
 def _enumerate_graph6(cpus):
@@ -217,14 +207,6 @@ FILTERS = ["eta=2", "lambda<=3 and diam>=2", "beta=1"]
 ORDERS = range(2, 8)
 
 
-def _forget():
-    # drop the distances and minima that earlier passes left on the cached
-    # classes, so that forked workers compute them rather than inherit them
-    for n in ORDERS:
-        for g in _connected_classes(n):
-            g._dist = g._minima = None
-
-
 def _census(expr):
     return census(ORDERS, _filter_predicate(_parse_filter(expr)), expr)
 
@@ -244,7 +226,7 @@ def _counting_forks(monkeypatch):
 @pytest.mark.parametrize("expr", FILTERS)
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_census_matches_the_serial_path(monkeypatch, expr, cpus):
-    _forget()
+    _connected_classes(max(ORDERS))
     _force(monkeypatch, cpus)
     forks = _counting_forks(monkeypatch)
     forked = _census(expr)
@@ -259,7 +241,6 @@ def test_census_matches_the_serial_path(monkeypatch, expr, cpus):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_graph6_stream_matches_the_serial_path(monkeypatch, capsys, expr, cpus):
     argv = ["enumerate", "--n", "2..7", "--filter", expr, "--output", "graph6"]
-    _forget()
     _force(monkeypatch, cpus)
     assert main(argv) == 0
     forked = capsys.readouterr().out
@@ -376,8 +357,6 @@ SWEEPS = {
 
 
 def _payload(capsys, argv, code):
-    # forget first, so that forked workers solve rather than inherit
-    _forget()
     assert main(argv) == code
     return capsys.readouterr().out.splitlines()[:-1]
 
@@ -448,7 +427,6 @@ def test_a_checker_raising_in_a_worker_exits_4(monkeypatch, capsys, cpus):
 
     _force(monkeypatch, cpus)
     monkeypatch.setattr(theorems, "full_report", broken)
-    _forget()
     assert main(["verify", "prop1", "--n-max", "6"]) == 4
     out, err = capsys.readouterr()
     assert out == ""

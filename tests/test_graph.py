@@ -14,6 +14,7 @@ from locdom import (
     strong_product,
     tree_profile,
 )
+from locdom.canonical import _tree_key
 from locdom.enumeration import tree_classes
 from locdom.families import complete, cycle, path, spider, star, strong_grid
 from locdom.graph import _peel_order
@@ -171,6 +172,17 @@ class TestTreeProfile:
 
 
 class TestPeelOrder:
+    @pytest.mark.parametrize("peel", [_peel_order, _tree_key])
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(5).graph, Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])],
+        ids=["C5", "triangle-with-a-tail"],
+    )
+    def test_a_graph_with_a_cycle_is_refused(self, peel, g):
+        # the leaves run out above the centres: an error, not an endless loop
+        with pytest.raises(ValueError, match="not a tree"):
+            peel(g._rows)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_k1_and_p2_are_all_centre(self, n):
         assert _peel_order(path(n).graph._rows) == (list(range(n)), list(range(n)), [-1] * n)

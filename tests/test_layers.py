@@ -11,6 +11,9 @@ wraps entry points by name, so those names must keep resolving.
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,8 +91,9 @@ def test_children_extend_once_per_extension_mask(
 
     monkeypatch.setattr(enumeration, "_extend", counted)
     for n in range(2, n_max + 1):
+        parents = tuple(classes(n - 1))  # rebuilt from the level, outside the count
         calls.clear()
-        enumeration._children(classes(n - 1), masks, key)
+        enumeration._children(parents, masks, key)
         assert len(calls) == _child_count(classes, candidates, n)
 
 
@@ -138,3 +142,46 @@ def test_one_peel_roots_every_tree():
     for caller in (canonical._peel, solvers._tree_minima):
         assert "_peel_order(" in inspect.getsource(caller), caller.__name__
     assert "from .canonical" not in inspect.getsource(solvers)
+
+
+# the orders of the graphs alive in a fresh process, and of the tuples of
+# graphs, after the top connected level 8 is counted, after every tree
+# level to 12 is swept and after tree_classes(12) is read
+_TOP_LEVEL_SCRIPT = """
+import gc, sys
+from locdom import enumeration
+from locdom.graph import Graph
+from locdom.theorems import run_theorem
+
+def alive():
+    gc.collect()
+    objects = gc.get_objects()
+    graphs = sorted({g.n for g in objects if isinstance(g, Graph)})
+    tuples = [t for t in objects if type(t) is tuple and t and isinstance(t[0], Graph)]
+    return graphs, sorted({t[0].n for t in tuples})
+
+enumeration._cpus = lambda: int(sys.argv[1])
+enumeration._ITEMS_PER_WORKER = 1
+assert enumeration.connected_graph_count(8) == 11117
+print(alive())
+run_theorem("tree-bounds", n_max=12)
+print(alive())
+assert len(enumeration.tree_classes(12)) == 551
+print(alive())
+"""
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_the_top_level_keeps_no_graphs(cpus):
+    # only the orders that served as parents stay cached as graphs; the top
+    # level is held as packed ints and rebuilt where it is read
+    src = Path(enumeration.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _TOP_LEVEL_SCRIPT, str(cpus)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    below = list(range(1, 8)), list(range(1, 12))
+    assert done.stdout.splitlines() == [
+        repr((below[0], below[0])), repr((below[1], below[1])), repr((below[1], below[1]))
+    ]

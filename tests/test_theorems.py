@@ -327,8 +327,8 @@ class TestRunners:
         def never(n):
             raise AssertionError(f"enumerated order {n}")
 
-        monkeypatch.setattr(theorems, "connected_graphs", never)
-        monkeypatch.setattr(theorems, "tree_classes", never)
+        monkeypatch.setattr(theorems, "_connected_classes", never)
+        monkeypatch.setattr(theorems, "_tree_classes", never)
         message = f"{theorem}: n_max = {n_max} is beyond the supported orders {supported}$"
         with pytest.raises(ValueError, match=message):
             run_theorem(theorem, n_max=n_max)
