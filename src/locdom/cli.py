@@ -457,6 +457,11 @@ def _cmd_verify(args, argv) -> int:
                 f"--input does not apply to {args.theorem!r}; its scope is the "
                 "parameter grid, not a graph stream"
             )
+        if args.n_max is not None and not any(row.grid for row in rows):
+            raise _InputError(
+                f"--n-max does not apply to {args.theorem!r} with --input; its scope "
+                "is the supplied graphs"
+            )
         data = _read_source(args.input)
         digest = _sha256(data)
         numbered = _parse_graphs(data, "g6")

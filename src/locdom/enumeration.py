@@ -67,26 +67,20 @@ A level is a ``_Level``: one int per class, its parent's index and its
 mask packed together, which name the class, and a view that rebuilds
 class i, a new graph in a few microseconds, wherever it is read.  Only
 an order that serves as parents is also kept as graphs (``_parents``),
-so the top level costs 8 bytes a class.  One function, ``_merge``, files the keys
-and settles those met again, in generation order; ``_keyed`` builds and
-keys each parent's children and files nothing.  A key's holder is filed
-as its packed int and rebuilt only when a later child settles the key,
-and a child is built in the merge only to be settled.  ``_fan_out``, the
-one worker loop, spreads a pass over many items across CPU cores: it
-forks W = min(CPUs this process may use, items // ``_ITEMS_PER_WORKER``)
-workers when W >= 2 and ``os.fork`` exists, and worker w sends
-``one(i)`` for each item i = w (mod W) as one ``marshal`` record.
-Workers are forked from a process that starts no threads.  A level's
-items are its parents, each record the children as (mask, key), less
-those whose complete key the worker sent before.  ``_mapped`` applies a
-function to the classes of an order, trees as connected graphs, read
-through the level's view, so a forked worker builds the graphs it reads:
-a census filter's truth or the theorem sweeps' outcomes
-(:mod:`locdom.theorems`).  Every pass fails one way: a worker whose
-``one(i)`` raises sends None and stops, and the main process runs
-``one(i)``, which raises the serial pass's error or else
-:class:`WorkerError`; a failed fork, a dead worker or records that end
-early raise :class:`WorkerError`.
+so the top level costs 8 bytes a class.  One function, ``_merge``, files
+the keys and settles those met again, in generation order.  A key's
+holder is filed as its packed int and rebuilt only when a later child
+settles the key, and a child is built in the merge only to be settled.
+
+Every pass, over a level's parents or over the classes of an order under
+a census filter or the theorem sweeps (:mod:`locdom.theorems`), is one
+call of ``_fan_out``, which forks workers for many items and otherwise
+maps in the main process; serial or forked, the same ``one(i)`` runs and
+fails the same way.  A level's ``one(i)`` builds and keys parent i's
+children and files nothing: its record is the children as (mask, key),
+less those whose complete key its process sent before.  A filter's or a
+sweep's ``one(i)`` reads class i through the level's view, so a forked
+worker builds the graphs it reads.
 """
 
 from __future__ import annotations
@@ -118,10 +112,10 @@ __all__ = [
 
 MAX_ENUMERATION_ORDER = 9
 _MAX_TREE_ORDER = 18
-# items per forked worker, parents of a level or classes under a census
-# filter.  A fork and reap costs about 2 ms, and a two-worker fan-out breaks
-# even on tree levels, the cheapest per parent, between 235 and 551 parents
-# (measured), so a pass forks from 512 items
+# items per forked worker: parents of a level, or classes under a census
+# filter or the theorem sweeps.  A fork and reap costs about 2 ms, and a
+# two-worker fan-out breaks even on tree levels, the cheapest per parent,
+# between 235 and 551 parents (measured), so a pass forks from 512 items
 _ITEMS_PER_WORKER = 256
 
 # keys(i, parent): the function that keys each child of parents[i], or
@@ -220,25 +214,6 @@ class _Level(Sequence[Graph]):
 _Record = list[tuple[int, Hashable]]
 
 
-def _keyed(
-    parents: Sequence[Graph],
-    indices: Iterable[int],
-    masks: Callable[[Graph], Iterable[int]],
-    keys: _Keys,
-) -> Iterator[_Record]:
-    """Yield the record of each parent ``parents[i]`` with i in ``indices``:
-    its children that ``keys`` does not drop."""
-    for i in indices:
-        parent = parents[i]
-        key = keys(i, parent)
-        kept = []
-        for mask in masks(parent):
-            k = key(_extend(parent, mask))
-            if k is not None:
-                kept.append((mask, k))
-        yield kept
-
-
 def _merge(parents: Sequence[Graph], records: Iterable[_Record], confirm: bool) -> _Level:
     """The first child of each class among the children of the records, a
     record per parent in order.  A key not met before is a new class.  A
@@ -280,13 +255,6 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(items: int) -> int:
-    """How many forked workers share ``items`` items: 0 or 1 means none."""
-    if not hasattr(os, "fork"):
-        return 0
-    return min(_cpus(), items // _ITEMS_PER_WORKER)
-
-
 def _children(
     parents: Iterable[Graph],
     masks: Callable[[Graph], Iterable[int]],
@@ -303,38 +271,44 @@ def _children(
     confirm = keys is not None
     if not confirm:
         keys = lambda i, parent: key
-    workers = _workers(len(parents))
-    if workers < 2:
-        return _merge(parents, _keyed(parents, range(len(parents)), masks, keys), confirm)
-    met: set = set()  # the complete keys a worker sent, whose later children the merge drops
+    met: set = set()  # the complete keys this process sent, whose later children the merge drops
 
     def one(i: int) -> _Record:
-        kept = [(mask, k) for mask, k in next(_keyed(parents, (i,), masks, keys)) if k not in met]
+        parent = parents[i]
+        child_key = keys(i, parent)
+        kept = []
+        for mask in masks(parent):
+            k = child_key(_extend(parent, mask))
+            if k is not None and k not in met:
+                kept.append((mask, k))
         if not confirm:
             met.update(k for _, k in kept)
         return kept
 
-    return _fan_out(len(parents), one, lambda records: _merge(parents, records, confirm), workers)
+    return _fan_out(len(parents), one, lambda records: _merge(parents, records, confirm))
 
 
 _T = TypeVar("_T")
 
 
 def _fan_out(
-    items: int,
-    one: Callable[[int], object],
-    consume: Callable[[Iterator[object]], _T],
-    workers: int,
+    items: int, one: Callable[[int], object], consume: Callable[[Iterator[object]], _T]
 ) -> _T:
     """``consume`` of ``one(i)`` for the items i = 0..``items`` - 1, in
-    order, made on ``workers`` forked processes: worker w writes ``one(i)``
-    as a ``marshal`` record for each i = w (mod ``workers``), so item i's
-    record is the next one on pipe i mod ``workers``.  A worker whose
-    ``one`` raises writes None and stops, and the main process runs
-    ``one(i)`` itself, so the serial pass's error is raised, or else
-    :class:`WorkerError`.  Every worker is reaped on the way out; a fork
-    that fails, a worker that fails or a pipe that ends early raises
-    :class:`WorkerError`, and an error in ``consume`` passes through."""
+    order: the one pass, serial or forked.  It forks W = min(``_cpus()``,
+    items // ``_ITEMS_PER_WORKER``) workers when W >= 2 and ``os.fork``
+    exists, from a process that starts no threads, and otherwise maps
+    ``one`` here.  Worker w writes ``one(i)``, a ``marshal``-able value
+    other than None, as a record for each i = w (mod W), so item i's
+    record is the next one on pipe i mod W.  A worker whose ``one`` raises
+    writes None and stops, and the main process runs ``one(i)`` itself, so
+    the serial pass's error is raised, or else :class:`WorkerError`.
+    Every worker is reaped on the way out; a fork that fails, a worker
+    that fails or a pipe that ends early raises :class:`WorkerError`, and
+    an error in ``consume`` passes through."""
+    workers = min(_cpus(), items // _ITEMS_PER_WORKER) if hasattr(os, "fork") else 0
+    if workers < 2:
+        return consume(map(one, range(items)))
     import signal  # here, so that a process that never forks never loads it
 
     pids: list[int] = []
@@ -637,35 +611,16 @@ class CensusReport:
         return self.counts.get(order, 0)
 
 
-_R = TypeVar("_R")
-
-
-def _mapped(
-    graphs: Sequence[Graph],
-    fn: Callable[[Graph], _R],
-    consume: Callable[[Iterator[_R]], _T],
-) -> _T:
-    """``consume`` of ``fn(g)`` for each of the graphs, in order.  Many
-    graphs fork (``_fan_out``): a worker's record is ``fn`` of one graph, a
-    ``marshal``-able value other than None.  A level's classes are built
-    where they are read, so a worker builds its own, and what ``fn`` leaves
-    on them dies with them."""
-    workers = _workers(len(graphs))
-    if workers < 2:
-        return consume(map(fn, graphs))
-    return _fan_out(len(graphs), lambda i: fn(graphs[i]), consume, workers)
-
-
 def _filtered(
     orders: Iterable[int], predicate: Optional[Callable[[Graph], object]]
 ) -> Iterator[tuple[int, Sequence[Graph]]]:
     """Each order with its connected classes that meet ``predicate``, in
     generation order, or all of them when it is None.  The predicate's
-    truth is a ``_mapped`` value, so many classes fork."""
+    truth is one ``_fan_out`` pass over the classes, so many classes fork."""
     for n in orders:
         graphs = _classes(n, "census")
         if predicate is not None:
-            truth = _mapped(graphs, lambda g: bool(predicate(g)), list)
+            truth = _fan_out(len(graphs), lambda i: bool(predicate(graphs[i])), list)
             graphs = [graphs[i] for i, ok in enumerate(truth) if ok]
         yield n, graphs
 

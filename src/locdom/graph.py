@@ -255,10 +255,14 @@ def _peel_order(rows: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
 
     Returns the centres, every vertex once in peel order (the centres last,
     so each vertex comes before its parent) and each vertex's parent: its
-    one neighbour left when it is peeled, or -1 for a centre.  A graph with
-    a cycle runs out of leaves above two vertices: ``ValueError``."""
+    one neighbour left when it is peeled, or -1 for a centre.  A non-tree
+    raises ``ValueError``: one without n - 1 edges at once, and one with
+    n - 1 edges, disconnected and with a cycle, once its leaves run out above two
+    vertices or a peeled leaf has no neighbour left."""
     n = len(rows)
     degree = [r.bit_count() for r in rows]
+    if sum(degree) != 2 * n - 2:
+        raise ValueError(f"not a tree: {n} vertices and {sum(degree) // 2} edges")
     parent = [-1] * n
     order: list[int] = []
     alive = (1 << n) - 1
@@ -272,6 +276,8 @@ def _peel_order(rows: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
         peeled = []
         for v in layer:
             u = (rows[v] & alive).bit_length() - 1  # a leaf's one neighbour
+            if u < 0:
+                raise ValueError(f"not a tree: leaf {v} has no neighbour left")
             parent[v] = u
             degree[u] -= 1
             if degree[u] == 1:

@@ -41,13 +41,13 @@ checker of every sweep whose orders hold it, given its graph6 encoded
 once for all of them (the checker's ``where``); an order's classes are
 read through its level's packed view, so each graph is built where it is
 checked and none is kept.  Each sweep keeps a partial verdict: graphs
-checked and skipped, and counterexamples in class order.  An order,
-connected or of trees, or a supplied stream with many classes fans out
-across forked workers
-(:func:`~locdom.enumeration._mapped`): a worker sends, per class, each
-sweep's (skipped, counterexamples), and the main process adds them up in
-class order.  A checker that raises in a worker is run again on its
-class in the main process, which raises the error of the serial pass.
+checked and skipped, and counterexamples in class order.  The pass over
+an order, connected or of trees, or over a supplied stream is one
+:func:`~locdom.enumeration._fan_out`, forked for many classes: a class's
+record is each sweep's (skipped, counterexamples), and the main process
+adds them up in class order.  A checker that raises in a worker is run
+again on its class in the main process, which raises the error of the
+serial pass.
 At the end the partial verdicts, with their tightness parts, become the
 verdicts, and each grid row runs its grid.
 """
@@ -61,7 +61,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import families
 from .canonical import canonical_form
-from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, _connected_classes, _mapped
+from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, _connected_classes, _fan_out
 from .enumeration import _tree_classes, write_graph6
 from .graph import Graph
 from .predicates import Code, _hitting_family
@@ -460,11 +460,11 @@ def sweep(
 def _sweep_graphs(graphs: Sequence[Graph], sweeps: list[tuple[_Tally, _Check]]) -> None:
     """Check each graph under every sweep's check, with its ``_where``
     encoded once for all of them, and add the outcomes to the tallies in
-    graph order.  Many graphs fan out across forked workers
-    (:func:`~locdom.enumeration._mapped`), each graph's record its
-    (skipped, counterexamples) per sweep."""
+    graph order, in one :func:`~locdom.enumeration._fan_out` pass whose
+    record per graph is its (skipped, counterexamples) per sweep."""
 
-    def outcomes(g: Graph) -> list[tuple[bool, tuple]]:
+    def outcomes(i: int) -> list[tuple[bool, tuple]]:
+        g = graphs[i]
         where = _where(g)
         return [
             (v.status == SKIPPED, v.counterexamples)
@@ -476,7 +476,7 @@ def _sweep_graphs(graphs: Sequence[Graph], sweeps: list[tuple[_Tally, _Check]]) 
             for (tally, _), outcome in zip(sweeps, record):
                 tally.add(*outcome)
 
-    _mapped(graphs, outcomes, add)
+    _fan_out(len(graphs), outcomes, add)
 
 
 def _orders(theorem: str, lo: int, hi: int, top: int) -> range:

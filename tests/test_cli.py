@@ -518,6 +518,31 @@ class TestVerify:
         assert code == 2
         assert "does not apply" in err
 
+    @pytest.mark.parametrize("theorem", ["prop1", "tree-bounds"])
+    @pytest.mark.parametrize("n_max", ["999", "0"])
+    def test_n_max_with_an_input_stream_exits_2_before_reading_it(
+        self, capsys, tmp_path, theorem, n_max
+    ):
+        # the stream is the scope; a cap on it would be silently ignored
+        missing = str(tmp_path / "absent.g6")
+        code, out, err = run_cli(
+            capsys, ["verify", theorem, "--input", missing, "--n-max", n_max]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--n-max does not apply" in err
+
+    def test_n_max_with_an_input_stream_still_caps_the_grids_of_all(self, capsys):
+        blob = write_graph6(path(4).graph).decode() + "\n"
+        reasons = {}
+        for argv in (["--n-max", "3"], []):
+            code, out, err = run_cli(capsys, ["verify", "all", "--input", "-", *argv], stdin=blob)
+            assert code == 0, err
+            verdicts = {r["theorem"]: r for r in records(out) if r["type"] == "verdict"}
+            assert verdicts["inequality-chain"]["reason"] == "checked=1 skipped=0"
+            reasons[bool(argv)] = verdicts["tree-realization"]["reason"]
+        assert reasons == {True: "checked=2 pairs", False: "checked=9 pairs"}
+
     def test_empty_input_path_exits_2(self, capsys):
         # an empty value is not the default, the enumerated orders
         code, out, err = run_cli(capsys, ["verify", "prop1", "--input", ""])

@@ -183,6 +183,18 @@ class TestPeelOrder:
         with pytest.raises(ValueError, match="not a tree"):
             peel(g._rows)
 
+    @pytest.mark.parametrize("peel", [_peel_order, _tree_key])
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph(4, [(1, 2), (2, 3), (1, 3)]), Graph(2)],
+        ids=["P3+P2", "K1+K3", "2K1"],
+    )
+    def test_a_disconnected_graph_is_refused(self, peel, g):
+        # P3 + P2 used to peel to P3's key, K1 + K3 to fail on a negative
+        # shift and 2K1 to peel to the centres [0, 1]
+        with pytest.raises(ValueError, match="not a tree"):
+            peel(g._rows)
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_k1_and_p2_are_all_centre(self, n):
         assert _peel_order(path(n).graph._rows) == (list(range(n)), list(range(n)), [-1] * n)

@@ -8,6 +8,7 @@ finds the same orbits leaves them unchanged.  The benchmark's tracer
 wraps entry points by name, so those names must keep resolving.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from locdom import canonical, enumeration, graph, solvers
+from locdom import canonical, enumeration, graph, solvers, theorems
 from locdom.canonical import _tree_key, canonical_form
 from locdom.enumeration import _connected_classes, _extension_masks, _leaf_masks, _tree_classes
 
@@ -127,6 +128,52 @@ def test_one_worker_loop_forks():
     }
     assert sum(forks.values()) == forks["enumeration.py"] == 1
     assert "os.fork(" in inspect.getsource(enumeration._fan_out)
+
+
+def test_one_pass_decides_to_fork():
+    # only enumeration._fan_out reads the CPU count and the items per
+    # worker; a second reader would bring back a serial branch of its own
+    package = Path(enumeration.__file__).parent
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}  # reads and imports
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = getattr(node, fields.get(type(node), ""), None)
+                stored = isinstance(getattr(node, "ctx", None), ast.Store)
+                if name in ("_cpus", "_ITEMS_PER_WORKER") and not stored:
+                    readers.append((path.name, getattr(top, "name", None), name))
+    assert readers == [
+        ("enumeration.py", "_fan_out", "_cpus"),
+        ("enumeration.py", "_fan_out", "_ITEMS_PER_WORKER"),
+    ]
+
+
+def test_serial_passes_run_on_the_one_loop(monkeypatch):
+    # one CPU: a level, a census filter and a theorem sweep each run their
+    # items through _fan_out, which maps them here and forks nothing
+    _connected_classes(5)  # the levels the census and the sweep read
+    fan_out, calls = enumeration._fan_out, []
+
+    def counted(items, one, consume):
+        calls.append(items)
+        return fan_out(items, one, consume)
+
+    def fork():
+        raise AssertionError("a pass forked on one CPU")
+
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
+    monkeypatch.setattr(enumeration, "_fan_out", counted)
+    monkeypatch.setattr(theorems, "_fan_out", counted)
+    monkeypatch.setattr(os, "fork", fork)
+    masks = lambda p: _extension_masks(p, range(1, 1 << p.n))
+    assert len(enumeration._children(_connected_classes(4), masks, canonical_form)) == 21
+    assert calls == [6]
+    report = enumeration.census(range(3, 6), lambda g: g.n % 2)
+    assert report.total == 2 + 21
+    assert calls == [6, 2, 6, 21]
+    assert theorems.run_theorem("prop1", n_max=5).status == "holds"
+    assert calls == [6, 2, 6, 21, 1, 2, 6, 21]
 
 
 def test_one_peel_roots_every_tree():
