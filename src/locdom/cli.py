@@ -311,13 +311,13 @@ def _cmd_enumerate(args, argv) -> int:
         return EXIT_PRECONDITION
     predicate = _filter_predicate(terms)
     if args.output == "graph6":
-        for _, hits in _filtered(orders, predicate):
-            for g in hits:
+        for _, graphs, hits in _filtered(orders, predicate):
+            for g in map(graphs.__getitem__, hits):
                 sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
         return EXIT_OK
     out = _Emitter(argv, args.table, None)
     # counts alone: census() would also find every hit's canonical form
-    counts = {n: len(hits) for n, hits in _filtered(orders, predicate)}
+    counts = {n: len(hits) for n, _, hits in _filtered(orders, predicate)}
     if args.output == "census":
         for n, count in counts.items():
             rec = {"type": "census", "order": n, "count": count}

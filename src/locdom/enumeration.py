@@ -28,11 +28,13 @@ them).  Up to n = 8 it keeps 11123 of the 67141 children, six more than
 the 11117 classes.
 
 Each child the rule keeps is keyed by an invariant, ``_key``: a hash of
-the degree histogram with the triangle and 4-cycle counts (``_profile``,
-read from the parent's tables) and of one round of colour refinement
-(Weisfeiler-Leman).  A key not met before is a class not met before, and
-the child is kept with no canonical search.  A key met before is settled
-by canonical form: the child's, and once, that of the key's holder, its
+the degree histogram with the triangle and 4-cycle counts (``_profile``)
+and of one round of colour refinement (Weisfeiler-Leman).  Both are read
+from tables over the subsets of the parent's vertices, for the child and
+for each G - v alike, so a connected child is never built to be keyed or
+dropped.  A key not met before is a class not met before, and the child
+is kept with no canonical search.  A key met before is settled by
+canonical form: the child's, and once, that of the key's holder, its
 earlier entry in the output; the child is kept when its form is new
 under that key.  The kept children are exactly the first of each class.
 The first child of a class is never dropped by the rule, and every child
@@ -76,9 +78,10 @@ Every pass, over a level's parents or over the classes of an order under
 a census filter or the theorem sweeps (:mod:`locdom.theorems`), is one
 call of ``_fan_out``, which forks workers for many items and otherwise
 maps in the main process; serial or forked, the same ``one(i)`` runs and
-fails the same way.  A level's ``one(i)`` builds and keys parent i's
-children and files nothing: its record is the children as (mask, key),
-less those whose complete key its process sent before.  A filter's or a
+fails the same way.  A level's ``one(i)`` keys parent i's children, a
+tree by building it and a connected graph from its parent's tables, and
+files nothing: its record is the children as (mask, key), less those
+whose complete key its process sent before.  A filter's or a
 sweep's ``one(i)`` reads class i through the level's view, so a forked
 worker builds the graphs it reads.
 """
@@ -90,6 +93,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import (
     BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence,
     TypeVar,
@@ -118,16 +122,18 @@ _MAX_TREE_ORDER = 18
 # between 235 and 551 parents (measured), so a pass forks from 512 items
 _ITEMS_PER_WORKER = 256
 
-# keys(i, parent): the function that keys each child of parents[i], or
-# gives None for a child dropped unkeyed (see ``_connected_keys``)
-_Keys = Callable[[int, Graph], Callable[[Graph], Optional[Hashable]]]
+# keys(i, parent): the function that keys the child of parents[i] on each
+# mask, or gives None for a child dropped unkeyed (see ``_connected_keys``)
+_Keys = Callable[[int, Graph], Callable[[int], Optional[Hashable]]]
 
 
 def _extend(parent: Graph, mask: int) -> Graph:
     """A child of the parent: one vertex more, adjacent to exactly the parent
     vertices in mask.  Every child built, and every class rebuilt from its
     parent and mask, is a call of this function (``tests/test_layers.py``,
-    the benchmark's tracer)."""
+    the benchmark's tracer).  A tree child is built to be keyed; a connected
+    child is keyed from its parent's tables and built only when the merge
+    settles its key."""
     bit = 1 << parent.n
     rows = list(parent._rows)
     for v in range(parent.n):
@@ -263,14 +269,15 @@ def _children(
 ) -> _Level:
     """The level of the parents extended by a vertex with each
     neighbourhood in ``masks(parent)``: the first child generated in each
-    isomorphism class.  Either ``key`` is a complete isomorphism
-    invariant, or ``keys(i, parent)`` gives each child of parent i an
-    invariant, or None for one that is not the first of its class, and the
-    canonical form settles each key that two children share."""
+    isomorphism class.  Either ``key`` is a complete isomorphism invariant
+    of the built child, or ``keys(i, parent)`` gives the child of parent i
+    on each mask an invariant, or None for one that is not the first of its
+    class, and the canonical form settles each key that two children
+    share."""
     parents = tuple(parents)
     confirm = keys is not None
     if not confirm:
-        keys = lambda i, parent: key
+        keys = lambda i, parent: lambda mask: key(_extend(parent, mask))
     met: set = set()  # the complete keys this process sent, whose later children the merge drops
 
     def one(i: int) -> _Record:
@@ -278,7 +285,7 @@ def _children(
         child_key = keys(i, parent)
         kept = []
         for mask in masks(parent):
-            k = child_key(_extend(parent, mask))
+            k = child_key(mask)
             if k is not None and k not in met:
                 kept.append((mask, k))
         if not confirm:
@@ -415,25 +422,17 @@ def _profile(rows: Sequence[int]) -> int:
     return hist + (triangles // 3 << _TRIANGLES) + (squares // 4 << _SQUARES)
 
 
-def _key(profile: int, rows: Sequence[int], alive: int) -> int:
-    """An isomorphism invariant of the subgraph induced by the vertices in
-    ``alive``, whose ``_profile`` is ``profile``: the hash of that profile
-    and of one round of colour refinement, each vertex's neighbours' degree
-    histogram, sorted.  The hash of a tuple of ints is the same in every
-    process; two classes that share a key, by the invariant or by the
-    hash, cost a canonical search, never a class."""
-    deg = [1 << 4 * (r & alive).bit_count() for r in rows]
-    out = []
-    for u in _bits(alive):
-        r = rows[u] & alive
-        s = 0
-        while r:
-            low = r & -r
-            r ^= low
-            s += deg[low.bit_length() - 1]
-        out.append(s)
-    out.sort()
-    return hash((profile, *out))
+def _key(profile: int, sums: list[int]) -> int:
+    """An isomorphism invariant of a graph whose ``_profile`` is ``profile``
+    and whose vertices' refinement sums are ``sums``: the hash of that
+    profile and of one round of colour refinement (Weisfeiler-Leman), the
+    sums sorted in place.  A vertex's refinement sum is its neighbours'
+    degree histogram, the sum of 16 ** degree over its neighbours.  The
+    hash of a tuple of ints is the same in every process; two classes that
+    share a key, by the invariant or by the hash, cost a canonical search,
+    never a class.  Every connected key is a call of this function."""
+    sums.sort()
+    return hash((profile, *sums))
 
 
 def _components(rows: Sequence[int], alive: int) -> list[int]:
@@ -454,70 +453,106 @@ def _components(rows: Sequence[int], alive: int) -> list[int]:
 
 def _connected_keys(parents: Sequence[Graph]) -> _Keys:
     """The keys of the children of the connected parents of one level, in
-    generation order: ``keys(i, parents[i])`` gives a child G its ``_key``,
-    or None when some G - v, v not the new vertex, is connected and carries
-    an invariant that only parents before i carry, so that G is generated
-    earlier (see the module docstring).  The ``_profile`` of G and of each
-    G - v costs a few lookups in tables over the subsets of the parent's
-    vertices; when parents before and after i share the profile of G - v,
-    its ``_key`` decides."""
+    generation order: ``keys(i, parents[i])`` gives the child on a mask its
+    ``_key``, or None when some G - v, v not the new vertex, is connected and
+    carries an invariant that only parents before i carry, so that G is
+    generated earlier (see the module docstring).  No child is built: the
+    ``_profile`` and the refinement sums of G and of each G - v are lookups
+    in tables over the subsets of the parent's vertices.  When parents
+    before and after i share the profile of G - v, its ``_key`` decides, once
+    per v and set of neighbours the new vertex keeps in G - v."""
     profiles = [_profile(p._rows) for p in parents]
     spans: dict[int, list[int]] = {}  # profile -> [lowest, highest] index
     last: dict[int, int] = {}  # _key -> highest index
     for i, (p, profile) in enumerate(zip(parents, profiles)):
         spans.setdefault(profile, [i, i])[1] = i
-        last[_key(profile, p._rows, (1 << p.n) - 1)] = i
+        weights = [1 << 4 * r.bit_count() for r in p._rows]  # 16 ** degree
+        last[_key(profile, [sum(weights[w] for w in _bits(r)) for r in p._rows])] = i
+    # the tables of the parents' order alone: grow[T], the new vertex's
+    # degree going from |T| to |T| + 1; pairs[T], the |T| pairs of T + c
+    # that hold a vertex c above T
+    grow, pairs = [15], [0]
+    for _ in range(parents[0].n):
+        grow += [g << 4 for g in grow]
+        pairs += [q + (1 << _SQUARES) for q in pairs]
 
-    def keys(i: int, parent: Graph) -> Callable[[Graph], Optional[int]]:
+    def keys(i: int, parent: Graph) -> Callable[[int], Optional[int]]:
         rows = parent._rows
         size = 1 << parent.n
         # add[S]: what a vertex on S adds to the profile of the parent: its
         # degree, a degree more on each vertex of S, a triangle per edge in
         # S, a 4-cycle per common neighbour of a pair in S.  In the parent
         # less v, the vertices of S in N(v) have one degree and, pairwise,
-        # one common neighbour fewer, which fix[S & N(v)] takes back.  Both
-        # tables grow a vertex c at a time, from each subset T of the
-        # vertices below c to T + c
-        add, fix = [1], [0]
-        grow = [15]  # grow[T]: the new vertex's degree going from |T| to |T| + 1
-        pairs = [0]  # pairs[T]: the |T| pairs of T + c that hold c
+        # one common neighbour fewer, which fix[S & N(v)] takes back.
+        # weight[S]: the sum of 16 ** degree over S, which the refinement
+        # sums read.  The tables grow a vertex c at a time, from each subset
+        # T of the vertices below c to T + c
+        add, fix, weight = [1], [0], [0]
         for c, rc in enumerate(rows):
             link = [0]  # link[T]: the triangles and 4-cycles c and the new vertex close via T
             for a in range(c):
                 w = ((rc >> a & 1) << _TRIANGLES) + ((rows[a] & rc).bit_count() << _SQUARES)
                 link += [x + w for x in link]
-            up = 15 << 4 * rc.bit_count()
+            wc = 1 << 4 * rc.bit_count()  # 16 ** degree of c
+            up = 15 * wc
             down = up - (up >> 4)
             add += [x + up + g + k for x, g, k in zip(add, grow, link)]
             fix += [x + down + q for x, q in zip(fix, pairs)]
-            grow += [g << 4 for g in grow]
-            pairs += [q + (1 << _SQUARES) for q in pairs]
+            weight += [x + wc for x in weight]
         # the parent is its less v plus a vertex on N(v), which adds
-        # add[N(v)] - fix[N(v)] to the profile; parent 0 has no earlier one
+        # add[N(v)] - fix[N(v)] to the profile; parent 0 has no earlier one.
+        # G - v is connected when the new vertex meets every part of the
+        # parent less v, or, when that is connected, any vertex of it
         deletions = []
         for v, nbrs in enumerate(rows if i else ()):
             alive = (size - 1) ^ (1 << v)
             base = profiles[i] - add[nbrs] + fix[nbrs]
-            deletions.append((v, base, nbrs, alive, _components(rows, alive)))
-        everyone = (size << 1) - 1  # the child's vertices
+            parts = _components(rows, alive)
+            deletions.append((v, base, nbrs, alive, () if parts == [alive] else parts, {}))
+        own = [weight[r] for r in rows]  # each parent vertex's refinement sum in the parent
 
-        def key(child: Graph) -> Optional[int]:
-            mask = child._rows[-1]
+        def earlier(v: int, profile: int, nbrs: int, alive: int, m: int) -> bool:
+            # G - v is isomorphic to a parent before i by its _key: in G - v
+            # each vertex of N(v) has a degree less, so weight[S] counts its
+            # part in N(v) at 16 ** degree / 16
+            keep, t = alive & ~nbrs, 4 * m.bit_count()
+            sums = [
+                weight[r & keep] + (weight[r & nbrs] >> 4)
+                + 15 * (weight[r & m & keep] + (weight[r & m & nbrs] >> 4))
+                + ((m >> u & 1) << t)
+                for u, r in enumerate(rows) if u != v
+            ]
+            sums.append(weight[m & keep] + (weight[m & nbrs] >> 4) << 4)
+            return last.get(_key(profile, sums), i) < i
+
+        def key(mask: int) -> Optional[int]:
             doubtful = []
-            for v, base, nbrs, alive, parts in deletions:
+            for v, base, nbrs, alive, parts, verdicts in deletions:
                 m = mask & alive
+                if not m:
+                    continue
                 profile = base + add[m] - fix[m & nbrs]
                 span = spans.get(profile)
-                # G - v is connected when the new vertex meets every part
-                if span is None or span[0] >= i or not all(m & c for c in parts):
+                if span is None or span[0] >= i or parts and not all(m & c for c in parts):
                     continue
                 if span[1] < i:
                     return None
-                doubtful.append((profile, v))
-            for profile, v in doubtful:
-                if last.get(_key(profile, child._rows, everyone ^ (1 << v)), i) < i:
+                doubtful.append((v, profile, nbrs, alive, m, verdicts))
+            for v, profile, nbrs, alive, m, verdicts in doubtful:
+                verdict = verdicts.get(m)
+                if verdict is None:
+                    verdict = verdicts[m] = earlier(v, profile, nbrs, alive, m)
+                if verdict:
                     return None
-            return _key(profiles[i] + add[mask], child._rows, everyone)
+            # in G each vertex of the mask has a degree more, and the new
+            # vertex is a neighbour of degree |mask|
+            t = 4 * mask.bit_count()
+            sums = [
+                s + 15 * weight[r & mask] + ((mask >> u & 1) << t)
+                for u, (s, r) in enumerate(zip(own, rows))
+            ]
+            sums.append(weight[mask] << 4)
+            return _key(profiles[i] + add[mask], sums)
 
         return key
 
@@ -613,16 +648,20 @@ class CensusReport:
 
 def _filtered(
     orders: Iterable[int], predicate: Optional[Callable[[Graph], object]]
-) -> Iterator[tuple[int, Sequence[Graph]]]:
-    """Each order with its connected classes that meet ``predicate``, in
-    generation order, or all of them when it is None.  The predicate's
-    truth is one ``_fan_out`` pass over the classes, so many classes fork."""
+) -> Iterator[tuple[int, Sequence[Graph], Sequence[int]]]:
+    """Each order with its connected classes and the indices of those that
+    meet ``predicate``, in generation order, or of all of them when it is
+    None.  The predicate's truth is one ``_fan_out`` pass over the classes,
+    so many classes fork; a hit is built only where the caller reads it."""
+    from array import array  # here, so that a run that enumerates nothing never loads it
+
     for n in orders:
         graphs = _classes(n, "census")
+        hits: Sequence[int] = range(len(graphs))
         if predicate is not None:
-            truth = _fan_out(len(graphs), lambda i: bool(predicate(graphs[i])), list)
-            graphs = [graphs[i] for i, ok in enumerate(truth) if ok]
-        yield n, graphs
+            truth = lambda i: bool(predicate(graphs[i]))
+            hits = _fan_out(len(hits), truth, lambda t: array("q", compress(hits, t)))
+        yield n, graphs, hits
 
 
 def census(
@@ -642,10 +681,11 @@ def census(
     """
     counts: dict[int, int] = {}
     reps: list[CensusEntry] = []
-    for n, hits in _filtered(orders, predicate):
+    for n, graphs, hits in _filtered(orders, predicate):
         counts[n] = len(hits)
         reps += (
-            CensusEntry(n, canonical_form(g), write_graph6(g).decode("ascii")) for g in hits
+            CensusEntry(n, canonical_form(g), write_graph6(g).decode("ascii"))
+            for g in map(graphs.__getitem__, hits)
         )
     return CensusReport(
         description=description,

@@ -192,10 +192,14 @@ def _tree_minima(g: Graph, params: tuple[str, ...] = ("eta", "lambda")) -> tuple
     (:func:`_lambda_states`, :func:`_eta_states`), in peel order, so
     children before parents.
     """
-    if not (g.n >= 3 and g.is_tree() and {*params} <= {"eta", "lambda"}):
-        raise ValueError("_tree_minima computes eta or lambda of a tree of order >= 3")
+    refusal = "_tree_minima computes eta or lambda of a tree of order >= 3"
+    if not (g.n >= 3 and {*params} <= {"eta", "lambda"}):
+        raise ValueError(refusal)
+    try:
+        centres, order, parent = _peel_order(g._rows)  # refuses every graph but a tree
+    except ValueError as exc:
+        raise ValueError(refusal) from exc
     n = g.n
-    centres, order, parent = _peel_order(g._rows)
     root = order[-1]
     for c in centres[:-1]:  # the other centre is a child of the root
         parent[c] = root

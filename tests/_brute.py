@@ -428,3 +428,30 @@ def prufer_tree_class_count(n: int) -> int:
         if not any(brute_isomorphic(t, rep) for rep in reps):
             reps.append(t)
     return len(reps)
+
+
+# -- keys of connected children ----------------------------------------------
+#
+# The enumeration keys a connected child by the hash of its profile, the
+# degree histogram at 4 bits per degree with the triangle count at bit 40
+# and the 4-cycle count at bit 48, and of one round of colour refinement:
+# each vertex's neighbours' degree histogram, sorted.  The package reads
+# both from tables over the subsets of the parent's vertices; here they are
+# walked on the built graph, as the enumeration did before the tables.
+
+
+def reference_key(g: Graph, gone=None) -> int:
+    """The key of g, or of g less the vertex ``gone``."""
+    adj = adjacency(g)
+    if gone is not None:
+        adj = {u: nbrs - {gone} for u, nbrs in adj.items() if u != gone}
+    weight = {u: 16 ** len(nbrs) for u, nbrs in adj.items()}  # 16 ** degree
+    triangles = squares = 0
+    for u, w in combinations(adj, 2):
+        common = len(adj[u] & adj[w])
+        squares += common * (common - 1)  # four per 4-cycle
+        if w in adj[u]:
+            triangles += common  # three per triangle
+    profile = sum(weight.values()) + (triangles // 3 << 40) + (squares // 4 << 48)
+    sums = sorted(sum(weight[w] for w in nbrs) for nbrs in adj.values())
+    return hash((profile, *sums))

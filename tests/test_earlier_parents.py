@@ -17,7 +17,11 @@ import pytest
 
 from locdom import canonical, enumeration
 from locdom.canonical import _canonical_data, automorphism_generators, canonical_form
-from locdom.enumeration import _children, _connected_classes, _extension_masks, tree_classes
+from locdom.enumeration import (
+    _children, _connected_classes, _extend, _extension_masks, tree_classes,
+)
+
+import _brute
 
 # the sha256 of repr((rows, canonical data)) over the connected classes of
 # orders 1..8 in generation order, as the enumeration gave them before the
@@ -37,8 +41,8 @@ TREES_TO_14_SHA256 = "7077effb4e832f810b1e66b20c4dfd4866d85ff873925db632acf4bfeb
 # the rule every duplicate would meet its class's key and be searched
 SEARCHES = {2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0, 8: 228}
 
-# children built per order (``tests/test_layers.py``)
-CHILDREN = {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771}
+# the orders whose levels the tests below build afresh
+ORDERS = range(2, 8)
 
 
 def _data(graphs):
@@ -71,13 +75,14 @@ def test_the_rule_keeps_the_classes_of_the_search_alone(monkeypatch, cpus):
         assert _data(_connected_classes(n)) == alone, n
 
 
-def _edges(profile, rows, alive):
-    return sum((r & alive).bit_count() for r in rows) // 2
+def _edges(profile, sums):
+    # half the degree sum of the profile's histogram, 4 bits per degree
+    return sum(d * (profile >> 4 * d & 15) for d in range(9)) // 2
 
 
 @pytest.mark.parametrize(
     "key, rule",
-    [(lambda profile, rows, alive: 0, True), (_edges, False)],
+    [(lambda profile, sums: 0, True), (_edges, False)],
     ids=["one-key", "edge-count-no-rule"],
 )
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -86,7 +91,7 @@ def test_keys_forced_to_collide_keep_the_classes(monkeypatch, cpus, key, rule):
     # form in the one merge.  One key for every graph makes every class
     # meet every other; with the edge count and no rule, every duplicate
     # meets the first child of its key
-    expected = {n: _data(_connected_classes(n)) for n in CHILDREN}
+    expected = {n: _data(_connected_classes(n)) for n in ORDERS}
     extend = enumeration._extend
     built = []
 
@@ -101,25 +106,120 @@ def test_keys_forced_to_collide_keep_the_classes(monkeypatch, cpus, key, rule):
         parents = enumeration._parents(n - 1, False)
         keys = enumeration._connected_keys(parents)
         sent = Counter(
-            keys(i, p)(extend(p, m))
-            for i, p in enumerate(parents)
-            for m in _connected_masks(p)
+            keys(i, p)(m) for i, p in enumerate(parents) for m in _connected_masks(p)
         )
         return sum(count for k, count in sent.items() if k is not None and count > 1)
 
     monkeypatch.setattr(enumeration, "_key", key)
     if not rule:  # no G - v counts as connected, so the rule drops nothing
         monkeypatch.setattr(enumeration, "_components", lambda rows, alive: [0])
-    merged = {n: settled(n) for n in CHILDREN}
+    merged = {n: settled(n) for n in ORDERS}
     monkeypatch.setattr(enumeration, "_extend", counted)
-    for n in CHILDREN:
+    for n in ORDERS:
         built.clear()
         level = _level(monkeypatch, n, cpus)
-        # forked, this process builds only what the merge settles; serial,
-        # it also builds every child to key it
-        forked = min(cpus, len(_connected_classes(n - 1))) > 1
-        assert len(built) == merged[n] + (0 if forked else CHILDREN[n]), n
+        # children are keyed from the parent's tables, serial or forked:
+        # this process builds only what the merge settles
+        assert len(built) == merged[n], n
         assert _data(level) == expected[n], n
+
+
+def _split_by_parity(masks):
+    # a mask and the mask with bit v flipped share mask & alive_v, the
+    # memo's key for v, and differ in parity
+    return [[m for m in masks if m.bit_count() % 2 == parity] for parity in (0, 1)]
+
+
+def test_table_keys_are_those_walked_on_the_built_graphs(monkeypatch):
+    # every child to n = 8 keyed with the rule off, and every G - v the rule
+    # keys with it on: each key read from the parent's tables is the hash
+    # of the profile and refinement walked on the built graph
+    key, calls = enumeration._key, []
+
+    def recorded(profile, sums):
+        calls.append(key(profile, sums))
+        return calls[-1]
+
+    monkeypatch.setattr(enumeration, "_key", recorded)
+    deletions = 0
+    for n in range(2, 9):
+        parents = enumeration._parents(n - 1, False)
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "_components", lambda rows, alive: [0])
+            keys = enumeration._connected_keys(parents)
+            for i, p in enumerate(parents):
+                child_key = keys(i, p)
+                for mask in _connected_masks(p):
+                    assert child_key(mask) == _brute.reference_key(_extend(p, mask)), (n, i, mask)
+        keys = enumeration._connected_keys(parents)
+        for i, p in enumerate(parents):
+            child_key = keys(i, p)
+            for mask in _connected_masks(p):
+                calls.clear()
+                if child_key(mask) is not None:
+                    calls.pop()  # the child's own key, checked above
+                deletions += len(calls)
+                unmatched = set(calls)
+                child = _extend(p, mask) if calls else None
+                for v in range(n - 1):
+                    if not unmatched:
+                        break
+                    unmatched.discard(_brute.reference_key(child, v))
+                assert not unmatched, (n, i, mask)
+    assert deletions > 0
+
+
+def test_the_memo_of_g_less_v_changes_no_drop(monkeypatch):
+    # one function per parent memoises each G - v verdict per (v, M & alive_v);
+    # keyed in two functions, one per parity of the mask, no verdict is ever
+    # read back, and every drop is the same
+    key, calls = enumeration._key, [0]
+
+    def counted(profile, sums):
+        calls[0] += 1
+        return key(profile, sums)
+
+    monkeypatch.setattr(enumeration, "_key", counted)
+    memoised = fresh = 0
+    for n in range(2, 9):
+        parents = enumeration._parents(n - 1, False)
+        keys = enumeration._connected_keys(parents)
+        for i, p in enumerate(parents):
+            masks = _connected_masks(p)
+            calls[0] = 0
+            child_key = keys(i, p)
+            shared = {m: child_key(m) is None for m in masks}
+            memoised += calls[0]
+            calls[0] = 0
+            split = {}
+            for part in _split_by_parity(masks):
+                child_key = keys(i, p)
+                split.update((m, child_key(m) is None) for m in part)
+            fresh += calls[0]
+            assert shared == split, (n, i)
+    assert memoised < fresh  # the memo saved some keys
+
+
+# children of order 9, each as its parent's index and its mask, that some
+# G - v would drop if it were connected: the new vertex misses a part of
+# the parent less v, and the profile of that disconnected G - v is carried
+# only by parents before theirs.  Each is the first child of its class; no
+# child to n = 8 depends on the test of connectivity
+KEPT_FOR_A_DISCONNECTED_G_LESS_V = [
+    (4097, 88), (4097, 89), (4098, 88), (4098, 89), (4141, 89), (4142, 88), (4142, 89),
+    (4282, 44), (4283, 44), (4310, 44), (4310, 46), (4312, 44), (4312, 46), (4900, 88),
+    (4900, 89), (4946, 89), (4947, 88), (4947, 89), (4989, 105), (6074, 128), (6074, 144),
+    (6133, 64), (6133, 80), (7397, 64), (7397, 80), (8796, 89), (10236, 51), (10236, 52),
+    (10237, 51), (10237, 52), (10263, 52), (10274, 32), (10274, 36), (10274, 208),
+    (10279, 52), (10296, 88),
+]
+
+
+def test_a_disconnected_g_less_v_drops_no_child():
+    parents = enumeration._parents(8, False)
+    keys = enumeration._connected_keys(parents)
+    for i, mask in KEPT_FOR_A_DISCONNECTED_G_LESS_V:
+        assert keys(i, parents[i])(mask) is not None, (i, mask)
 
 
 def _searches(monkeypatch, cpus):

@@ -143,7 +143,7 @@ def test_an_error_while_settling_a_key_reaps_every_worker(monkeypatch, capfd):
         return form(g)
 
     _force(monkeypatch, 2)
-    monkeypatch.setattr(enumeration, "_key", lambda profile, rows, alive: 0)
+    monkeypatch.setattr(enumeration, "_key", lambda profile, sums: 0)
     monkeypatch.setattr(enumeration, "canonical_form", failing_in_main)
     parents = _connected_classes(6)
     with pytest.raises(KeyError, match="settle"):

@@ -1,6 +1,6 @@
 """Per-layer expectations that the benchmark's traced runs report.
 
-The enumeration builds one child per orbit of extension masks, so the
+The enumeration generates one child per orbit of extension masks, so the
 child counts depend only on the orbits: those of the automorphism
 generators the canonical search returns for connected graphs, and the
 classes of equal vertex-rooted codes for trees.  A faster search that
@@ -23,8 +23,8 @@ from locdom import canonical, enumeration, graph, solvers, theorems
 from locdom.canonical import _tree_key, canonical_form
 from locdom.enumeration import _connected_classes, _extension_masks, _leaf_masks, _tree_classes
 
-# children built per order: connected graphs (n = 8 builds 67,141 for
-# 11,117 classes) and trees (3,047 in all up to n = 12)
+# children generated per order: connected graphs (n = 8 keys or drops
+# 67,141 for 11,117 classes) and trees (3,047 built in all up to n = 12)
 CONNECTED_CHILDREN = {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771, 8: 67141}
 TREE_CHILDREN = {
     2: 1, 3: 1, 4: 2, 5: 4, 6: 9, 7: 20, 8: 48, 9: 115, 10: 286, 11: 719, 12: 1842,
@@ -96,6 +96,33 @@ def test_children_extend_once_per_extension_mask(
         calls.clear()
         enumeration._children(parents, masks, key)
         assert len(calls) == _child_count(classes, candidates, n)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_connected_level_builds_children_only_to_settle_keys(monkeypatch, cpus):
+    # connected children are keyed from the parent's subset tables: serial
+    # or forked, the level's process builds a child, or a key's holder,
+    # only for the merge to search its canonical form
+    enumeration._parents(7, False)  # the parents, built outside the count
+    extend, form = enumeration._extend, enumeration.canonical_form
+    built, searched = [], []
+
+    def counted(parent, mask):
+        built.append(extend(parent, mask))
+        return built[-1]
+
+    def searching(g):
+        searched.append(g)
+        return form(g)
+
+    monkeypatch.setattr(enumeration, "_extend", counted)
+    monkeypatch.setattr(enumeration, "canonical_form", searching)
+    monkeypatch.setattr(enumeration, "_ITEMS_PER_WORKER", 1)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
+    for n in range(2, 9):
+        _connected_classes.__wrapped__(n)
+    assert list(map(id, built)) == list(map(id, searched))
+    assert len(built) == 228  # the searches of order 8; below it no key is met twice
 
 
 def _tracer():
