@@ -43,7 +43,7 @@ from typing import Callable, Optional
 from . import __version__, families
 from .enumeration import MAX_ENUMERATION_ORDER, WorkerError, _filtered, write_graph6
 from .graph import DisconnectedGraphError, Graph
-from .graph6 import Graph6Error, read_graph6
+from .graph6 import _HEADER, Graph6Error, _check_order, read_graph6
 from .solvers import (
     InvariantViolation,
     PARAMETERS,
@@ -105,8 +105,10 @@ def _parse_edge_list(text: str) -> Graph:
 def _graph6_order(n: int) -> None:
     """Refuse, before any work, an order too large for the graph6 that the
     output carries."""
-    if n > 62:
-        raise _InputError(f"order {n} is above 62, the largest that graph6 encodes")
+    try:
+        _check_order(n)
+    except Graph6Error as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _parse_graphs(data: bytes, fmt: str) -> list[tuple[int, Graph]]:
@@ -120,7 +122,7 @@ def _parse_graphs(data: bytes, fmt: str) -> list[tuple[int, Graph]]:
         return [(1, _parse_edge_list(text))]
     out = []
     for i, ln in enumerate(stripped, start=1):
-        if not ln or ln.startswith(">>graph6<<") and not ln[len(">>graph6<<"):]:
+        if not ln or ln == _HEADER.decode("ascii"):
             continue
         try:
             out.append((i, read_graph6(ln)))

@@ -13,36 +13,47 @@ row-major; spider legs are appended leg by leg, inner vertex first.
 Realization constructions for the case gamma, beta >= 2
 -------------------------------------------------------
 The target triples (gamma, beta, eta) = (a, b, c) with max(a,b) <= c <=
-a+b are hit by attaching small gadgets to a hub vertex h:
+a+b are hit by hanging gadgets on a hub vertex h = 0:
 
-* triangle gadget (count r): a triangle (p,x,x') with p adjacent to h.
-  The closed twins x,x' force one triangle vertex into every locating
-  set, and that one vertex also dominates the gadget: +1 to each of
-  gamma, beta, eta.
-* cherry gadget (count s): a vertex v adjacent to h carrying two pendant
-  leaves z,z'.  The open twins z,z' force one leaf into every locating
-  set, while dominating the leaves independently forces v (or a second
-  leaf): +1 to gamma and beta but +2 to eta.
-* hub blob (count l+1): either a clique joined to h (locating needs l of
-  the l+1 closed twins, and those l members already dominate the blob:
-  +l to beta and eta, +0 to gamma beyond h itself) or l+1 pendant leaves
-  on h (same twin forcing, but now the leaf outside the code still needs
-  h as dominator: +l to beta, +l+1 to eta).
-* tail: a path u_1..u_m hanging from h with a twin tip (a triangle or a
-  pendant pair delta,delta' at the far end).  Dominating the path costs
-  one vertex per three, locating it is free (distances along the path
-  are already distinct), and the tip twins force exactly one extra
-  locating vertex.
+* r triangles (p,x,x') with p on h.  The closed twins x,x' force one of
+  them into every locating set, and it also dominates the gadget: +1 to
+  each of gamma, beta, eta.
+* s cherries: v on h carrying pendant leaves z,z'.  The open twins force
+  one leaf into every locating set, while dominating the leaves forces v
+  (or the second leaf): +1 to gamma and beta but +2 to eta.
+* a blob of l+1 vertices on h, either a clique or pendant leaves.
+  Locating takes l of the l+1 twins: +l to beta.  A clique's l members
+  dominate it, so eta gains l; a leaf outside the code still needs h, so
+  eta gains l+1.
+* or a tail u_1..u_m hanging from h, its tip a twin pair delta,delta' on
+  u_m (a triangle or a pendant pair).  Dominating the path costs every
+  third vertex from u_1, locating it is free (its distances are already
+  distinct), and the tip twins force delta into every locating set.
 
-The five (a,b,c) orderings pick the gadget mix; the stated codes are
-attached as claims and every feasible small triple is brute-force checked
-in the acceptance suite, which is the ground truth for this
+Each ordering of (a,b,c) picks one mix, the table that
+``_realization_gadgets`` reads:
+
+    ordering     r       s       blob (l+1 on h)     tail (m from h), tip
+    a <= b = c   a-1     0       clique, l = b-a+1   -
+    a = b < c    2a-c    c-a     -                   -
+    a < b < c    a+b-c   c-b-1   leaves, l = b-a+1   -
+    b < a = c    b-1     0       -                   m = 3(a-b), triangle
+    b < a < c    a+b-c   c-a-1   -                   m = 3(a-b)+1, pair
+
+Vertices are numbered h, then the triangles, the cherries, the blob or
+tail, and the tip.  The codes follow from the mix: gamma is each x, each
+v, h when there is a blob, every third tail vertex from u_1, and delta
+on a triangle tip; beta is each x, one leaf z per cherry, the first l
+blob vertices, and delta on a tail; eta is beta with a clique blob and
+gamma u beta otherwise.  Every feasible small triple is brute-force
+checked in the acceptance suite, which is the ground truth for this
 reconstruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from math import ceil
 from typing import Iterator, Mapping, Sequence
 
@@ -236,15 +247,6 @@ def spider(leg_lengths: Sequence[int]) -> Graph:
     return Graph(nxt, edges)
 
 
-def _leg_offsets(legs: Sequence[int]) -> list[int]:
-    offs = []
-    pos = 1
-    for L in legs:
-        offs.append(pos)
-        pos += L
-    return offs
-
-
 def spider_mixed(r: int, k: int) -> FamilyInstance:
     """Spider with r legs of 4 edges and k - r legs of 3 edges (k >= 2 legs).
 
@@ -259,18 +261,16 @@ def spider_mixed(r: int, k: int) -> FamilyInstance:
         raise ValueError(f"spider_mixed needs k >= 2 legs, got k={k}")
     if not 0 <= r <= k:
         raise ValueError(f"spider_mixed needs 0 <= r <= k, got r={r}, k={k}")
-    legs = [4] * r + [3] * (k - r)
-    g = spider(legs)
-    offs = _leg_offsets(legs)
-    inner = [offs[i] for i in range(r)]                 # 1st vertex of 4-legs
-    deep = [offs[i] + 2 for i in range(r)]              # 3rd vertex of 4-legs
-    mid = [offs[i] + 1 for i in range(r, k)]            # 2nd vertex of 3-legs
-    eta_code = tuple(sorted(deep + mid + [0]))
+    g = spider([4] * r + [3] * (k - r))
+    # 4-leg i holds 4i+1..4i+4, so its 1st and 3rd vertices are the odd
+    # vertices below 4r; the 3-legs follow, their 2nd vertices 3 apart
+    mid = range(4 * r + 2, g.n, 3)
+    eta_code = (0, *range(3, 4 * r, 4), *mid)
     if r == k:
-        lambda_code = tuple(sorted(inner + deep))
+        lambda_code = tuple(range(1, 4 * r, 2))
         lam = 2 * k
     else:
-        lambda_code = tuple(sorted(inner + deep + mid + [0]))
+        lambda_code = (0, *range(1, 4 * r, 2), *mid)
         lam = k + r + 1
     values = {"eta": k + 1, "lambda": lam}
     codes = {"eta": eta_code, "lambda": lambda_code}
@@ -303,37 +303,19 @@ def g_eta_construction(eta: int) -> FamilyInstance:
     """
     if not 2 <= eta <= 4:
         raise ValueError(f"g_eta_construction supports 2 <= eta <= 4, got {eta}")
-    verts: list[tuple[int, ...]] = []
-    code_tuples = []
-    for i in range(eta):
-        t = tuple(0 if j == i else 3 for j in range(eta))
-        verts.append(t)
-        code_tuples.append(t)
-    for i in range(eta):
-        stack = [()]
-        for j in range(eta):
-            if j == i:
-                stack = [t + (1,) for t in stack]
-            else:
-                stack = [t + (x,) for t in stack for x in (2, 3, 4)]
-        verts.extend(stack)
-    verts = sorted(set(verts))
-    index = {t: i for i, t in enumerate(verts)}
-    edges = []
-    for a in range(len(verts)):
-        ta = verts[a]
-        for b in range(a + 1, len(verts)):
-            tb = verts[b]
-            if max(abs(x - y) for x, y in zip(ta, tb)) == 1:
-                edges.append((a, b))
-    g = Graph(len(verts), edges)
-    code = tuple(sorted(index[t] for t in code_tuples))
-    return _instance(
-        g,
-        f"g_eta({eta})",
-        {"eta": eta},
-        {"eta": code},
-    )
+    code = [tuple(0 if j == i else 3 for j in range(eta)) for i in range(eta)]
+    verts = sorted(code + [
+        t
+        for i in range(eta)
+        for t in product(*((1,) if j == i else (2, 3, 4) for j in range(eta)))
+    ])
+    edges = [
+        (i, j)
+        for i, j in combinations(range(len(verts)), 2)
+        if max(abs(x - y) for x, y in zip(verts[i], verts[j])) == 1
+    ]
+    codes = {"eta": sorted(map(verts.index, code))}
+    return _instance(Graph(len(verts), edges), f"g_eta({eta})", {"eta": eta}, codes)
 
 
 # -- the seven families with eta = lambda = n - 2 ---------------------------
@@ -460,116 +442,45 @@ def realization_graph(a: int, b: int, c: int) -> FamilyInstance:
 
 
 def _realization_gadgets(a: int, b: int, c: int) -> tuple[Graph, dict[str, Code]]:
-    """Hub-and-gadget constructions for a, b >= 2 (see module docstring)."""
-    edges: list[tuple[int, int]] = []
-    hub = 0
-    nxt = 1
-
-    def triangle_gadgets(count):
-        nonlocal nxt
-        xs, xps = [], []
-        for _ in range(count):
-            p, x, xp = nxt, nxt + 1, nxt + 2
-            nxt += 3
-            edges.extend([(hub, p), (p, x), (p, xp), (x, xp)])
-            xs.append(x)
-            xps.append(xp)
-        return xs, xps
-
-    def cherry_gadgets(count):
-        nonlocal nxt
-        vs, zs = [], []
-        for _ in range(count):
-            v, z, zp = nxt, nxt + 1, nxt + 2
-            nxt += 3
-            edges.extend([(hub, v), (v, z), (v, zp)])
-            vs.append(v)
-            zs.append(z)
-        return vs, zs
-
-    def hub_blob(count, clique):
-        # count vertices on the hub; pairwise adjacent when clique is True
-        nonlocal nxt
-        blob = list(range(nxt, nxt + count))
-        nxt += count
-        edges.extend((hub, v) for v in blob)
-        if clique:
-            edges.extend(
-                (blob[i], blob[j])
-                for i in range(count)
-                for j in range(i + 1, count)
-            )
-        return blob
-
-    def tail(length):
-        # path u_1..u_length hanging from the hub
-        nonlocal nxt
-        us = list(range(nxt, nxt + length))
-        nxt += length
-        prev = hub
-        for u in us:
-            edges.append((prev, u))
-            prev = u
-        return us
-
+    """Hub-and-gadget constructions for a, b >= 2: the ordering of (a, b, c)
+    picks its row of the module docstring's mix table, and one builder
+    lays that mix out on hub 0."""
+    # r triangles, s cherries, a blob of l+1 or a tail of m; closed: the
+    # blob is a clique or the tip a triangle, so its twins are adjacent
     if a <= b == c:
-        # r triangles + clique blob of b-a+2 on the hub
-        r, l = a - 1, b - a + 1
-        xs, _ = triangle_gadgets(r)
-        blob = hub_blob(l + 1, clique=True)
-        gamma = sorted(xs + [hub])
-        beta = sorted(xs + blob[:l])
-        codes = {"gamma": gamma, "beta": beta, "eta": beta}
-    elif a == b < c:
-        # r triangles + s cherries
-        r, s = 2 * a - c, c - a
-        xs, _ = triangle_gadgets(r)
-        vs, zs = cherry_gadgets(s)
-        codes = {
-            "gamma": sorted(xs + vs),
-            "beta": sorted(xs + zs),
-            "eta": sorted(xs + zs + vs),
-        }
-    elif a < b < c:
-        # r triangles + s cherries + pendant-leaf blob of b-a+2 on the hub
-        r, s, l = a + b - c, c - b - 1, b - a + 1
-        xs, _ = triangle_gadgets(r)
-        vs, zs = cherry_gadgets(s)
-        blob = hub_blob(l + 1, clique=False)
-        codes = {
-            "gamma": sorted(xs + vs + [hub]),
-            "beta": sorted(xs + zs + blob[:l]),
-            "eta": sorted(xs + zs + blob[:l] + vs + [hub]),
-        }
-    elif b < a == c:
-        # r triangles + tail of 3l vertices ending in a twin triangle
-        r, l = b - 1, a - b
-        xs, _ = triangle_gadgets(r)
-        us = tail(3 * l)
-        delta, deltap = nxt, nxt + 1
-        nxt += 2
-        edges.extend([(us[-1], delta), (us[-1], deltap), (delta, deltap)])
-        ws = [us[3 * i] for i in range(l)]  # u_1, u_4, ...
-        gamma = sorted(xs + ws + [delta])
-        codes = {"gamma": gamma, "beta": sorted(xs + [delta]), "eta": gamma}
+        r, s, l, m, closed = a - 1, 0, b - a + 1, 0, True
+    elif a == b:
+        r, s, l, m, closed = 2 * a - c, c - a, 0, 0, False
+    elif a < b:
+        r, s, l, m, closed = a + b - c, c - b - 1, b - a + 1, 0, False
+    elif a == c:
+        r, s, l, m, closed = b - 1, 0, 0, 3 * (a - b), True
     else:
-        # b < a < c: r triangles + s cherries + tail of 3l-2 with a pendant
-        # twin pair on the tip
-        r, s, l = a + b - c, c - a - 1, a - b + 1
-        xs, _ = triangle_gadgets(r)
-        vs, zs = cherry_gadgets(s)
-        us = tail(3 * l - 2)
-        delta, deltap = nxt, nxt + 1
-        nxt += 2
-        edges.extend([(us[-1], delta), (us[-1], deltap)])
-        ws = [us[3 * i] for i in range(l)]  # u_1, u_4, ..., u_{3l-2}
-        codes = {
-            "gamma": sorted(xs + vs + ws),
-            "beta": sorted(xs + zs + [delta]),
-            "eta": sorted(xs + zs + [delta] + vs + ws),
-        }
-    g = Graph(nxt, edges)
-    return g, {k: tuple(v) for k, v in codes.items()}
+        r, s, l, m, closed = a + b - c, c - a - 1, 0, 3 * (a - b) + 1, False
+    # hub 0, then (p, x, x') per triangle and (v, z, z') per cherry
+    n = 3 * (r + s) + 1
+    xs, vs = range(2, 3 * r + 1, 3), range(3 * r + 1, n, 3)
+    edges = [e for p in range(1, n, 3) for e in ((0, p), (p, p + 1), (p, p + 2))]
+    edges += [(x, x + 1) for x in xs]
+    gamma, beta = [*xs, *vs], [*xs, *(v + 1 for v in vs)]
+    if l:  # the blob n..n+l on the hub
+        blob = range(n, n + l + 1)
+        edges += [(0, w) for w in blob] + (_clique(blob) if closed else [])
+        gamma.append(0)
+        beta += blob[:l]
+        n += l + 1
+    if m:  # the tail u_1..u_m = n..n+m-1 from the hub, tip delta, delta' on u_m
+        us, delta = range(n, n + m), n + m
+        edges += zip([0, *us], [*us, delta])
+        edges.append((delta - 1, delta + 1))
+        if closed:
+            edges.append((delta, delta + 1))
+            gamma.append(delta)
+        gamma += us[::3]
+        beta.append(delta)
+        n += m + 2
+    codes = {"gamma": gamma, "beta": beta, "eta": beta if l and closed else gamma + beta}
+    return Graph(n, edges), {k: tuple(sorted(set(v))) for k, v in codes.items()}
 
 
 def realization_tree(a: int, b: int) -> FamilyInstance:

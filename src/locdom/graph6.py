@@ -25,7 +25,7 @@ class Graph6Error(ValueError):
 
 def _check_order(n: int) -> None:
     if n > 62:
-        raise Graph6Error(f"short graph6 supports n <= 62, got n={n}")
+        raise Graph6Error(f"order {n} is above 62, the largest that short graph6 encodes")
 
 
 @lru_cache(maxsize=None)

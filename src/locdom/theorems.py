@@ -197,16 +197,6 @@ def check_lambda_bounds(g: Graph, where: _Where = None) -> Verdict:
     return _combine(name, scope, [lower, upper], detail)
 
 
-def _eta_lambda(g: Graph) -> tuple[int, int]:
-    """(eta, lambda).  A tree of order >= 3 reads both from the exact tree
-    programme (:func:`~locdom.solvers._tree_minima`) and runs no search;
-    any other graph searches eta first, so it bounds the lambda search from
-    below."""
-    if g.n >= 3 and g.is_tree():
-        return _tree_minima(g)
-    return minimum_code(g, "eta")[0], minimum_code(g, "lambda")[0]
-
-
 def check_tree_bounds(g: Graph, where: _Where = None) -> Verdict:
     """eta <= lambda <= 2*eta - 2 for trees of order >= 3 other than P6."""
     scope, g6 = where or _where(g)
@@ -238,7 +228,7 @@ def check_eta_equals_lambda_conditions(g: Graph, where: _Where = None) -> Verdic
         return Verdict(
             name, scope, SKIPPED, f"hypothesis unmet: D={d} != 2 and beta={beta} < n-3"
         )
-    eta, lam = _eta_lambda(g)
+    eta, lam = minimum_code(g, "eta")[0], minimum_code(g, "lambda")[0]
     return _judge(name, scope, eta == lam, f"D={d} beta={beta} eta={eta} lambda={lam}", g6)
 
 
@@ -415,7 +405,7 @@ def verify_tree_realization(a: int, b: int) -> Verdict:
     if not 3 <= a <= b <= 2 * a - 2:
         return Verdict(name, scope, SKIPPED, "outside theorem scope: need 3 <= a <= b <= 2a-2")
     inst = families.realization_tree(a, b)
-    eta, lam = _eta_lambda(inst.graph)
+    eta, lam = _tree_minima(inst.graph)
     detail = f"{inst.name}: n={inst.graph.n} computed (eta,lambda)=({eta},{lam})"
     return _judge(name, scope, (eta, lam) == (a, b), detail, _g6(inst.graph))
 
@@ -528,11 +518,11 @@ def _lambda_tightness() -> Iterator[Verdict]:
 def _tree_tightness() -> Iterator[Verdict]:
     for k in (2, 3, 4):
         low = families.spider_k3(k)
-        eta, lam = _eta_lambda(low.graph)
+        eta, lam = _tree_minima(low.graph)
         attained = eta == lam == k + 1
         yield _judge("tree-bounds/lower-attained", low.name, attained, f"eta={eta} lambda={lam}")
         high = families.spider_k4(k)
-        eta, lam = _eta_lambda(high.graph)
+        eta, lam = _tree_minima(high.graph)
         attained = eta == k + 1 and lam == 2 * k == 2 * eta - 2
         yield _judge("tree-bounds/upper-attained", high.name, attained, f"eta={eta} lambda={lam}")
 

@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from locdom import are_isomorphic, minimum_code
+from locdom import are_isomorphic, minimum_code, write_graph6
 from locdom.families import (
     ETA_EXTREMAL_KINDS,
     NotRealizableError,
@@ -230,3 +232,31 @@ class TestRealization:
         eta = minimum_code(inst.graph, "eta")[0]
         lam = minimum_code(inst.graph, "lambda", k_min=eta)[0]
         assert (eta, lam) == (4, 6)
+
+
+# sha256 of the constructions that test_constructions_are_pinned lists:
+# a relabelled vertex, a changed claim or a changed rejection changes it
+CONSTRUCTIONS_SHA256 = "5f7ebd10b677921b89ae3875a4cf96a8dc273c8e6be749d4adf6bf0b0880271e"
+
+
+def _pinned(inst, g6=True):
+    # g_eta(4) has 112 vertices, above the orders short graph6 encodes
+    g = inst.graph
+    shape = write_graph6(g).decode("ascii") if g6 else (g.n, g.edges())
+    return (inst.name, shape, sorted(inst.claimed_codes.items()), sorted(inst.claimed_values.items()))
+
+
+def test_constructions_are_pinned():
+    rows = []
+    for a in range(1, 11):
+        for b in range(1, 11):
+            for c in range(max(a, b), a + b + 1):
+                try:
+                    rows.append(_pinned(realization_graph(a, b, c)))
+                except NotRealizableError as exc:
+                    rows.append(((a, b, c), str(exc)))
+    rows += [_pinned(spider_mixed(r, k)) for k in range(2, 12) for r in range(k + 1)]
+    rows += [_pinned(realization_tree(a, b)) for a in range(3, 12) for b in range(a, 2 * a - 1)]
+    rows += [_pinned(g_eta_construction(eta), g6=False) for eta in (2, 3, 4)]
+    assert len(rows) == 485 + 75 + 54 + 3
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == CONSTRUCTIONS_SHA256

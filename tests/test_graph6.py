@@ -37,6 +37,6 @@ def test_seeded_random_graphs_to_order_62():
 
 def test_order_63_is_rejected_before_any_weight_table():
     before = _bit_weights.cache_info().currsize
-    with pytest.raises(Graph6Error, match="n <= 62"):
+    with pytest.raises(Graph6Error, match="order 63 is above 62"):
         write_graph6(Graph(63, [(0, 62)]))
     assert _bit_weights.cache_info().currsize == before
