@@ -34,13 +34,14 @@ optimal code and results are reproducible.
 There is no ILP/SAT backend by design: this search is the oracle every
 other component is measured against.
 
-Each graph keeps its proven minima (``Graph._minima``), which answer
-repeated queries.  A new search starts at the tree value where there is
-one; elsewhere at the counting floor or at the largest lower bound that
-the chain max(gamma, beta) <= eta <= min(gamma + beta, lambda) draws from
-them, whichever is higher, so no caller seeds one.  A bounded query
-whose start lies above its k_max returns None before the hitting family
-is built.  ``full_report`` asserts the chain; a violation raises
+A search starts at the tree value where there is one; elsewhere at the
+counting floor or at the largest lower bound that the chain
+max(gamma, beta) <= eta <= min(gamma + beta, lambda) draws from the
+graph's proven minima (``Graph._minima``), whichever is higher.  Every
+start is a lower bound, so every code :func:`minimum_code` finds is a
+minimum, and it is kept there to answer every later query.  A query
+bounded by a k_max below its start returns None before the hitting
+family is built.  ``full_report`` asserts the chain; a violation raises
 :class:`InvariantViolation`, which signals a solver bug and is never
 silently swallowed.
 """
@@ -171,9 +172,9 @@ def _counting_floor(g: Graph, param: str) -> int:
     return k
 
 
-def _tree_minima(g: Graph, params: tuple[str, ...] = ("eta", "lambda")) -> tuple[int, ...]:
-    """eta and lambda, or those of ``params``, of a tree of order >= 3, by
-    a dynamic programme over the tree rooted at the last centre of its peel
+def _tree_minima(g: Graph) -> tuple[int, int]:
+    """(eta, lambda) of a tree of order >= 3, by a dynamic programme over
+    the tree rooted at the last centre of its peel
     (:func:`~locdom.graph._peel_order`), whose degree >= 2 makes every leaf
     a child.
 
@@ -189,11 +190,11 @@ def _tree_minima(g: Graph, params: tuple[str, ...] = ("eta", "lambda")) -> tuple
       iff no code vertex has two leaf neighbours outside S.
 
     Each vertex keeps the least code size in its subtree for each state
-    (:func:`_lambda_states`, :func:`_eta_states`), in peel order, so
-    children before parents.
+    of both programmes (:func:`_eta_states`, :func:`_lambda_states`), in
+    one pass over the peel order, so children before parents.
     """
-    refusal = "_tree_minima computes eta or lambda of a tree of order >= 3"
-    if not (g.n >= 3 and {*params} <= {"eta", "lambda"}):
+    refusal = "_tree_minima computes eta and lambda of a tree of order >= 3"
+    if g.n < 3:
         raise ValueError(refusal)
     try:
         centres, order, parent = _peel_order(g._rows)  # refuses every graph but a tree
@@ -207,24 +208,18 @@ def _tree_minima(g: Graph, params: tuple[str, ...] = ("eta", "lambda")) -> tuple
     for v in order[:-1]:
         children[parent[v]].append(v)
     inf = n + 1  # no code is this large; a sum with such a term stays above n
-    parents = [v for v in order if children[v]]
-    out = []
-    for param in params:
-        # a leaf's lambda states are fixed, and the eta programme only counts leaves
-        best: list = [_lambda_states([], inf)] * n
-        for v in parents:
-            if param == "lambda":
-                best[v] = _lambda_states([best[c] for c in children[v]], inf)
-            else:
-                inner = [best[c] for c in children[v] if children[c]]
-                best[v] = _eta_states(inner, len(children[v]) - len(inner), inf)
-        states = best[root]
-        # the root has no parent to dominate it or to take its slot
-        if param == "eta":
-            out.append(min(states[0], states[1]))
-        else:
-            out.append(min(states[0], states[1], states[3], states[5]))
-    return tuple(out)
+    # a leaf's lambda states are fixed, and the eta programme only counts leaves
+    lam: list = [_lambda_states([], inf)] * n
+    eta: list = [None] * n
+    for v in order:
+        kids = children[v]
+        if kids:
+            lam[v] = _lambda_states([lam[c] for c in kids], inf)
+            inner = [eta[c] for c in kids if children[c]]
+            eta[v] = _eta_states(inner, len(kids) - len(inner), inf)
+    # the root has no parent to dominate it or to take its slot
+    top = lam[root]
+    return min(eta[root][:2]), min(top[0], top[1], top[3], top[5])
 
 
 def _lambda_states(kids: list[tuple[int, ...]], inf: int) -> tuple[int, ...]:
@@ -283,50 +278,41 @@ def _require_connected(g: Graph, param: str) -> None:
 
 
 def minimum_code(
-    g: Graph,
-    param: str,
-    *,
-    k_min: int = 1,
-    k_max: Optional[int] = None,
+    g: Graph, param: str, *, k_max: Optional[int] = None
 ) -> Optional[tuple[int, Code]]:
-    """Smallest code for ``param`` with cardinality in [k_min, k_max].
+    """Smallest code for ``param``, or None when it is larger than ``k_max``.
 
     Returns (k, witness) with the lexicographically least witness of the
-    minimum size, or None when no code of size <= k_max exists.  With the
-    default k_max (the whole vertex set) a result is guaranteed: V itself
-    is dominating, locating and locating-dominating; there a k_min above n
-    is a caller error and raises ``ValueError``, as does a graph below the
-    parameter's least order (1 for gamma, 2 for the others).  A proven
-    minimum is kept on the graph and answers every later query with k_min
-    up to it.
+    minimum size.  With the default k_max (the whole vertex set) a result
+    is guaranteed: V itself is dominating, locating and
+    locating-dominating.  A graph below the parameter's least order (1 for
+    gamma, 2 for the others) raises ``ValueError``.  The search starts at
+    a proven lower bound, so every code it finds is the minimum; it is kept
+    on the graph and answers every later query.
     """
     if param not in PARAMETERS:
         raise ValueError(f"unknown parameter {param!r}; expected one of {PARAMETERS}")
     if g.n < _LEAST_ORDER[param]:
         raise ValueError(f"{param} requires n >= {_LEAST_ORDER[param]}, got n = {g.n}")
-    if k_max is None and k_min > g.n:
-        raise ValueError(f"k_min = {k_min} exceeds n = {g.n}: no {param} code is that large")
     _require_connected(g, param)
     known = g._minima or {}
-    if param in known and k_min <= known[param][0]:
+    if param in known:
         k, code = known[param]
         return (k, code) if k_max is None or k <= k_max else None
     if param in ("eta", "lambda") and g.n >= 3 and g.is_tree():
-        floor = _tree_minima(g, (param,))[0]  # exact: only the search at k* runs
+        floor = _tree_minima(g)[param == "lambda"]  # exact: only the search at k* runs
     else:
         chain = [known[p][0] for p in _CHAIN_BELOW.get(param, ()) if p in known]
         floor = max([_counting_floor(g, param), *chain])
-    start = max(k_min, floor)
-    if k_max is not None and start > k_max:
-        return None
-    sets = _hitting_family(g, param)
     n = g.n
     hi = n if k_max is None else min(k_max, n)
-    for k in range(start, hi + 1):
+    if floor > hi:
+        return None
+    sets = _hitting_family(g, param)
+    for k in range(floor, hi + 1):
         code = _least_hitting_set(sets, n, k)
         if code is not None:
-            if k_min <= floor:  # no smaller code exists: k is the minimum
-                g._minima = {**known, param: (k, code)}
+            g._minima = {**known, param: (k, code)}
             return k, code
     if k_max is None:
         raise InvariantViolation(

@@ -556,8 +556,9 @@ class _Theorem(NamedTuple):
     are not trees.  A sweep's verdict is named ``name``, by default the
     theorem id.  A ``grid`` theorem's ``run`` is the runner of a parameter
     grid over a range of its first parameter.  The orders run from ``lo``
-    to ``default`` or the requested cap; ``largest`` is the largest cap if
-    below the enumerator's, else None."""
+    to ``default`` or the requested cap, at most ``largest`` for a grid;
+    a sweep has no ``largest`` of its own and runs to the enumerator's
+    largest order, or to the tree generator's."""
 
     run: Callable
     lo: int
@@ -577,7 +578,7 @@ _THEOREMS = {
     "eta-lambda-conditions": _Theorem(
         check_eta_equals_lambda_conditions, 2, 7, name="eta-equals-lambda"
     ),
-    "eta2-membership": _Theorem(check_eta2_membership, 2, 8, 8),
+    "eta2-membership": _Theorem(check_eta2_membership, 2, 8),
     "lambda-extremal": _Theorem(check_lambda_extremal, 3, 7),
     "realization": _Theorem(_run_realization, 1, 3, 4, grid=True),
     "tree-realization": _Theorem(_run_tree_realization, 3, 5, 6, grid=True),

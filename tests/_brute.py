@@ -92,12 +92,12 @@ def brute_accept(g: Graph, param: str):
     raise ValueError(param)
 
 
-def brute_minimum(g: Graph, param: str, k_min: int = 1, k_max=None):
+def brute_minimum(g: Graph, param: str, k_max=None):
     """(size, lexicographically least witness) by unseeded exhaustive scan
-    over the sizes k_min..k_max, or None when k_max is given and no code
-    of those sizes exists."""
+    over the sizes 1..k_max, or None when k_max is given and no code of
+    those sizes exists."""
     accept = brute_accept(g, param)
-    for k in range(k_min, (g.n if k_max is None else k_max) + 1):
+    for k in range(1, (g.n if k_max is None else k_max) + 1):
         for subset in combinations(range(g.n), k):
             if accept(subset):
                 return k, subset

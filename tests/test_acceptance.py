@@ -68,19 +68,7 @@ def reports_2_to_7():
 
 
 def measured(g, params):
-    values = {}
-    k_min = 1
-    for p in ("gamma", "beta", "eta", "lambda"):
-        if p not in params:
-            continue
-        if p == "eta":
-            k_min = max(values.get("gamma", 1), values.get("beta", 1))
-        elif p == "lambda":
-            k_min = values.get("eta", 1)
-        else:
-            k_min = 1
-        values[p] = minimum_code(g, p, k_min=k_min)[0]
-    return values
+    return {p: minimum_code(g, p)[0] for p in ("gamma", "beta", "eta", "lambda") if p in params}
 
 
 def test_criterion_01_census_eta_2(eta2_census):
@@ -211,11 +199,11 @@ def test_criterion_07_tree_bounds():
     for k in (2, 3, 4):
         low = spider_k3(k).graph
         eta = minimum_code(low, "eta")[0]
-        lam = minimum_code(low, "lambda", k_min=eta)[0]
+        lam = minimum_code(low, "lambda")[0]
         attain_ok &= eta == lam == k + 1
         high = spider_k4(k).graph
         eta = minimum_code(high, "eta")[0]
-        lam = minimum_code(high, "lambda", k_min=eta)[0]
+        lam = minimum_code(high, "lambda")[0]
         attain_ok &= eta == k + 1 and lam == 2 * k
     assert exception_ok and attain_ok
     # the sweep exactly as stated
@@ -225,7 +213,7 @@ def test_criterion_07_tree_bounds():
             if n == 6 and t.diameter() == 5:  # P6
                 continue
             eta = minimum_code(t, "eta")[0]
-            lam = minimum_code(t, "lambda", k_min=eta)[0]
+            lam = minimum_code(t, "lambda")[0]
             if not eta <= lam <= 2 * eta - 2:
                 violations.append((write_graph6(t).decode(), eta, lam))
     report(
@@ -331,7 +319,7 @@ def test_criterion_11_realization():
         for b in range(a, 2 * a - 1):
             inst = realization_tree(a, b)
             eta = minimum_code(inst.graph, "eta")[0]
-            lam = minimum_code(inst.graph, "lambda", k_min=eta)[0]
+            lam = minimum_code(inst.graph, "lambda")[0]
             if (eta, lam) != (a, b):
                 bad.append(("tree", a, b, (eta, lam)))
     report(

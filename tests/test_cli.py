@@ -429,8 +429,8 @@ class TestVerify:
             ("tree-bounds", "19", "tree-bounds: n_max = 19 is beyond the supported orders 3..18"),
             ("all", "10", "prop1: n_max = 10 is beyond the supported orders 2..9"),
             (
-                "eta2-membership", "9",
-                "eta2-membership: n_max = 9 is beyond the supported orders 2..8",
+                "eta2-membership", "10",
+                "eta2-membership: n_max = 10 is beyond the supported orders 2..9",
             ),
             ("realization", "5", "realization: n_max = 5 is beyond the supported orders 1..4"),
             (
@@ -469,7 +469,7 @@ class TestVerify:
         assert code == 0
         assert asked == {
             "prop1": 9, "eta-bounds": 9, "lambda-bounds": 9, "tree-bounds": 9,
-            "eta-lambda-conditions": 9, "eta2-membership": 8, "lambda-extremal": 9,
+            "eta-lambda-conditions": 9, "eta2-membership": 9, "lambda-extremal": 9,
             "realization": 4, "tree-realization": 6,
         }
 

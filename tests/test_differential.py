@@ -47,57 +47,41 @@ def test_minimum_code_matches_oracle_for_all_graphs_to_7(param):
 @pytest.mark.parametrize("param", PARAMS)
 def test_bounded_searches_match_oracle_to_6(param):
     for g in graphs(2, 6):
-        k = _brute.brute_minimum(g, param)[0]
-        for k_min in range(k, g.n + 1):
-            assert minimum_code(fresh(g), param, k_min=k_min) == _brute.brute_minimum(
-                g, param, k_min=k_min
-            ), (g, k_min)
-        assert minimum_code(fresh(g), param, k_max=2) == _brute.brute_minimum(
-            g, param, k_max=2
-        ), g
+        for k_max in range(g.n + 1):
+            assert minimum_code(fresh(g), param, k_max=k_max) == _brute.brute_minimum(
+                g, param, k_max=k_max
+            ), (g, k_max)
 
 
 @pytest.mark.parametrize("param", PARAMS)
 def test_queries_match_oracle_whatever_minima_are_stored(param):
-    # Each order of storing the other three minima, then every (k_min,
-    # k_max) query from the highest k_min down and back up, so the answers
-    # after the first one that stores the minimum of param are looked up;
-    # and every query once on a copy holding just the other three, where
-    # it searches from the lower bound they give.
+    # Each order of storing the other three minima, then every k_max query
+    # from the highest down and back up, so the answers after the first one
+    # that stores the minimum of param are looked up; and every query once
+    # on a copy holding just the other three, where it searches from the
+    # lower bound they give.  Every answer found stores the minimum.
     others = [p for p in PARAMS if p != param]
     for g in graphs(2, 6):
-        queries = [
-            (k_min, k_max)
-            for k_min in range(1, g.n + 1)
-            for k_max in (None, *range(g.n + 1))
-        ]
-        expected = {q: _brute.brute_minimum(g, param, *q) for q in queries}
+        least = _brute.brute_minimum(g, param)
+        queries = [None, *range(g.n + 1)]
+        expected = {k_max: _brute.brute_minimum(g, param, k_max=k_max) for k_max in queries}
         for order in permutations(others):
             filled = fresh(g)
             for p in order:
                 assert minimum_code(filled, p) == _brute.brute_minimum(g, p), (g, order)
             others_only = dict(filled._minima)
-            for k_min, k_max in queries[::-1] + queries:
-                got = minimum_code(filled, param, k_min=k_min, k_max=k_max)
-                assert got == expected[k_min, k_max], (g, order, k_min, k_max)
-        for k_min, k_max in queries:
+            for k_max in queries[::-1] + queries:
+                got = minimum_code(filled, param, k_max=k_max)
+                assert got == expected[k_max], (g, order, k_max)
+                if got is not None:
+                    assert filled._minima[param] == least, (g, order, k_max)
+        for k_max in queries:
             h = fresh(g)
             h._minima = dict(others_only)
-            got = minimum_code(h, param, k_min=k_min, k_max=k_max)
-            assert got == expected[k_min, k_max], (g, k_min, k_max)
-
-
-def test_query_above_the_minimum_stores_nothing():
-    for g in graphs(2, 6):
-        for param in PARAMS:
-            least = _brute.brute_minimum(g, param)
-            if least[0] == g.n:
-                continue
-            h = fresh(g)
-            above = minimum_code(h, param, k_min=least[0] + 1)
-            assert above == _brute.brute_minimum(g, param, k_min=least[0] + 1)
-            assert minimum_code(h, param) == least, (g, param)
-            assert minimum_code(h, param, k_min=least[0] + 1) == above, (g, param)
+            got = minimum_code(h, param, k_max=k_max)
+            assert got == expected[k_max], (g, k_max)
+            if got is not None:
+                assert h._minima[param] == least, (g, k_max)
 
 
 @pytest.mark.parametrize("param", PARAMS)

@@ -111,13 +111,13 @@ class TestSpiders:
     def test_k3_values_by_brute_force(self, k):
         g = spider_k3(k).graph
         assert minimum_code(g, "eta")[0] == k + 1
-        assert minimum_code(g, "lambda", k_min=k + 1)[0] == k + 1
+        assert minimum_code(g, "lambda")[0] == k + 1
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_k4_values_by_brute_force(self, k):
         g = spider_k4(k).graph
         assert minimum_code(g, "eta")[0] == k + 1
-        assert minimum_code(g, "lambda", k_min=k + 1)[0] == 2 * k
+        assert minimum_code(g, "lambda")[0] == 2 * k
 
 
 class TestGEtaConstruction:
@@ -169,7 +169,7 @@ class TestEtaExtremalFamilies:
             for inst in eta_extremal_instances_of_order(n):
                 assert inst.graph.n == n
                 eta = minimum_code(inst.graph, "eta")[0]
-                lam = minimum_code(inst.graph, "lambda", k_min=eta)[0]
+                lam = minimum_code(inst.graph, "lambda")[0]
                 assert eta == lam == n - 2, inst.name
                 seen += 1
         assert seen > 20
@@ -230,7 +230,7 @@ class TestRealization:
     def test_tree_realization_spot(self):
         inst = realization_tree(4, 6)
         eta = minimum_code(inst.graph, "eta")[0]
-        lam = minimum_code(inst.graph, "lambda", k_min=eta)[0]
+        lam = minimum_code(inst.graph, "lambda")[0]
         assert (eta, lam) == (4, 6)
 
 

@@ -169,10 +169,6 @@ class TestSearchCertificates:
         g = Graph._from_rows(star(6).graph._rows)  # eta = 5
         assert minimum_code(g, "eta", k_max=2) is None
         assert g._minima is None
-        assert minimum_code(g, "eta", k_min=6) == (6, tuple(range(6)))
-        assert g._minima is None
-        assert minimum_code(g, "eta") == _brute.brute_minimum(g, "eta")
-        assert set(g._minima) == {"eta"}
 
     @pytest.mark.parametrize("graph", [PETERSEN, path(7).graph], ids=["petersen", "P7"])
     def test_a_bounded_eta_query_runs_one_bfs_per_vertex(self, monkeypatch, graph):
@@ -197,16 +193,6 @@ class TestSearchCertificates:
         with pytest.raises(ValueError):
             minimum_code(path(3).graph, "alpha")
 
-    @pytest.mark.parametrize("param", ["gamma", "beta", "eta", "lambda"])
-    def test_k_min_above_n_is_a_caller_error(self, param):
-        g = Graph._from_rows(path(4).graph._rows)
-        with pytest.raises(ValueError, match="exceeds n = 4"):
-            minimum_code(g, param, k_min=5)
-        # bounded, the same query has an answer: no code of those sizes
-        assert minimum_code(g, param, k_min=5, k_max=6) is None
-        assert minimum_code(g, param, k_min=5, k_max=4) is None
-        assert g._minima is None
-
 
 class TestTreeIdentities:
     def test_eta_formula_and_cited_bound_all_trees_to_12(self):
@@ -214,7 +200,7 @@ class TestTreeIdentities:
             for t in tree_classes(n):
                 prof = tree_profile(t)
                 gamma = minimum_code(t, "gamma")[0]
-                eta = minimum_code(t, "eta", k_min=gamma)[0]
+                eta = minimum_code(t, "eta")[0]
                 assert eta == gamma + prof.leaf_count - prof.support_count
-                lam = minimum_code(t, "lambda", k_min=eta)[0]
+                lam = minimum_code(t, "lambda")[0]
                 assert lam <= 2 * eta

@@ -314,7 +314,7 @@ class TestRunners:
             ("eta-lambda-conditions", 10, "2..9"),
             ("lambda-extremal", 10, "3..9"),
             ("tree-bounds", 19, "3..18"),
-            ("eta2-membership", 9, "2..8"),
+            ("eta2-membership", 10, "2..9"),
             ("realization", 5, "1..4"),
             ("tree-realization", 7, "3..6"),
         ],
@@ -339,6 +339,20 @@ class TestRunners:
     def test_cap_does_not_apply_to_a_supplied_stream(self):
         v = run_theorem("prop1", n_max=-1, graphs=[path(3).graph])
         assert v.status == "holds" and "checked=1" in v.reason
+
+    def test_eta2_membership_asks_for_order_9(self, monkeypatch):
+        # its clause 3 <= n <= 8 can fail only at n >= 9, so its sweep runs
+        # to the enumerator's largest order; no class is built here
+        asked = []
+
+        def classes(n):
+            asked.append(n)
+            return ()
+
+        monkeypatch.setattr(theorems, "_connected_classes", classes)
+        v = run_theorem("eta2-membership", n_max=9)
+        assert asked == list(range(2, 10))
+        assert v.scope == "connected graphs, 2 <= n <= 9"
 
     def test_eta2_membership_small(self):
         v = run_theorem("eta2-membership", n_max=5)
