@@ -3,9 +3,8 @@ generation and theorem verification with reproducible JSON-lines output.
 
 Commands
 --------
-* ``locdom compute [FILE]``: read graphs (graph6 lines or a single
-  edge-list file), print one record per graph with the requested
-  parameters and witnesses.
+* ``locdom compute [FILE]``: read graphs, print one record per graph
+  with the requested parameters and witnesses.
 * ``locdom enumerate --n 3..8 --filter "eta=2" --output census``:
   census/count/graph6 stream over the connected graphs of the given
   orders, filtered by comparisons over gamma/beta/eta/lambda/n/diam
@@ -13,7 +12,12 @@ Commands
 * ``locdom family NAME PARAMS...``: build a named family instance, emit
   it and/or verify its claimed values by brute force.
 * ``locdom verify THEOREM|all``: run registered theorem checkers over an
-  order range or a graph6 stream; counterexamples are printed as graph6.
+  order range or the graphs of an input file; counterexamples are printed
+  as graph6.
+
+``compute`` and ``verify --input`` read graph6 lines or one edge list (n,
+then one ``u v`` pair per line): a first line of ASCII digits starts an
+edge list, as a graph6 line starts with byte n + 63 >= 64 or ``>``.
 
 Structured output is one JSON object per line with sorted keys, closed by
 a summary record embedding the run manifest (command line, version, wall
@@ -43,7 +47,7 @@ from typing import Callable, Optional
 from . import __version__, families
 from .enumeration import MAX_ENUMERATION_ORDER, WorkerError, _filtered, write_graph6
 from .graph import DisconnectedGraphError, Graph
-from .graph6 import _HEADER, Graph6Error, _check_order, read_graph6
+from .graph6 import Graph6Error, _check_order, _numbered_graphs
 from .solvers import (
     InvariantViolation,
     PARAMETERS,
@@ -81,15 +85,11 @@ def _read_source(path: Optional[str]) -> bytes:
         raise _InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_edge_list(text: str) -> Graph:
-    """Whitespace edge list: first line n, then one 'u v' pair per line."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise _InputError("empty edge-list input")
-    if not re.fullmatch(r"[0-9]+", lines[0]):
-        raise _InputError(f"edge list must start with the vertex count, got {lines[0]!r}")
+def _parse_edge_list(lines: list[str]) -> Graph:
+    """Whitespace edge list, as its non-blank stripped lines: first n,
+    then one 'u v' pair per line."""
     n = int(lines[0])
-    _graph6_order(n)
+    _check_order(n)  # the records carry graph6: refuse a larger order before any work
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -102,32 +102,14 @@ def _parse_edge_list(text: str) -> Graph:
         raise _InputError(str(exc)) from exc
 
 
-def _graph6_order(n: int) -> None:
-    """Refuse, before any work, an order too large for the graph6 that the
-    output carries."""
-    try:
-        _check_order(n)
-    except Graph6Error as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _parse_graphs(data: bytes, fmt: str) -> list[tuple[int, Graph]]:
-    """Parse input into (line_number, Graph) pairs."""
+def _parse_graphs(data: bytes) -> list[tuple[int, Graph]]:
+    """Parse input into (line_number, Graph) pairs: one edge list if the
+    first non-blank line is a vertex count, graph6 lines otherwise."""
     text = data.decode("utf-8", errors="replace")
     stripped = [ln.strip() for ln in text.splitlines()]
-    if fmt == "auto":
-        first = next((ln for ln in stripped if ln), "")
-        fmt = "edges" if re.fullmatch(r"[0-9]+", first) else "g6"
-    if fmt == "edges":
-        return [(1, _parse_edge_list(text))]
-    out = []
-    for i, ln in enumerate(stripped, start=1):
-        if not ln or ln == _HEADER.decode("ascii"):
-            continue
-        try:
-            out.append((i, read_graph6(ln)))
-        except Graph6Error as exc:
-            raise _InputError(f"line {i}: {exc}") from exc
+    if re.fullmatch(r"[0-9]+", next(filter(None, stripped), "")):
+        return [(1, _parse_edge_list([ln for ln in stripped if ln]))]
+    out = list(_numbered_graphs(stripped))
     if not out:
         raise _InputError("no graphs found in input")
     return out
@@ -260,7 +242,7 @@ def _parameters_defined(graphs: list[tuple[int, Graph]]) -> bool:
 
 def _cmd_compute(args, argv) -> int:
     data = _read_source(args.input)
-    graphs = _parse_graphs(data, args.format)
+    graphs = _parse_graphs(data)
     params = list(PARAMETERS)
     if args.params is not None:  # an empty value names the empty parameter, refused below
         params = [p.strip() for p in args.params.split(",")]
@@ -274,15 +256,8 @@ def _cmd_compute(args, argv) -> int:
     out = _Emitter(argv, args.table, _sha256(data))
     for line, g in graphs:
         if set(params) == set(PARAMETERS):
-            rep = full_report(g)
-            values = {p: rep.value(p) for p in PARAMETERS}
-            witnesses = {p: list(rep.witness(p)) for p in PARAMETERS}
-        else:
-            values, witnesses = {}, {}
-            for p in params:
-                k, code = minimum_code(g, p)
-                values[p] = k
-                witnesses[p] = list(code)
+            full_report(g)  # for its chain assertion: the searches below are then lookups
+        found = {p: minimum_code(g, p) for p in params}
         rec = {
             "type": "graph",
             "line": line,
@@ -290,10 +265,10 @@ def _cmd_compute(args, argv) -> int:
             "n": g.n,
             "diameter": g.diameter(),
         }
-        for p in params:
-            rec[p] = values[p]
-            rec[f"witness_{p}"] = witnesses[p]
-        cells = " ".join(f"{p}={values[p]}{tuple(witnesses[p])}" for p in params)
+        for p, (k, code) in found.items():
+            rec[p] = k
+            rec[f"witness_{p}"] = list(code)
+        cells = " ".join(f"{p}={k}{code}" for p, (k, code) in found.items())
         out.record(rec, f"{rec['graph6']}  n={g.n} D={rec['diameter']}  {cells}")
     out.close()
     return EXIT_OK
@@ -391,7 +366,7 @@ def _cmd_family(args, argv) -> int:
         return EXIT_PRECONDITION
     g = inst.graph
     if args.emit != "edgelist" or args.verify:
-        _graph6_order(g.n)
+        _check_order(g.n)
     if args.emit == "graph6":
         sys.stdout.write(write_graph6(g).decode("ascii") + "\n")
     elif args.emit == "edgelist":
@@ -448,8 +423,6 @@ def _verdict_record(v: Verdict) -> dict:
 
 def _cmd_verify(args, argv) -> int:
     ids = list(THEOREM_IDS) if args.theorem == "all" else [args.theorem]
-    if ids[0] not in _THEOREMS:
-        raise _InputError(f"unknown theorem {ids[0]!r}; known: all, {', '.join(THEOREM_IDS)}")
     rows = [_THEOREMS[tid] for tid in ids]
     graphs = None
     digest = None
@@ -466,7 +439,7 @@ def _cmd_verify(args, argv) -> int:
             )
         data = _read_source(args.input)
         digest = _sha256(data)
-        numbered = _parse_graphs(data, "g6")
+        numbered = _parse_graphs(data)
         if not _parameters_defined(numbered):
             return EXIT_PRECONDITION
         if rows[0].trees and len(rows) == 1:
@@ -522,7 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute parameters for input graphs")
     p.add_argument("input", nargs="?", help="graph6 or edge-list file (default stdin)")
-    p.add_argument("--format", choices=("auto", "g6", "edges"), default="auto")
     p.add_argument("--params", help="comma-separated subset of gamma,beta,eta,lambda")
     common(p)
 
@@ -540,9 +512,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run theorem checkers")
-    p.add_argument("theorem", help=f"one of: all, {', '.join(THEOREM_IDS)}")
+    p.add_argument("theorem", choices=["all", *THEOREM_IDS])
     p.add_argument("--n-max", type=_ascii_int, dest="n_max", help="cap the sweep order")
-    p.add_argument("--input", help="verify over a graph6 stream instead of enumerating")
+    p.add_argument("--input", help="graph6 or edge-list file to sweep (- for stdin)")
     common(p)
 
     return parser
@@ -569,7 +541,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
-    except _InputError as exc:
+    except (_InputError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except DisconnectedGraphError as exc:

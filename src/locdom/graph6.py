@@ -5,6 +5,9 @@ column: for columns j = 1..n-1 the bits x(0,j), x(1,j), ..., x(j-1,j) are
 concatenated, split into 6-bit groups (most significant bit first, zero
 padded), and each group is stored as one printable byte after adding 63.
 Byte 0 is n + 63.  ``K1`` encodes to ``b"@"`` and ``P2`` to ``b"A_"``.
+
+Streams are read line by line: blank and header-only lines are skipped,
+and an error names its line.
 """
 
 from __future__ import annotations
@@ -108,19 +111,25 @@ def read_graph6(data: Union[bytes, str]) -> Graph:
     return Graph._from_rows(rows)
 
 
+def _numbered_graphs(lines: Iterable[Union[bytes, str]]) -> Iterator[tuple[int, Graph]]:
+    """(line number from 1, graph) for each graph6 line but blank and
+    header-only ones; a Graph6Error names the line."""
+    for i, line in enumerate(lines, start=1):
+        try:
+            if isinstance(line, str):
+                line = _ascii(line)
+            line = line.strip()
+            if not line or line == _HEADER:
+                continue
+            g = read_graph6(line)  # which drops a header prefixed to a value
+        except Graph6Error as exc:
+            raise Graph6Error(f"line {i}: {exc}") from exc
+        yield i, g
+
+
 def read_graph6_stream(source: Union[IO, Iterable, bytes, str]) -> Iterator[Graph]:
     """Decode newline-delimited graph6 values from a file-like object,
     an iterable of lines, or a single blob."""
     if isinstance(source, (bytes, str)):
-        lines: Iterable = source.splitlines()
-    else:
-        lines = source
-    for line in lines:
-        if isinstance(line, str):
-            line = _ascii(line)
-        line = line.strip()
-        if line.startswith(_HEADER):
-            line = line[len(_HEADER):]
-        if not line:
-            continue
-        yield read_graph6(line)
+        source = source.splitlines()
+    return (g for _, g in _numbered_graphs(source))

@@ -64,7 +64,7 @@ from .canonical import canonical_form
 from .enumeration import _MAX_TREE_ORDER, MAX_ENUMERATION_ORDER, _connected_classes, _fan_out
 from .enumeration import _tree_classes, write_graph6
 from .graph import Graph
-from .predicates import Code, _hitting_family
+from .predicates import Code, _code_mask, _hitting_family
 from .solvers import _tree_minima, full_report, minimum_code
 
 __all__ = [
@@ -242,9 +242,11 @@ def _king5() -> Graph:
 
 def metric_coordinate_map(g: Graph, code: Code) -> Optional[tuple[int, ...]]:
     """Map each vertex to the king-grid vertex given by its distances to a
-    2-code, or None when the coordinates leave the 5x5 grid or collide."""
+    2-code, or None when the coordinates leave the 5x5 grid or collide;
+    ValueError unless the code is two distinct vertices of g."""
     if len(code) != 2:
         raise ValueError("metric_coordinate_map expects a 2-element code")
+    _code_mask(g, code)
     u, w = code
     dist = g.distance_matrix()
     du, dw = dist[u], dist[w]
@@ -259,9 +261,11 @@ def metric_coordinate_map(g: Graph, code: Code) -> Optional[tuple[int, ...]]:
 
 
 def isometric_embedding_check(g: Graph, h: Graph, mapping: Sequence[int]) -> bool:
-    """True iff ``mapping`` preserves every pairwise distance from g into h."""
-    if len(mapping) != g.n or len(set(mapping)) != g.n:
-        raise ValueError("mapping must assign a distinct h-vertex to every g-vertex")
+    """True iff ``mapping`` preserves every pairwise distance from g into h;
+    ValueError unless it sends g's vertices to distinct vertices of h."""
+    if len(mapping) != g.n:
+        raise ValueError(f"mapping has {len(mapping)} entries for {g.n} vertices")
+    _code_mask(h, mapping)
     dg = g.distance_matrix()
     dh = h.distance_matrix()
     for x in range(g.n):
@@ -275,10 +279,12 @@ def isometric_embedding_check(g: Graph, h: Graph, mapping: Sequence[int]) -> boo
 
 def king_grid_subgraph_check(g: Graph, mapping: Sequence[int]) -> bool:
     """True iff ``mapping`` sends every edge of g to a king move in the 5x5
-    grid (an injective homomorphism: g drawn inside the grid)."""
-    if len(mapping) != g.n or len(set(mapping)) != g.n:
-        raise ValueError("mapping must assign a distinct grid vertex to every g-vertex")
+    grid (an injective homomorphism: g drawn inside the grid); ValueError
+    unless it sends g's vertices to distinct grid vertices 0..24."""
+    if len(mapping) != g.n:
+        raise ValueError(f"mapping has {len(mapping)} entries for {g.n} vertices")
     king = _king5()
+    _code_mask(king, mapping)
     return all(king.has_edge(mapping[x], mapping[y]) for x, y in g.edges())
 
 

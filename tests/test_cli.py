@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import resource
@@ -10,7 +11,8 @@ import pytest
 
 from locdom.cli import main
 from locdom.enumeration import write_graph6
-from locdom.families import path, complete
+from locdom.families import complete, complete_bipartite, cycle, path
+from locdom.solvers import PARAMETERS
 
 P6_EDGE_LIST = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -65,7 +67,7 @@ class TestCompute:
         assert "line 1" in err
 
     def test_parse_error_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, ["compute", "-", "--format", "g6"], stdin="@@@bad***\n")
+        code, _, err = run_cli(capsys, ["compute", "-"], stdin="@@@bad***\n")
         assert code == 2
 
     @pytest.mark.parametrize("blob", [b"C\xc3\xa9\n", b"C\xff\n"])
@@ -84,10 +86,39 @@ class TestCompute:
         # int() reads the Arabic-Indic digit three as 3
         code, _, _ = run_cli(capsys, ["compute", "-"], stdin="\u0663\n0 1\n1 2\n")
         assert code == 2
-        code, _, _ = run_cli(
-            capsys, ["compute", "-", "--format", "edges"], stdin="3\n0 1\n1 \u0662\n"
-        )
+        code, _, _ = run_cli(capsys, ["compute", "-"], stdin="3\n0 1\n1 \u0662\n")
         assert code == 2
+
+    def test_format_option_is_gone(self, capsys, tmp_path):
+        # the input decides: graph6 never starts a line with a digit
+        f = tmp_path / "p2.g6"
+        f.write_text("A_\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", str(f), "--format", "g6"])
+        assert exc.value.code == 2
+
+    def test_malformed_graph6_names_its_line(self, capsys):
+        code, out, err = run_cli(capsys, ["compute", "-"], stdin=">>graph6<<\n\nA_\nE_\n")
+        assert code == 2
+        assert out == ""
+        assert "line 4:" in err
+
+    @pytest.mark.parametrize(
+        "graph", [path(6).graph, cycle(5).graph, complete_bipartite(2, 3).graph],
+        ids=["P6", "C5", "K2,3"],
+    )
+    def test_every_params_subset_matches_the_full_record(self, capsys, graph):
+        blob = write_graph6(graph).decode()
+        _, out, _ = run_cli(capsys, ["compute", "-"], stdin=blob)
+        full = records(out)[0]
+        for r in range(1, 5):
+            for params in itertools.permutations(PARAMETERS, r):
+                argv = ["compute", "-", "--params", ",".join(params)]
+                code, out, _ = run_cli(capsys, argv, stdin=blob)
+                keys = ["type", "line", "graph6", "n", "diameter", *params]
+                keys += [f"witness_{p}" for p in params]
+                assert code == 0
+                assert records(out)[0] == {key: full[key] for key in keys}
 
     def test_bad_param_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, ["compute", "-", "--params", "delta"], stdin=P6_EDGE_LIST)
@@ -390,6 +421,11 @@ class TestVerify:
         assert "checked=2" in rec["reason"]
         assert records(out)[-1]["manifest"]["input_sha256"]
 
+    def test_verify_over_an_edge_list(self, capsys):
+        code, out, _ = run_cli(capsys, ["verify", "prop1", "--input", "-"], stdin=P6_EDGE_LIST)
+        assert code == 0
+        assert "checked=1" in records(out)[0]["reason"]
+
     def test_prop1_at_n_max_6_checks_142_graphs(self, capsys):
         # 1 (K2) + 2 + 6 + 21 + 112 classes for n = 3..6
         code, out, _ = run_cli(capsys, ["verify", "prop1", "--n-max", "6"])
@@ -397,8 +433,9 @@ class TestVerify:
         assert "checked=142" in records(out)[0]["reason"]
 
     def test_unknown_theorem_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, ["verify", "flat-earth"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "flat-earth"])
+        assert exc.value.code == 2
 
     def test_non_ascii_n_max_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -238,6 +238,13 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             list(read_graph6_stream(["A_", "Cé"]))
 
+    def test_stream_error_names_its_line(self):
+        # blank and header-only lines count: the error names the line of the blob
+        with pytest.raises(Graph6Error, match="^line 4: graph6 body has 0 bytes"):
+            list(read_graph6_stream(b">>graph6<<\n\nA_\nE\n"))
+        with pytest.raises(Graph6Error, match="^line 2: non-ASCII"):
+            list(read_graph6_stream(["A_", "C\u00e9"]))
+
     def test_write_rejects_large_graphs(self):
         with pytest.raises(Graph6Error):
             write_graph6(Graph(63))

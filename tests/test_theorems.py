@@ -223,6 +223,19 @@ class TestEmbeddingChecks:
         with pytest.raises(ValueError):
             metric_coordinate_map(path(4).graph, (0,))
 
+    @pytest.mark.parametrize("mapping", [[-1, 23], [0, 30]])
+    def test_mapping_outside_the_grid_rejected(self, mapping):
+        # -1 would index vertex 24
+        with pytest.raises(ValueError, match="outside 0..24"):
+            isometric_embedding_check(path(2).graph, strong_grid([5, 5]), mapping)
+        with pytest.raises(ValueError, match="outside 0..24"):
+            king_grid_subgraph_check(path(2).graph, mapping)
+
+    @pytest.mark.parametrize("code", [(0, 0), (0, 7), (-1, 0)])
+    def test_map_requires_two_distinct_vertices(self, code):
+        with pytest.raises(ValueError):
+            metric_coordinate_map(path(3).graph, code)
+
 
 class TestLambdaExtremal:
     def test_k23_all_parts(self):
