@@ -18,21 +18,41 @@ pure Python on integer bitsets; brute-force subset search is the oracle
 of record throughout.
 """
 
-from . import canonical, enumeration, families, graph, graph6, predicates, solvers, theorems
-from .canonical import *
-from .enumeration import *
-from .families import *
-from .graph import *
-from .graph6 import *
-from .predicates import *
-from .solvers import *
-from .theorems import *
+import importlib
 
 __version__ = "0.1.0"
 
-# each module's __all__ is the one list of its public names
-__all__ = ["__version__"] + [
-    name
-    for module in (graph, canonical, predicates, solvers, graph6, enumeration, families, theorems)
-    for name in module.__all__
-]
+# the modules whose __all__ lists make up the package's public names, in
+# the order of __all__
+_MODULES = ("graph", "canonical", "predicates", "solvers", "graph6", "enumeration", "families",
+            "theorems")
+
+
+def _bind_public_names() -> None:
+    """Import the eight modules and bind their public names here, as
+    ``from .x import *`` would; each module's __all__ is the one list of
+    its public names."""
+    modules = [importlib.import_module(f"{__name__}.{name}") for name in _MODULES]
+    namespace = globals()
+    for module in modules:
+        namespace.update((name, getattr(module, name)) for name in module.__all__)
+    namespace["__all__"] = ["__version__"] + [name for module in modules for name in module.__all__]
+
+
+# Names are resolved on first use (PEP 562), so that importing one module,
+# such as locdom.cli, loads no other: a submodule name imports only that
+# submodule, any other name the eight modules.
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if "__all__" not in globals():
+        _bind_public_names()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    if "__all__" not in globals():
+        _bind_public_names()
+    return sorted(globals())

@@ -18,6 +18,15 @@ Commands
 ``compute`` and ``verify --input`` read graph6 lines or one edge list (n,
 then one ``u v`` pair per line): a first line of ASCII digits starts an
 edge list, as a graph6 line starts with byte n + 63 >= 64 or ``>``.
+Lines end only at ``\\n``, ``\\r\\n`` and ``\\r``; an edge list is numbered
+by the line of its vertex count.
+
+Each command imports the modules it runs when it runs, so importing this
+module loads no other ``locdom`` module.  ``compute`` loads ``graph``,
+``graph6``, ``predicates`` and ``solvers``; ``enumerate`` adds
+``canonical`` and ``enumeration``; ``family`` adds ``families``; ``verify``
+loads ``theorems`` and with it every module, already while its theorem
+argument is parsed.
 
 Structured output is one JSON object per line with sorted keys, closed by
 a summary record embedding the run manifest (command line, version, wall
@@ -42,21 +51,14 @@ import os
 import re
 import sys
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from . import __version__, families
-from .enumeration import MAX_ENUMERATION_ORDER, WorkerError, _filtered, write_graph6
-from .graph import DisconnectedGraphError, Graph
-from .graph6 import Graph6Error, _check_order, _numbered_graphs
-from .solvers import (
-    InvariantViolation,
-    PARAMETERS,
-    _OPS,
-    full_report,
-    minimum_code,
-    parameter_satisfies,
-)
-from .theorems import _THEOREMS, THEOREM_IDS, Verdict, _run_theorems
+from . import __version__
+
+if TYPE_CHECKING:  # each command imports what it runs; see the module docstring
+    from . import families
+    from .graph import Graph
+    from .theorems import Verdict
 
 __all__ = ["main"]
 
@@ -88,6 +90,9 @@ def _read_source(path: Optional[str]) -> bytes:
 def _parse_edge_list(lines: list[str]) -> Graph:
     """Whitespace edge list, as its non-blank stripped lines: first n,
     then one 'u v' pair per line."""
+    from .graph import Graph
+    from .graph6 import _check_order
+
     n = int(lines[0])
     _check_order(n)  # the records carry graph6: refuse a larger order before any work
     edges = []
@@ -103,12 +108,17 @@ def _parse_edge_list(lines: list[str]) -> Graph:
 
 
 def _parse_graphs(data: bytes) -> list[tuple[int, Graph]]:
-    """Parse input into (line_number, Graph) pairs: one edge list if the
-    first non-blank line is a vertex count, graph6 lines otherwise."""
-    text = data.decode("utf-8", errors="replace")
-    stripped = [ln.strip() for ln in text.splitlines()]
-    if re.fullmatch(r"[0-9]+", next(filter(None, stripped), "")):
-        return [(1, _parse_edge_list([ln for ln in stripped if ln]))]
+    """Parse input into (line_number, Graph) pairs: one edge list, numbered
+    by the line of its vertex count, if the first non-blank line is a
+    vertex count; graph6 lines otherwise."""
+    from .graph6 import _numbered_graphs
+
+    # lines end only at \n, \r\n and \r: str.splitlines would also end one
+    # at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
+    stripped = [ln.decode("utf-8", errors="replace").strip() for ln in data.splitlines()]
+    first = next((i for i, ln in enumerate(stripped, start=1) if ln), None)
+    if first is not None and re.fullmatch(r"[0-9]+", stripped[first - 1]):
+        return [(first, _parse_edge_list([ln for ln in stripped if ln]))]
     out = list(_numbered_graphs(stripped))
     if not out:
         raise _InputError("no graphs found in input")
@@ -146,6 +156,7 @@ def _filter_predicate(terms: list[tuple[str, str, int]]) -> Optional[Callable[[G
     exactly on a large graph.  No terms give None: no predicate to run."""
     if not terms:
         return None
+    from .solvers import _OPS, parameter_satisfies
 
     def predicate(g: Graph) -> bool:
         for key, op, value in terms:
@@ -163,6 +174,8 @@ def _filter_predicate(terms: list[tuple[str, str, int]]) -> Optional[Callable[[G
 
 
 def _parse_order_range(text: str) -> range:
+    from .enumeration import MAX_ENUMERATION_ORDER
+
     m = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", text.strip())
     if not m:
         raise _InputError(f"bad order range {text!r}; expected N or A..B")
@@ -241,6 +254,9 @@ def _parameters_defined(graphs: list[tuple[int, Graph]]) -> bool:
 
 
 def _cmd_compute(args, argv) -> int:
+    from .graph6 import write_graph6
+    from .solvers import PARAMETERS, full_report, minimum_code
+
     data = _read_source(args.input)
     graphs = _parse_graphs(data)
     params = list(PARAMETERS)
@@ -278,6 +294,10 @@ def _cmd_compute(args, argv) -> int:
 
 
 def _cmd_enumerate(args, argv) -> int:
+    from .enumeration import _filtered
+    from .graph6 import write_graph6
+    from .solvers import PARAMETERS
+
     orders = _parse_order_range(args.n)
     terms = [] if args.filter is None else _parse_filter(args.filter)
     if args.output == "graph6" and args.table:
@@ -333,6 +353,8 @@ _FAMILIES = {
 
 
 def _family_instance(name: str, params: list[str]) -> families.FamilyInstance:
+    from . import families
+
     constructor, arity = _FAMILIES[name]
     kind = []
     if name == "eta-extremal":
@@ -357,11 +379,15 @@ def _family_instance(name: str, params: list[str]) -> families.FamilyInstance:
 
 
 def _cmd_family(args, argv) -> int:
+    from .families import NotRealizableError
+    from .graph6 import _check_order, write_graph6
+    from .solvers import minimum_code
+
     if args.emit and args.table and not args.verify:
         raise _InputError(f"--table does not apply to --emit {args.emit} without --verify")
     try:
         inst = _family_instance(args.name, args.params)
-    except families.NotRealizableError as exc:
+    except NotRealizableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     g = inst.graph
@@ -422,6 +448,9 @@ def _verdict_record(v: Verdict) -> dict:
 
 
 def _cmd_verify(args, argv) -> int:
+    from .graph import DisconnectedGraphError
+    from .theorems import _THEOREMS, THEOREM_IDS, _run_theorems
+
     ids = list(THEOREM_IDS) if args.theorem == "all" else [args.theorem]
     rows = [_THEOREMS[tid] for tid in ids]
     graphs = None
@@ -481,6 +510,17 @@ def _cmd_verify(args, argv) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+class _TheoremChoices:
+    """The verify argument's choices, "all" and the theorem ids.  They are
+    read only to parse, or to show, that argument, so another command
+    never imports the theorems."""
+
+    def __iter__(self):
+        from .theorems import THEOREM_IDS
+
+        return iter(["all", *THEOREM_IDS])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locdom",
@@ -512,12 +552,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify", help="run theorem checkers")
-    p.add_argument("theorem", choices=["all", *THEOREM_IDS])
+    # set after add_argument, which formats the argument once and would
+    # read the choices, and with them the theorems, at once
+    p.add_argument("theorem").choices = _TheoremChoices()
     p.add_argument("--n-max", type=_ascii_int, dest="n_max", help="cap the sweep order")
     p.add_argument("--input", help="graph6 or edge-list file to sweep (- for stdin)")
     common(p)
 
     return parser
+
+
+def _worker_error() -> tuple[type, ...]:
+    """WorkerError, once the enumerator is loaded: only a command that
+    loaded it can raise one."""
+    enumeration = sys.modules.get("locdom.enumeration")
+    return (enumeration.WorkerError,) if enumeration else ()
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -530,6 +579,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         "family": _cmd_family,
         "verify": _cmd_verify,
     }[args.command]
+    # the modules of the errors mapped below, which every command loads
+    from .graph import DisconnectedGraphError
+    from .graph6 import Graph6Error
+    from .solvers import InvariantViolation
+
     try:
         code = handler(args, argv)
         sys.stdout.flush()  # so that a closed pipe shows here
@@ -547,7 +601,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (InvariantViolation, WorkerError) as exc:
+    except (InvariantViolation, *_worker_error()) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except MemoryError:

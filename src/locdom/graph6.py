@@ -129,7 +129,12 @@ def _numbered_graphs(lines: Iterable[Union[bytes, str]]) -> Iterator[tuple[int, 
 
 def read_graph6_stream(source: Union[IO, Iterable, bytes, str]) -> Iterator[Graph]:
     """Decode newline-delimited graph6 values from a file-like object,
-    an iterable of lines, or a single blob."""
-    if isinstance(source, (bytes, str)):
+    an iterable of lines, or a single blob.  A blob's lines end at \\n,
+    \\r\\n and \\r, whether it is bytes or str."""
+    if isinstance(source, bytes):
         source = source.splitlines()
+    elif isinstance(source, str):
+        # str.splitlines would also end a line at \v, \f, \x1c-\x1e, \x85,
+        # \u2028 and \u2029, and so shift the number of every later line
+        source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return (g for _, g in _numbered_graphs(source))

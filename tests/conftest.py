@@ -1,5 +1,9 @@
+import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,6 +15,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("locdom")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_connected_graph(rng: random.Random, n: int):
@@ -47,3 +53,24 @@ def _no_child_left():
     except ChildProcessError:
         return
     pytest.fail(f"the test left a child process (waitpid gave pid {pid}, status {status})")
+
+
+def run_fresh(script: str, stdin: bytes = b"") -> str:
+    """Standard output of script, run in a fresh interpreter on the
+    sources under test."""
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=stdin, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout.decode()
+
+
+def loaded_modules(script: str, stdin: bytes = b"") -> set[str]:
+    """The ``locdom`` modules, and OpenSSL's ``_hashlib``, loaded in a fresh
+    interpreter once it has run script, which may print to standard output."""
+    report = (
+        "import json, sys; print(json.dumps([m for m in sys.modules "
+        "if m in ('locdom', '_hashlib') or m.startswith('locdom.')]))"
+    )
+    return set(json.loads(run_fresh(f"{script}\n{report}", stdin).splitlines()[-1]))

@@ -5,9 +5,9 @@ import os
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import SRC, loaded_modules
 
 from locdom.cli import main
 from locdom.enumeration import write_graph6
@@ -15,7 +15,6 @@ from locdom.families import complete, complete_bipartite, cycle, path
 from locdom.solvers import PARAMETERS
 
 P6_EDGE_LIST = "6\n0 1\n1 2\n2 3\n3 4\n4 5\n"
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, argv, stdin: str | bytes = ""):
@@ -103,6 +102,28 @@ class TestCompute:
         assert out == ""
         assert "line 4:" in err
 
+    @pytest.mark.parametrize("mark", ["\v", "\x1c", "\x85", "\u2028"])
+    def test_lines_end_only_at_newlines(self, capsys, mark):
+        # a vertical tab or a Unicode line break inside a line leaves it one bad line
+        code, out, err = run_cli(capsys, ["compute", "-"], stdin=f"A_{mark}CF\n")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1: ")
+
+    @pytest.mark.parametrize("space", ["\v", "\f", "\x85", "\u2028"])
+    def test_line_numbers_count_only_newlines(self, capsys, space):
+        code, _, err = run_cli(capsys, ["compute", "-"], stdin=f"A_\n{space}\nE\n")
+        assert code == 2
+        assert err.startswith("error: line 3: ")
+
+    def test_edge_list_is_numbered_by_its_vertex_count_line(self, capsys):
+        code, out, _ = run_cli(capsys, ["compute", "-"], stdin="\n\n 4 \n0 1\n\n1 2\n2 3\n")
+        assert code == 0
+        assert records(out)[0]["line"] == 3
+        code, _, err = run_cli(capsys, ["compute", "-"], stdin="\n\n4\n0 1\n2 3\n")
+        assert code == 3
+        assert err == "error: graph on input line 3 is disconnected\n"
+
     @pytest.mark.parametrize(
         "graph", [path(6).graph, cycle(5).graph, complete_bipartite(2, 3).graph],
         ids=["P6", "C5", "K2,3"],
@@ -142,13 +163,13 @@ class TestCompute:
     def test_edge_list_above_graph6_orders_exits_2_before_any_search(
         self, capsys, monkeypatch, tmp_path
     ):
-        import locdom.cli as cli_mod
+        import locdom.solvers as solvers_mod
 
         def never(*args, **kwargs):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(cli_mod, "full_report", never)
-        monkeypatch.setattr(cli_mod, "minimum_code", never)
+        monkeypatch.setattr(solvers_mod, "full_report", never)
+        monkeypatch.setattr(solvers_mod, "minimum_code", never)
         f = tmp_path / "p63.txt"
         f.write_text("63\n" + "".join(f"{i} {i + 1}\n" for i in range(62)))
         code, out, err = run_cli(capsys, ["compute", str(f)])
@@ -329,12 +350,12 @@ class TestFamily:
     def test_graph6_output_above_its_orders_exits_2_before_any_search(
         self, capsys, monkeypatch, argv
     ):
-        import locdom.cli as cli_mod
+        import locdom.solvers as solvers_mod
 
         def never(*args, **kwargs):
             raise AssertionError("searched")
 
-        monkeypatch.setattr(cli_mod, "minimum_code", never)
+        monkeypatch.setattr(solvers_mod, "minimum_code", never)
         code, out, err = run_cli(capsys, ["family", *argv])
         assert code == 2
         assert out == ""
@@ -366,10 +387,10 @@ class TestFamily:
         assert "not realizable" in err
 
     def test_claim_mismatch_exits_1(self, capsys, monkeypatch):
-        import locdom.cli as cli_mod
+        import locdom.solvers as solvers_mod
 
         # force the brute-force re-check to disagree with the claims
-        monkeypatch.setattr(cli_mod, "minimum_code", lambda g, p, **kw: (99, ()))
+        monkeypatch.setattr(solvers_mod, "minimum_code", lambda g, p, **kw: (99, ()))
         code, out, _ = run_cli(capsys, ["family", "wheel", "10", "--verify"])
         assert code == 1
         assert records(out)[0]["verified"] is False
@@ -492,7 +513,7 @@ class TestVerify:
         assert message in err
 
     def test_all_lowers_n_max_to_each_theorem_s_largest_order(self, capsys, monkeypatch):
-        import locdom.cli as cli_mod
+        import locdom.theorems as theorems_mod
         from locdom.theorems import Verdict
 
         asked = {}
@@ -501,7 +522,7 @@ class TestVerify:
             asked.update(requests)
             return [Verdict(tid, "scope", "holds") for tid, _ in requests]
 
-        monkeypatch.setattr(cli_mod, "_run_theorems", fake)
+        monkeypatch.setattr(theorems_mod, "_run_theorems", fake)
         code, out, _ = run_cli(capsys, ["verify", "all", "--n-max", "9"])
         assert code == 0
         assert asked == {
@@ -616,14 +637,14 @@ class TestDeterminismAndManifest:
     def test_enumerate_wall_time_covers_the_census(self, capsys, monkeypatch):
         import time
 
-        import locdom.cli as cli_mod
+        import locdom.enumeration as enumeration_mod
 
         def slow_filtered(*args):
             time.sleep(0.2)
             return filtered(*args)
 
-        filtered = cli_mod._filtered
-        monkeypatch.setattr(cli_mod, "_filtered", slow_filtered)
+        filtered = enumeration_mod._filtered
+        monkeypatch.setattr(enumeration_mod, "_filtered", slow_filtered)
         _, out, _ = run_cli(capsys, ["enumerate", "--n", "3", "--output", "census"])
         assert records(out)[-1]["manifest"]["wall_time_s"] >= 0.2
 
@@ -639,12 +660,12 @@ class TestDeterminismAndManifest:
 
     def test_internal_invariant_violation_exits_4(self, capsys, monkeypatch):
         from locdom import InvariantViolation
-        import locdom.cli as cli_mod
+        import locdom.solvers as solvers_mod
 
         def broken(_g):
             raise InvariantViolation("synthetic solver bug")
 
-        monkeypatch.setattr(cli_mod, "full_report", broken)
+        monkeypatch.setattr(solvers_mod, "full_report", broken)
         code, _, err = run_cli(capsys, ["compute", "-"], stdin=P6_EDGE_LIST)
         assert code == 4
         assert "internal error" in err
@@ -711,11 +732,47 @@ def test_out_of_memory_exits_4_with_one_line():
     ]
 
 
-def test_importing_the_cli_loads_no_openssl():
+def test_importing_the_cli_loads_no_other_module_and_no_openssl():
     # hashlib maps OpenSSL's libcrypto; only a run that takes a digest loads it
-    script = "import sys, locdom.cli; print('_hashlib' in sys.modules)"
+    assert loaded_modules("import locdom.cli") == {"locdom", "locdom.cli"}
+
+
+RUN = "from locdom.cli import main; assert main({argv!r}) == 0"
+SOLVER_MODULES = {"locdom.graph", "locdom.graph6", "locdom.predicates", "locdom.solvers"}
+
+
+def test_compute_loads_no_enumerator_theorems_or_families():
+    loaded = loaded_modules(RUN.format(argv=["compute", "-"]), stdin=b"Bw\n")
+    assert loaded >= SOLVER_MODULES
+    assert not loaded & {"locdom.canonical", "locdom.enumeration", "locdom.theorems",
+                         "locdom.families"}
+
+
+def test_enumerate_loads_no_theorems_or_families():
+    loaded = loaded_modules(RUN.format(argv=["enumerate", "--n", "3..5", "--output", "count"]))
+    assert loaded >= SOLVER_MODULES | {"locdom.canonical", "locdom.enumeration"}
+    assert not loaded & {"locdom.theorems", "locdom.families"}
+
+
+def test_traced_compute_wraps_every_entry_point(tmp_path):
+    # each command imports its modules when it runs, after bench/tracer.py
+    # has rebound their entry points: the traced run must still see them
+    source = tmp_path / "p6.txt"
+    source.write_text(P6_EDGE_LIST)
+    spans_path = tmp_path / "spans.json"
+    tracer = SRC.parent / "bench" / "tracer.py"
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60,
+        [sys.executable, str(tracer), str(spans_path), "compute", str(source)],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
-    assert done.stdout == "False\n", done.stderr
+    assert done.returncode == 0, done.stderr
+    trace = json.loads(spans_path.read_text())
+    assert trace["missing"] == []
+    calls = {name: span["calls"] for name, span in trace["spans"].items()}
+    # the CLI's calls into the solvers: full_report, then one minimum_code per
+    # parameter, which full_report has called once before
+    assert calls["solvers"] == 5
+    assert calls["solvers.full_report"] == 1
+    assert all(calls[f"solvers.{p}"] == 2 for p in PARAMETERS)
+    assert calls["graph6.write"] == 1

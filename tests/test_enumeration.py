@@ -245,6 +245,22 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="^line 2: non-ASCII"):
             list(read_graph6_stream(["A_", "C\u00e9"]))
 
+    @pytest.mark.parametrize("blob", ["A_\vCF\n", "A_\x85CF\n", "A_\u2028CF\n", "A_\x1cCF"])
+    def test_str_lines_end_only_at_newlines(self, blob):
+        # one line holding a vertical tab or a Unicode line break is one bad value
+        with pytest.raises(Graph6Error, match="^line 1: "):
+            list(read_graph6_stream(blob))
+
+    @pytest.mark.parametrize("space", ["\v", "\f"])
+    def test_str_line_numbers_count_only_newlines(self, space):
+        # a line of ASCII whitespace is one blank line
+        with pytest.raises(Graph6Error, match="^line 3: "):
+            list(read_graph6_stream(f"A_\n{space}\nE\n"))
+
+    def test_str_lines_end_at_each_newline_form(self):
+        graphs = [path(n).graph for n in (2, 3, 4)]
+        assert list(read_graph6_stream("A_\r\nBg\rCh\n")) == graphs
+
     def test_write_rejects_large_graphs(self):
         with pytest.raises(Graph6Error):
             write_graph6(Graph(63))

@@ -1,11 +1,13 @@
 """The package's public names and the demo scripts that use them."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import loaded_modules, run_fresh
 
 import locdom
 
@@ -49,6 +51,30 @@ def test_public_names_are_unique_resolve_and_match_the_record():
     assert len(names) == len(set(names))
     assert all(hasattr(locdom, name) for name in names)
     assert set(names) == PUBLIC_NAMES
+
+
+def test_star_import_binds_exactly_the_public_names():
+    script = (
+        "import json; before = set(globals()) | {'before'}\n"
+        "from locdom import *\n"
+        "print(json.dumps(sorted(set(globals()) - before)))"
+    )
+    assert set(json.loads(run_fresh(script))) == PUBLIC_NAMES
+
+
+def test_dir_lists_every_public_name():
+    listed = json.loads(run_fresh("import json, locdom; print(json.dumps(dir(locdom)))"))
+    assert PUBLIC_NAMES <= set(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        locdom.no_such_name
+
+
+def test_submodule_import_loads_only_what_it_uses():
+    loaded = loaded_modules("from locdom import families")
+    assert loaded == {"locdom", "locdom.families", "locdom.graph", "locdom.predicates"}
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
