@@ -31,14 +31,17 @@ isomorphism on all connected graphs up to n = 5.
 Trees need no search.  ``_peel`` names each vertex's AHU code (Aho,
 Hopcroft and Ullman 1974) along ``graph._peel_order``, the leaves peeled
 down to the one or two centres, which ``solvers`` roots its tree
-programme at too.  From it the tree generator takes a key, ``_tree_key``,
-the least code rooted at a centre, and the orbits of the vertices,
-``_orbit_labels``, which follow the codes down from the centres.
+programme at too.  From one peel of a parent tree, ``_tree_keys`` keys
+each child, on leaf position u, by the least code rooted at one of its
+centres: the new leaf changes the codes only on the path from u to its
+centre, and the centres only when u is deepest (one centre c becomes c
+and its neighbour towards u; two become the one on u's side).  No child
+is built, and the key is the string the built child's peel would give.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 from .graph import Graph, _peel_order
 from .graph6 import _bit_weights, _encode
@@ -224,50 +227,67 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- trees --------------------------------------------------------------------
 
 
-def _peel(rows: Sequence[int]) -> tuple[list[int], list[int], list[int], list[str]]:
+def _peel(
+    rows: Sequence[int],
+) -> tuple[list[int], list[int], list[int], list[list[str]], list[str]]:
     """The peel of the tree ``rows`` (:func:`~locdom.graph._peel_order`)
     and each vertex's AHU code (Aho, Hopcroft and Ullman 1974): "(" + the
     sorted codes of its children, the neighbours peeled before it, + ")".
     Two rooted trees are isomorphic iff their codes are equal.
 
-    Returns the centres, the peel order, the parents and the codes.  A
-    centre's code is that of its own side: with two centres, neither counts
-    the other as a child."""
+    Returns the centres, the peel order, the parents, each vertex's sorted
+    children's codes and the codes.  A centre's code is that of its own
+    side: with two centres, neither counts the other as a child."""
     centres, order, parent = _peel_order(rows)
     kids: list[list[str]] = [[] for _ in rows]
     codes = [""] * len(rows)
     for v in order:
-        codes[v] = "(" + "".join(sorted(kids[v])) + ")"
+        kids[v].sort()
+        codes[v] = "(" + "".join(kids[v]) + ")"
         if parent[v] >= 0:
             kids[parent[v]].append(codes[v])
-    return centres, order, parent, codes
+    return centres, order, parent, kids, codes
 
 
-def _tree_key(rows: Sequence[int]) -> str:
-    """A complete invariant of the tree ``rows``: the least of its codes
-    rooted at its one or two centres.  Rooted at a centre, each neighbour's
-    code is the one ``_peel`` names, the other centre's included."""
-    centres, _, _, codes = _peel(rows)
-    return min(
-        "(" + "".join(sorted(codes[u] for u in range(len(rows)) if rows[c] >> u & 1)) + ")"
-        for c in centres
-    )
-
-
-def _orbit_labels(rows: Sequence[int]) -> list[int]:
-    """For each vertex of the tree ``rows``, a label that two vertices share
-    exactly when an automorphism maps one to the other.
-
-    An automorphism fixes the one centre, or fixes or swaps the two, and it
-    can swap two centres exactly when their sides have equal codes; below
-    them, it maps a vertex onto a vertex with the same code under an image
-    of its parent, and siblings with equal codes can be swapped.  So a
-    centre is labelled by its code and every other vertex by (its parent's
-    label, its own code), top down, each label interned per call."""
-    _, order, parent, codes = _peel(rows)
-    names: dict[object, int] = {}
-    labels = [0] * len(rows)
+def _tree_keys(i: int, parent: Graph) -> Callable[[int], Optional[str]]:
+    """The keys of a parent tree's children, from one ``_peel`` of it: the
+    child on leaf position u gets the least AHU code rooted at a centre of
+    it, or None unless u is the least vertex of its automorphism orbit."""
+    centres, order, up, kids, codes = _peel(parent._rows)
+    # an automorphism fixes the one centre, or fixes or swaps two whose
+    # codes are equal, and below them maps a vertex to one of the same code
+    # under the image of its parent.  So, top down, a centre's orbit is
+    # named by its code and any other vertex's by its parent's orbit and its
+    # code; depth is the distance to a centre
+    names: dict = {}
+    orbit, depth = [0] * parent.n, [0] * parent.n
     for v in reversed(order):
-        p = parent[v]
-        labels[v] = names.setdefault(codes[v] if p < 0 else (labels[p], codes[v]), len(names))
-    return labels
+        p = up[v]
+        orbit[v] = names.setdefault(codes[v] if p < 0 else (orbit[p], codes[v]), len(names))
+        depth[v] = depth[p] + 1 if p >= 0 else 0
+    least = sum(1 << orbit.index(label) for label in range(len(names)))
+    radius = max(depth)
+    joined = lambda kids, add: "(" + "".join(sorted([*kids, add])) + ")"
+
+    def key(mask: int) -> Optional[str]:
+        if not mask & least:
+            return None
+        # recode the path from u up to its centre c: s ends as c's children's
+        # codes, among them ``new``, that of x, the path's vertex below c (the
+        # new leaf when u is c), and ``below`` as x's children's codes
+        u = c = mask.bit_length() - 1
+        below, new, s = [], "()", sorted([*kids[u], "()"])
+        while up[c] >= 0:
+            below, old, new, c = s, codes[c], "(" + "".join(s) + ")", up[c]
+            s = sorted([*kids[c], new])
+            s.remove(old)
+        side = "(" + "".join(s) + ")"
+        if len(centres) == 2:  # the two stay centres unless u is deepest, then c alone
+            at_c = joined(s, codes[sum(centres) - c])
+            return at_c if depth[u] == radius else min(at_c, joined(kids[sum(centres) - c], side))
+        if depth[u] < radius:
+            return side
+        s.remove(new)  # c and x become the centres: rooted at x, c is a child
+        return min(side, joined(below, "(" + "".join(s) + ")"))
+
+    return key

@@ -19,7 +19,7 @@ Commands
 then one ``u v`` pair per line): a first line of ASCII digits starts an
 edge list, as a graph6 line starts with byte n + 63 >= 64 or ``>``.
 Lines end only at ``\\n``, ``\\r\\n`` and ``\\r``; an edge list is numbered
-by the line of its vertex count.
+by the line of its vertex count, and an error in it by its own line.
 
 Each command imports the modules it runs when it runs, so importing this
 module loads no other ``locdom`` module.  ``compute`` loads ``graph``,
@@ -51,7 +51,7 @@ import os
 import re
 import sys
 import time
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from . import __version__
 
@@ -88,23 +88,26 @@ def _read_source(path: Optional[str]) -> bytes:
 
 
 def _parse_edge_list(lines: list[str]) -> Graph:
-    """Whitespace edge list, as its non-blank stripped lines: first n,
-    then one 'u v' pair per line."""
+    """Whitespace edge list, as its stripped lines: first n, then one 'u v'
+    pair per line, blank lines skipped.  An error names its line."""
     from .graph import Graph
     from .graph6 import _check_order
 
-    n = int(lines[0])
-    _check_order(n)  # the records carry graph6: refuse a larger order before any work
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2 or not all(re.fullmatch(r"[0-9]+", p) for p in parts):
-            raise _InputError(f"bad edge line {ln!r}; expected 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+    (at, first), *rest = [(i, ln) for i, ln in enumerate(lines, 1) if ln]
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal at
+        for at, ln in rest:  # Graph reads one edge at a time: ``at`` is the line it refuses
+            pair = re.fullmatch(r"([0-9]+)\s+([0-9]+)", ln)
+            if not pair:
+                raise ValueError(f"bad edge line {ln!r}; expected 'u v'")
+            yield int(pair[1]), int(pair[2])
+
     try:
-        return Graph(n, edges)
+        _check_order(int(first))  # the records carry graph6: refuse a larger order before any work
+        return Graph(int(first), edges())
     except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+        raise _InputError(f"line {at}: {exc}") from exc
 
 
 def _parse_graphs(data: bytes) -> list[tuple[int, Graph]]:
@@ -118,7 +121,7 @@ def _parse_graphs(data: bytes) -> list[tuple[int, Graph]]:
     stripped = [ln.decode("utf-8", errors="replace").strip() for ln in data.splitlines()]
     first = next((i for i, ln in enumerate(stripped, start=1) if ln), None)
     if first is not None and re.fullmatch(r"[0-9]+", stripped[first - 1]):
-        return [(first, _parse_edge_list([ln for ln in stripped if ln]))]
+        return [(first, _parse_edge_list(stripped))]
     out = list(_numbered_graphs(stripped))
     if not out:
         raise _InputError("no graphs found in input")

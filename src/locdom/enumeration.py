@@ -51,19 +51,14 @@ graph that caller reads.
 
 Trees are generated by the same augmentation restricted to one-vertex
 neighbourhoods (leaf augmentation), to n = 18, beyond the general
-enumeration range, and without the general canonical search.  A tree has
-a linear-time complete invariant (Aho, Hopcroft and Ullman 1974): the
-code of a rooted tree is "(" + the sorted codes of the root's subtrees +
-")", and a child is keyed by the least code rooted at one of its one or
-two centres.  The pass that peels a tree down to its centres names every
-vertex's code below them, and with it the automorphism orbits of the
-vertices (``canonical._orbit_labels``).  A parent's leaf positions are
-the least vertex of each orbit: the first candidate met in each orbit,
-the rule that ``_extension_masks`` applies to the canonical search's
-generators.  The same children are therefore built in the same order, and
-since the key, like the canonical form, is a complete invariant, each
-class keeps the same first child: the representatives are those the
-general search gives.
+enumeration range, and without the general canonical search.  Each child
+is keyed by a complete invariant, the least AHU code rooted at one of its
+centres, read from one peel of its parent (``canonical._tree_keys``), so
+no child is built to be keyed.  The peel also gives the parent's
+automorphism orbits, and a child is keyed only on the least vertex of
+each, the rule ``_extension_masks`` applies to the search's generators.
+Since the key, like the canonical form, is complete, each class keeps the
+same first child: the representatives are those the general search gives.
 
 A level is a ``_Level``: one int per class, its parent's index and its
 mask packed together, which name the class, and a view that rebuilds
@@ -78,12 +73,11 @@ Every pass, over a level's parents or over the classes of an order under
 a census filter or the theorem sweeps (:mod:`locdom.theorems`), is one
 call of ``_fan_out``, which forks workers for many items and otherwise
 maps in the main process; serial or forked, the same ``one(i)`` runs and
-fails the same way.  A level's ``one(i)`` keys parent i's children, a
-tree by building it and a connected graph from its parent's tables, and
-files nothing: its record is the children as (mask, key), less those
-whose complete key its process sent before.  A filter's or a
-sweep's ``one(i)`` reads class i through the level's view, so a forked
-worker builds the graphs it reads.
+fails the same way.  A level's ``one(i)`` keys parent i's children from
+its peel or its tables and files nothing: its record is the children as
+(mask, key), less those whose complete key its process sent before.  A
+filter's or a sweep's ``one(i)`` reads class i through the level's view,
+so a forked worker builds the graphs it reads.
 """
 
 from __future__ import annotations
@@ -99,7 +93,7 @@ from typing import (
     TypeVar,
 )
 
-from .canonical import _orbit_labels, _tree_key, automorphism_generators, canonical_form
+from .canonical import _tree_keys, automorphism_generators, canonical_form
 from .graph import Graph, _bits
 from .graph6 import write_graph6
 
@@ -117,13 +111,15 @@ __all__ = [
 MAX_ENUMERATION_ORDER = 9
 _MAX_TREE_ORDER = 18
 # items per forked worker: parents of a level, or classes under a census
-# filter or the theorem sweeps.  A fork and reap costs about 2 ms, and a
-# two-worker fan-out breaks even on tree levels, the cheapest per parent,
-# between 235 and 551 parents (measured), so a pass forks from 512 items
+# filter or the theorem sweeps.  A fork and reap costs about 2 ms.  Tree
+# levels, the cheapest per parent as no child is built, break even on two
+# workers at about 551 parents (measured); every other pass costs more per
+# item, and a pass forks from 512 items
 _ITEMS_PER_WORKER = 256
 
 # keys(i, parent): the function that keys the child of parents[i] on each
-# mask, or gives None for a child dropped unkeyed (see ``_connected_keys``)
+# mask, or gives None for a child dropped unkeyed (see ``_connected_keys``
+# and ``canonical._tree_keys``)
 _Keys = Callable[[int, Graph], Callable[[int], Optional[Hashable]]]
 
 
@@ -131,9 +127,8 @@ def _extend(parent: Graph, mask: int) -> Graph:
     """A child of the parent: one vertex more, adjacent to exactly the parent
     vertices in mask.  Every child built, and every class rebuilt from its
     parent and mask, is a call of this function (``tests/test_layers.py``,
-    the benchmark's tracer).  A tree child is built to be keyed; a connected
-    child is keyed from its parent's tables and built only when the merge
-    settles its key."""
+    the benchmark's tracer).  A child is keyed from its parent and built
+    only when the merge settles its key."""
     bit = 1 << parent.n
     rows = list(parent._rows)
     for v in range(parent.n):
@@ -178,15 +173,6 @@ def _extension_masks(parent: Graph, candidates: Sequence[int]) -> Sequence[int]:
                     seen.add(img)
                     stack.append(img)
     return reps
-
-
-def _leaf_masks(parent: Graph) -> list[int]:
-    """Leaf positions on a parent tree, one per orbit of its automorphisms:
-    the least vertex of each orbit."""
-    first: dict[int, int] = {}
-    for v, code in enumerate(_orbit_labels(parent._rows)):
-        first.setdefault(code, 1 << v)
-    return list(first.values())
 
 
 class _Level(Sequence[Graph]):
@@ -264,35 +250,26 @@ def _cpus() -> int:
 def _children(
     parents: Iterable[Graph],
     masks: Callable[[Graph], Iterable[int]],
-    key: Optional[Callable[[Graph], Hashable]] = None,
-    keys: Optional[_Keys] = None,
+    keys: _Keys,
+    complete: bool = False,
 ) -> _Level:
     """The level of the parents extended by a vertex with each
     neighbourhood in ``masks(parent)``: the first child generated in each
-    isomorphism class.  Either ``key`` is a complete isomorphism invariant
-    of the built child, or ``keys(i, parent)`` gives the child of parent i
-    on each mask an invariant, or None for one that is not the first of its
-    class, and the canonical form settles each key that two children
-    share."""
+    isomorphism class.  ``keys(i, parent)`` gives the child of parent i on
+    each mask an invariant, or None for one that is not the first of its
+    class.  The canonical form settles each key that two children share,
+    unless the keys are ``complete`` invariants, which settle themselves."""
     parents = tuple(parents)
-    confirm = keys is not None
-    if not confirm:
-        keys = lambda i, parent: lambda mask: key(_extend(parent, mask))
     met: set = set()  # the complete keys this process sent, whose later children the merge drops
 
     def one(i: int) -> _Record:
-        parent = parents[i]
-        child_key = keys(i, parent)
-        kept = []
-        for mask in masks(parent):
-            k = child_key(mask)
-            if k is not None and k not in met:
-                kept.append((mask, k))
-        if not confirm:
+        key = keys(i, parents[i])
+        kept = [(m, k) for m in masks(parents[i]) if (k := key(m)) is not None and k not in met]
+        if complete:
             met.update(k for _, k in kept)
         return kept
 
-    return _fan_out(len(parents), one, lambda records: _merge(parents, records, confirm))
+    return _fan_out(len(parents), one, lambda records: _merge(parents, records, not complete))
 
 
 _T = TypeVar("_T")
@@ -565,9 +542,7 @@ def _connected_classes(n: int) -> Sequence[Graph]:
         return (Graph(1),)
     parents = _parents(n - 1, False)
     return _children(
-        parents,
-        lambda p: _extension_masks(p, range(1, 1 << p.n)),
-        keys=_connected_keys(parents),
+        parents, lambda p: _extension_masks(p, range(1, 1 << p.n)), _connected_keys(parents)
     )
 
 
@@ -575,7 +550,9 @@ def _connected_classes(n: int) -> Sequence[Graph]:
 def _tree_classes(n: int) -> Sequence[Graph]:
     if n == 1:
         return (Graph(1),)
-    return _children(_parents(n - 1, True), _leaf_masks, lambda t: _tree_key(t._rows))
+    return _children(
+        _parents(n - 1, True), lambda p: [1 << v for v in range(p.n)], _tree_keys, complete=True
+    )
 
 
 @lru_cache(maxsize=None)

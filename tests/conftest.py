@@ -66,6 +66,15 @@ def run_fresh(script: str, stdin: bytes = b"") -> str:
     return done.stdout.decode()
 
 
+def built_keys(key):
+    """Keys for ``enumeration._children`` that build each child and key it
+    by ``key`` of the built graph: a level with no rule and no tables, whose
+    keys are complete when ``key`` is."""
+    from locdom import enumeration
+
+    return lambda i, parent: lambda mask: key(enumeration._extend(parent, mask))
+
+
 def loaded_modules(script: str, stdin: bytes = b"") -> set[str]:
     """The ``locdom`` modules, and OpenSSL's ``_hashlib``, loaded in a fresh
     interpreter once it has run script, which may print to standard output."""

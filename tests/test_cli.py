@@ -116,6 +116,22 @@ class TestCompute:
         assert code == 2
         assert err.startswith("error: line 3: ")
 
+    @pytest.mark.parametrize(
+        "stdin, line, problem",
+        [
+            ("3\n0 1\n\nx y\n", 4, "bad edge line 'x y'"),
+            ("3\n0 1\n1 5\n", 3, "edge (1,5) has a vertex outside 0..2"),
+            ("\n3\n0 1\n2 2\n1 2\n", 4, "loop edge (2,2)"),
+            ("\n63\n0 1\n", 2, "order 63 is above 62"),
+        ],
+        ids=["malformed", "outside", "loop", "order"],
+    )
+    def test_an_edge_list_error_names_its_line(self, capsys, stdin, line, problem):
+        code, out, err = run_cli(capsys, ["compute", "-"], stdin=stdin)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: line {line}: ") and problem in err, err
+
     def test_edge_list_is_numbered_by_its_vertex_count_line(self, capsys):
         code, out, _ = run_cli(capsys, ["compute", "-"], stdin="\n\n 4 \n0 1\n\n1 2\n2 3\n")
         assert code == 0

@@ -14,6 +14,7 @@ import hashlib
 from collections import Counter
 
 import pytest
+from conftest import built_keys
 
 from locdom import canonical, enumeration
 from locdom.canonical import _canonical_data, automorphism_generators, canonical_form
@@ -64,7 +65,9 @@ def _level(monkeypatch, n, cpus):
 
 
 def _searched_alone(n):
-    return _children(_connected_classes(n - 1), _connected_masks, canonical_form)
+    return _children(
+        _connected_classes(n - 1), _connected_masks, built_keys(canonical_form), complete=True
+    )
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

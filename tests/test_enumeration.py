@@ -1,9 +1,11 @@
 import io
 import os
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from conftest import built_keys
 from hypothesis import given, strategies as st
 
 from locdom import (
@@ -21,8 +23,8 @@ from locdom import (
     write_graph6,
 )
 from locdom import enumeration
-from locdom.canonical import _tree_key
-from locdom.enumeration import _extend, _extension_masks, _leaf_masks
+from locdom.canonical import _tree_keys
+from locdom.enumeration import _extend, _extension_masks
 from locdom.families import path
 
 import _brute
@@ -33,6 +35,48 @@ KNOWN_TREE_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551,
     13: 1301, 14: 3159,
 }
+
+
+def _leaf_masks(t):
+    # the leaf positions that the tree level keys: those not keyed None
+    key = _tree_keys(0, t)
+    return [1 << v for v in range(t.n) if key(1 << v) is not None]
+
+
+def _centres(g):
+    ecc = [max(row) for row in _brute.all_distances(g)]
+    return {v for v in range(g.n) if ecc[v] == min(ecc)}
+
+
+TREE_KEY_CASES = [
+    "parent-of-order-1", "parent-of-order-2", "centres-kept", "one-centre-becomes-two",
+    "two-centres-become-one",
+]
+
+
+@lru_cache(maxsize=None)
+def _children_by_case():
+    """(key, built child) of every child of every parent tree to order 12,
+    by how the child's centres, found by eccentricity, follow the parent's."""
+    out = {case: [] for case in TREE_KEY_CASES}
+    for n in range(1, 13):
+        for t in tree_classes(n):
+            key, before = _tree_keys(0, t), _centres(t)
+            for mask in _leaf_masks(t):
+                child = _extend(t, mask)
+                after = _centres(child)
+                if n <= 2:
+                    case = f"parent-of-order-{n}"
+                elif after == before:
+                    case = "centres-kept"
+                elif len(before) == 1:
+                    assert after > before, write_graph6(child)
+                    case = "one-centre-becomes-two"
+                else:
+                    assert after < before, write_graph6(child)
+                    case = "two-centres-become-one"
+                out[case].append((key(mask), child))
+    return out
 
 
 class TestConnectedEnumeration:
@@ -131,24 +175,43 @@ class TestTrees:
                     first.setdefault(code, 1 << v)
                 assert _leaf_masks(t) == list(first.values()), write_graph6(t)
                 if n < 13:
+                    key = _tree_keys(0, t)
                     for mask in _leaf_masks(t):
                         child = _extend(t, mask)
-                        assert _tree_key(child._rows) == _brute.reference_tree_key(child), (
-                            write_graph6(child)
-                        )
+                        assert key(mask) == _brute.reference_tree_key(child), write_graph6(child)
+
+    @pytest.mark.parametrize("case", TREE_KEY_CASES)
+    def test_each_way_the_centres_move_keys_as_the_built_child(self, case):
+        # a leaf at u changes the codes on the path from u to its centre, and
+        # the centres only when u is deepest; every child of every parent to
+        # 12 falls in one of these cases, each checked against the oracle
+        children = _children_by_case()[case]
+        assert children
+        for key, child in children:
+            assert key == _brute.reference_tree_key(child), write_graph6(child)
 
     def test_tree_keys_are_distinct_to_14(self):
-        for n in range(1, 15):
-            keys = {_tree_key(t._rows) for t in tree_classes(n)}
-            assert len(keys) == KNOWN_TREE_COUNTS[n]
+        # each class keyed as the child of its parent: one key per class
+        for n in range(2, 15):
+            parents, low = enumeration._parents(n - 1, True), (1 << n - 1) - 1
+            keys = {
+                _tree_keys(0, parents[c >> n - 1])(c & low)
+                for c in enumeration._tree_classes(n).packed
+            }
+            assert None not in keys and len(keys) == KNOWN_TREE_COUNTS[n]
 
-    @given(st.integers(1, 18), st.integers(0, 2**28 - 1))
+    @given(st.integers(1, 17), st.integers(0, 2**28 - 1))
     def test_tree_key_is_relabelling_invariant(self, n, seed):
+        # the keys of a parent's children, one per orbit of leaf positions
         rng = random.Random(seed)
         t = Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
         perm = list(range(n))
         rng.shuffle(perm)
-        assert _tree_key(t._rows) == _tree_key(relabeled(t, perm)._rows)
+        keys = [
+            sorted(filter(None, map(_tree_keys(0, g), [1 << v for v in range(n)])))
+            for g in (t, relabeled(t, perm))
+        ]
+        assert keys[0] == keys[1] and len(set(keys[0])) == len(keys[0])
 
 
 class TestFanOutRecords:
@@ -169,7 +232,9 @@ class TestFanOutRecords:
             return _extension_masks(parent, range(1, 1 << parent.n))
 
         with pytest.raises(RuntimeError, match="workers failed"):
-            enumeration._children(enumeration._connected_classes(4), masks, quitting_key)
+            enumeration._children(
+                enumeration._connected_classes(4), masks, built_keys(quitting_key), complete=True
+            )
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -14,13 +14,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import built_keys
 
 from locdom import enumeration, theorems
-from locdom.canonical import _tree_key, canonical_form
+from locdom.canonical import _tree_keys, canonical_form
 from locdom.cli import _filter_predicate, _parse_filter, main
 from locdom.enumeration import (
-    _children, _connected_classes, _extension_masks, _leaf_masks, _tree_classes, census,
-    write_graph6,
+    _children, _connected_classes, _extension_masks, _tree_classes, census, write_graph6,
 )
 from locdom.solvers import InvariantViolation
 from locdom.theorems import THEOREM_IDS
@@ -32,13 +32,16 @@ def _connected_masks(parent):
     return _extension_masks(parent, range(1, 1 << parent.n))
 
 
-def _tree_key_of(tree):
-    return _tree_key(tree._rows)
+def _tree_masks(parent):
+    return [1 << v for v in range(parent.n)]
 
 
+# complete keys: the canonical forms of built children, and the tree keys
 LEVELS = [
-    pytest.param(_connected_classes, _connected_masks, canonical_form, 7, id="connected-7"),
-    pytest.param(_tree_classes, _leaf_masks, _tree_key_of, 13, id="trees-13"),
+    pytest.param(
+        _connected_classes, _connected_masks, built_keys(canonical_form), 7, id="connected-7"
+    ),
+    pytest.param(_tree_classes, _tree_masks, _tree_keys, 13, id="trees-13"),
 ]
 
 
@@ -58,9 +61,9 @@ def test_fan_out_matches_the_serial_path(monkeypatch, classes, masks, key, n_max
     for n in range(2, n_max + 1):
         parents = classes(n - 1)
         monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
-        serial = _carried(_children(parents, masks, key))
+        serial = _carried(_children(parents, masks, key, complete=True))
         _force(monkeypatch, cpus)
-        assert _carried(_children(parents, masks, key)) == serial, n
+        assert _carried(_children(parents, masks, key, complete=True)) == serial, n
         monkeypatch.undo()
 
 
@@ -71,7 +74,7 @@ def test_a_failing_worker_raises_and_every_worker_is_reaped(monkeypatch, capfd):
 
     _force(monkeypatch, 2)
     with pytest.raises(ValueError, match="broken key"):
-        _children(_connected_classes(4), _connected_masks, broken_key)
+        _children(_connected_classes(4), _connected_masks, built_keys(broken_key), complete=True)
     assert capfd.readouterr().err == ""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -87,7 +90,7 @@ def test_a_key_that_raises_only_in_a_worker_is_refused(monkeypatch):
 
     _force(monkeypatch, 2)
     with pytest.raises(RuntimeError, match="pure function"):
-        _children(_connected_classes(4), _connected_masks, impure)
+        _children(_connected_classes(4), _connected_masks, built_keys(impure), complete=True)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -106,7 +109,7 @@ def test_a_worker_sends_no_complete_key_it_sent_before(monkeypatch, cpus):
     _force(monkeypatch, cpus)
     monkeypatch.setattr(enumeration, "_merge", recorded)
     for level in parents:
-        _children(level, _leaf_masks, _tree_key_of)
+        _children(level, _tree_masks, _tree_keys, complete=True)
     forked = [records for records in levels if len(records) > 1]  # orders 5..11
     assert len(forked) == 7
     for records in forked:
@@ -126,7 +129,9 @@ def test_an_error_while_merging_reaps_every_worker(monkeypatch, capfd):
     _force(monkeypatch, 2)
     monkeypatch.setattr(enumeration, "_merge", failing)
     with pytest.raises(KeyError, match="merge"):
-        _children(_connected_classes(6), _connected_masks, canonical_form)
+        _children(
+            _connected_classes(6), _connected_masks, built_keys(canonical_form), complete=True
+        )
     # killed, not left to fail on the closed pipe and print that
     assert capfd.readouterr().err == ""
 
@@ -166,7 +171,8 @@ def test_one_cpu_or_a_small_level_never_forks(monkeypatch, per_worker, cpus):
     monkeypatch.setattr(enumeration, "_ITEMS_PER_WORKER", per_worker)
     monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", _refuse_fork)
-    assert _carried(_children(parents, _connected_masks, canonical_form)) == expected
+    level = _children(parents, _connected_masks, built_keys(canonical_form), complete=True)
+    assert _carried(level) == expected
 
 
 def test_no_fork_means_the_serial_path(monkeypatch):
@@ -174,7 +180,8 @@ def test_no_fork_means_the_serial_path(monkeypatch):
     expected = _carried(_connected_classes(7))
     _force(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
-    assert _carried(_children(parents, _connected_masks, canonical_form)) == expected
+    level = _children(parents, _connected_masks, built_keys(canonical_form), complete=True)
+    assert _carried(level) == expected
 
 
 def _enumerate_graph6(cpus):

@@ -14,7 +14,7 @@ from locdom import (
     strong_product,
     tree_profile,
 )
-from locdom.canonical import _tree_key
+from locdom.canonical import _peel
 from locdom.enumeration import tree_classes
 from locdom.families import complete, cycle, path, spider, star, strong_grid
 from locdom.graph import _peel_order
@@ -172,7 +172,7 @@ class TestTreeProfile:
 
 
 class TestPeelOrder:
-    @pytest.mark.parametrize("peel", [_peel_order, _tree_key])
+    @pytest.mark.parametrize("peel", [_peel_order, _peel])
     @pytest.mark.parametrize(
         "g",
         [cycle(5).graph, Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])],
@@ -183,7 +183,7 @@ class TestPeelOrder:
         with pytest.raises(ValueError, match="not a tree"):
             peel(g._rows)
 
-    @pytest.mark.parametrize("peel", [_peel_order, _tree_key])
+    @pytest.mark.parametrize("peel", [_peel_order, _peel])
     @pytest.mark.parametrize(
         "g",
         [Graph(5, [(0, 1), (1, 2), (3, 4)]), Graph(4, [(1, 2), (2, 3), (1, 3)]), Graph(2)],

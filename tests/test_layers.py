@@ -18,13 +18,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import built_keys
 
 from locdom import canonical, enumeration, graph, solvers, theorems
-from locdom.canonical import _tree_key, canonical_form
-from locdom.enumeration import _connected_classes, _extension_masks, _leaf_masks, _tree_classes
+from locdom.canonical import _tree_keys, canonical_form
+from locdom.enumeration import _connected_classes, _extension_masks, _tree_classes
 
 # children generated per order: connected graphs (n = 8 keys or drops
-# 67,141 for 11,117 classes) and trees (3,047 built in all up to n = 12)
+# 67,141 for 11,117 classes) and trees (3,047 keyed in all up to n = 12)
 CONNECTED_CHILDREN = {2: 1, 3: 2, 4: 8, 5: 44, 6: 333, 7: 3771, 8: 67141}
 TREE_CHILDREN = {
     2: 1, 3: 1, 4: 2, 5: 4, 6: 9, 7: 20, 8: 48, 9: 115, 10: 286, 11: 719, 12: 1842,
@@ -52,16 +53,15 @@ def test_tree_children_per_order():
     counts = {n: _child_count(_tree_classes, _tree_candidates, n) for n in range(2, 13)}
     assert counts == TREE_CHILDREN
     assert sum(counts.values()) == 3047
-    built = {n: sum(len(_leaf_masks(p)) for p in _tree_classes(n - 1)) for n in range(2, 13)}
-    assert built == TREE_CHILDREN
+    keyed = {n: 0 for n in range(2, 13)}
+    for n in keyed:
+        for p in _tree_classes(n - 1):
+            keyed[n] += sum(_tree_keys(0, p)(1 << v) is not None for v in range(n - 1))
+    assert keyed == TREE_CHILDREN
 
 
 def _connected_masks(parent):
     return _extension_masks(parent, range(1, 1 << parent.n))
-
-
-def _tree_key_of(tree):
-    return _tree_key(tree._rows)
 
 
 @pytest.mark.parametrize(
@@ -71,18 +71,14 @@ def _tree_key_of(tree):
             _connected_classes, _connected_candidates, _connected_masks, canonical_form, 6,
             id="_connected_classes-_connected_candidates-6",
         ),
-        pytest.param(
-            _tree_classes, _tree_candidates, _leaf_masks, _tree_key_of, 9,
-            id="_tree_classes-_tree_candidates-9",
-        ),
     ],
 )
 def test_children_extend_once_per_extension_mask(
     monkeypatch, classes, candidates, masks, key, n_max
 ):
-    # the tracer counts children as calls of enumeration._extend; tree
-    # children come from rooted codes, connected ones from the generators,
-    # and both must number the generators' orbits of extension masks
+    # the tracer counts children as calls of enumeration._extend: keyed by
+    # the built child, they must number the generators' orbits of
+    # extension masks
     calls = []
     extend = enumeration._extend
 
@@ -94,8 +90,25 @@ def test_children_extend_once_per_extension_mask(
     for n in range(2, n_max + 1):
         parents = tuple(classes(n - 1))  # rebuilt from the level, outside the count
         calls.clear()
-        enumeration._children(parents, masks, key)
+        enumeration._children(parents, masks, built_keys(key), complete=True)
         assert len(calls) == _child_count(classes, candidates, n)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_tree_level_builds_no_child(monkeypatch, cpus):
+    # tree children are keyed from their parent's peel: serial or forked,
+    # a tree level builds no graph, and forked it keeps the serial classes
+    enumeration._parents(11, True)  # the parents, built outside the count
+    serial = {n: list(_tree_classes(n).packed) for n in range(2, 13)}
+
+    def refused(parent, mask):
+        raise AssertionError("a tree level built a child")
+
+    monkeypatch.setattr(enumeration, "_extend", refused)
+    monkeypatch.setattr(enumeration, "_ITEMS_PER_WORKER", 1)
+    monkeypatch.setattr(enumeration, "_cpus", lambda: cpus)
+    for n in range(2, 13):
+        assert list(_tree_classes.__wrapped__(n).packed) == serial[n], n
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -194,7 +207,10 @@ def test_serial_passes_run_on_the_one_loop(monkeypatch):
     monkeypatch.setattr(theorems, "_fan_out", counted)
     monkeypatch.setattr(os, "fork", fork)
     masks = lambda p: _extension_masks(p, range(1, 1 << p.n))
-    assert len(enumeration._children(_connected_classes(4), masks, canonical_form)) == 21
+    level = enumeration._children(
+        _connected_classes(4), masks, built_keys(canonical_form), complete=True
+    )
+    assert len(level) == 21
     assert calls == [6]
     report = enumeration.census(range(3, 6), lambda g: g.n % 2)
     assert report.total == 2 + 21
@@ -204,7 +220,7 @@ def test_serial_passes_run_on_the_one_loop(monkeypatch):
 
 
 def test_one_peel_roots_every_tree():
-    # the tree key, the orbit labels and the tree programme all root a tree
+    # the tree keys, their orbits and the tree programme all root a tree
     # at a centre of graph._peel_order; a second rooting could disagree
     package = Path(enumeration.__file__).parent
     loop = "while n - len(order) > 2:"
