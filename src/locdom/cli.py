@@ -88,8 +88,8 @@ def _read_source(path: Optional[str]) -> bytes:
 
 
 def _parse_edge_list(lines: list[str]) -> Graph:
-    """Whitespace edge list, as its stripped lines: first n, then one 'u v'
-    pair per line, blank lines skipped.  An error names its line."""
+    """ASCII-whitespace edge list, as its stripped lines: first n, then one
+    'u v' pair per line, blank lines skipped.  An error names its line."""
     from .graph import Graph
     from .graph6 import _check_order
 
@@ -98,7 +98,7 @@ def _parse_edge_list(lines: list[str]) -> Graph:
     def edges() -> Iterator[tuple[int, int]]:
         nonlocal at
         for at, ln in rest:  # Graph reads one edge at a time: ``at`` is the line it refuses
-            pair = re.fullmatch(r"([0-9]+)\s+([0-9]+)", ln)
+            pair = re.fullmatch(r"([0-9]+)\s+([0-9]+)", ln, re.ASCII)
             if not pair:
                 raise ValueError(f"bad edge line {ln!r}; expected 'u v'")
             yield int(pair[1]), int(pair[2])
@@ -116,9 +116,9 @@ def _parse_graphs(data: bytes) -> list[tuple[int, Graph]]:
     vertex count; graph6 lines otherwise."""
     from .graph6 import _numbered_graphs
 
-    # lines end only at \n, \r\n and \r: str.splitlines would also end one
-    # at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029
-    stripped = [ln.decode("utf-8", errors="replace").strip() for ln in data.splitlines()]
+    # lines end only at \n, \r\n and \r, and are stripped of ASCII whitespace
+    # only: str.splitlines and str.strip also take \x1c-\x1e, \x85 and more
+    stripped = [ln.strip().decode("utf-8", errors="replace") for ln in data.splitlines()]
     first = next((i for i, ln in enumerate(stripped, start=1) if ln), None)
     if first is not None and re.fullmatch(r"[0-9]+", stripped[first - 1]):
         return [(first, _parse_edge_list(stripped))]
@@ -459,12 +459,12 @@ def _cmd_verify(args, argv) -> int:
     graphs = None
     digest = None
     if args.input is not None:
-        if all(row.grid for row in rows):
+        if all(row.largest is not None for row in rows):
             raise _InputError(
                 f"--input does not apply to {args.theorem!r}; its scope is the "
                 "parameter grid, not a graph stream"
             )
-        if args.n_max is not None and not any(row.grid for row in rows):
+        if args.n_max is not None and all(row.largest is None for row in rows):
             raise _InputError(
                 f"--n-max does not apply to {args.theorem!r} with --input; its scope "
                 "is the supplied graphs"

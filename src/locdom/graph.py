@@ -7,9 +7,10 @@ checks and subset tests are single word-level operations for the graph
 sizes this library targets (n up to a few dozen).
 
 Graphs are immutable and hashable; derived data (all-pairs distances,
-canonical form, proven parameter minima) is cached on the instance, which
-is semantically invisible.  Disconnected graphs are representable, but
-operations that need connectivity raise :class:`DisconnectedGraphError`.
+canonical form, graph6 bytes, proven parameter minima) is cached on the
+instance, which is semantically invisible.  Disconnected graphs are
+representable, but operations that need connectivity raise
+:class:`DisconnectedGraphError`.
 
 ``_peel_order`` roots a tree at its centres for ``canonical`` and ``solvers``.
 """
@@ -61,7 +62,7 @@ def _bfs_row(rows: Sequence[int], n: int, src: int) -> tuple[int, ...]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows", "_dist", "_canon", "_minima")
+    __slots__ = ("n", "_rows", "_dist", "_canon", "_minima", "_g6")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not isinstance(n, int) or n < 1:
@@ -76,9 +77,7 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self._rows = tuple(rows)
-        self._dist = None
-        self._canon = None
-        self._minima = None
+        self._dist = self._canon = self._minima = self._g6 = None
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -91,9 +90,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = len(rows)
         g._rows = tuple(rows)
-        g._dist = None
-        g._canon = None
-        g._minima = None
+        g._dist = g._canon = g._minima = g._g6 = None
         return g
 
     # -- basic queries -------------------------------------------------
@@ -101,9 +98,6 @@ class Graph:
     def neighbors_mask(self, v: int) -> int:
         """Bitmask of the open neighborhood N(v)."""
         return self._rows[v]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return _bits(self._rows[v])
 
     def degree(self, v: int) -> int:
         return self._rows[v].bit_count()

@@ -56,9 +56,11 @@ def _encode(n: int, bits: int) -> bytes:
 
 def write_graph6(g: Graph) -> bytes:
     """Encode a graph as short-form graph6 bytes (no trailing newline)."""
-    _check_order(g.n)  # before a weight table is built and cached
-    weights = _bit_weights(g.n)
-    return _encode(g.n, sum([weights[u][v] for u, v in g.edges()]))
+    if g._g6 is None:  # encoded once, then kept on the graph
+        _check_order(g.n)  # before a weight table is built and cached
+        weights = _bit_weights(g.n)
+        g._g6 = _encode(g.n, sum([weights[u][v] for u, v in g.edges()]))
+    return g._g6
 
 
 def _ascii(text: str) -> bytes:

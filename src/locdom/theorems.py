@@ -37,9 +37,9 @@ order, so a cap that leaves nothing to check or lies beyond the
 enumerator is refused before any graph is.  Then a supplied graph stream
 is checked once, or else one loop walks the sorted (trees, n) levels of
 the requests, connected orders first.  Each class goes once through the
-checker of every sweep whose orders hold it, given its graph6 encoded
-once for all of them (the checker's ``where``); an order's classes are
-read through its level's packed view, so each graph is built where it is
+checker of every sweep whose orders hold it, and its graph6 is encoded
+once for all of them and kept on the graph; an order's classes are read
+through its level's packed view, so each graph is built where it is
 checked and none is kept.  Each sweep keeps a partial verdict: graphs
 checked and skipped, and counterexamples in class order.  The pass over
 an order, connected or of trees, or over a supplied stream is one
@@ -143,28 +143,21 @@ def _where(g: Graph) -> tuple[str, str]:
     return f"graph {g6} (n={g.n})", g6
 
 
-# a sweep's checker: a verdict on one graph, given the graph's ``_where``,
-# encoded once per graph for every checker; a public checker called with
-# no ``where`` encodes its own
-_Where = Optional[tuple[str, str]]
-_Check = Callable[[Graph, _Where], Verdict]
-
-
 # -- single-graph checkers --------------------------------------------------
 
 
-def check_inequality_chain(g: Graph, where: _Where = None) -> Verdict:
+def check_inequality_chain(g: Graph) -> Verdict:
     """max(gamma, beta) <= eta <= min(gamma + beta, lambda)."""
-    scope, g6 = where or _where(g)
+    scope, g6 = _where(g)
     r = full_report(g)
     lo, hi = max(r.gamma, r.beta), min(r.gamma + r.beta, r.lambda_)
     detail = f"gamma={r.gamma} beta={r.beta} eta={r.eta} lambda={r.lambda_}"
     return _judge("inequality-chain", scope, lo <= r.eta <= hi, detail, g6)
 
 
-def check_eta_bounds(g: Graph, where: _Where = None) -> Verdict:
+def check_eta_bounds(g: Graph) -> Verdict:
     """eta + ceil(2D/3) <= n <= eta + eta * 3^(eta-1), for D >= 3."""
-    scope, g6 = where or _where(g)
+    scope, g6 = _where(g)
     name = "eta-bounds"
     d = g.diameter()
     if d < 3:
@@ -180,9 +173,9 @@ def check_eta_bounds(g: Graph, where: _Where = None) -> Verdict:
     return _judge(name, scope, lower <= g.n <= upper, "; ".join(notes), g6)
 
 
-def check_lambda_bounds(g: Graph, where: _Where = None) -> Verdict:
+def check_lambda_bounds(g: Graph) -> Verdict:
     """lambda + ceil((3D-1)/5) <= n for D >= 3, and n <= lambda + 2^lambda - 1."""
-    scope, g6 = where or _where(g)
+    scope, g6 = _where(g)
     name = "lambda-bounds"
     d = g.diameter()
     lam = minimum_code(g, "lambda")[0]
@@ -197,12 +190,12 @@ def check_lambda_bounds(g: Graph, where: _Where = None) -> Verdict:
     return _combine(name, scope, [lower, upper], detail)
 
 
-def check_tree_bounds(g: Graph, where: _Where = None) -> Verdict:
+def check_tree_bounds(g: Graph) -> Verdict:
     """eta <= lambda <= 2*eta - 2 for trees of order >= 3 other than P6."""
-    scope, g6 = where or _where(g)
+    scope, g6 = _where(g)
     name = "tree-bounds"
     if not g.is_tree():
-        raise ValueError("check_tree_bounds requires a tree")
+        return Verdict(name, scope, SKIPPED, "hypothesis unmet: not a tree")
     if g.n < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
     eta, lam = _tree_minima(g)
@@ -218,9 +211,9 @@ def check_tree_bounds(g: Graph, where: _Where = None) -> Verdict:
     return _judge(name, scope, eta <= lam <= 2 * eta - 2, "; ".join(notes), g6)
 
 
-def check_eta_equals_lambda_conditions(g: Graph, where: _Where = None) -> Verdict:
+def check_eta_equals_lambda_conditions(g: Graph) -> Verdict:
     """D = 2 or beta >= n - 3 implies eta = lambda."""
-    scope, g6 = where or _where(g)
+    scope, g6 = _where(g)
     name = "eta-equals-lambda"
     d = g.diameter()
     beta = minimum_code(g, "beta")[0]
@@ -288,7 +281,7 @@ def king_grid_subgraph_check(g: Graph, mapping: Sequence[int]) -> bool:
     return all(king.has_edge(mapping[x], mapping[y]) for x, y in g.edges())
 
 
-def check_eta2_membership(g: Graph, where: _Where = None) -> Verdict:
+def check_eta2_membership(g: Graph) -> Verdict:
     """For eta(G) = 2: 3 <= n <= 8, every optimal 2-code is at distance <= 3,
     and the metric-coordinate map of some optimal 2-code draws G inside the
     5x5 king grid (each edge becomes a king move).
@@ -298,7 +291,7 @@ def check_eta2_membership(g: Graph, where: _Where = None) -> Verdict:
     exact.  The verdict reason records how many code maps do happen to
     preserve the full metric.
     """
-    scope, g6 = where or _where(g)
+    scope, g6 = _where(g)
     name = "eta2-membership"
     found = minimum_code(g, "eta", k_max=2)
     if found is None or found[0] != 2:
@@ -347,14 +340,14 @@ def _extremal_forms(n: int) -> frozenset[bytes]:
     )
 
 
-def check_lambda_extremal(g: Graph, where: _Where = None) -> Verdict:
+def check_lambda_extremal(g: Graph) -> Verdict:
     """Extremal behaviour near lambda = n - 2 (order >= 3):
 
     (a) lambda >= n-2 implies D <= 3; (b) lambda = n-2 iff eta = n-2;
     (c) every lambda = n-2 graph is one of the seven families;
     (d) eta = n-3 implies lambda = n-3.
     """
-    scope, g6 = where or _where(g)
+    scope, g6 = _where(g)
     name = "lambda-extremal"
     if g.n < 3:
         return Verdict(name, scope, SKIPPED, f"hypothesis unmet: order {g.n} < 3")
@@ -453,18 +446,16 @@ def sweep(
     return tally.verdict(theorem, scope)
 
 
-def _sweep_graphs(graphs: Sequence[Graph], sweeps: list[tuple[_Tally, _Check]]) -> None:
-    """Check each graph under every sweep's check, with its ``_where``
-    encoded once for all of them, and add the outcomes to the tallies in
-    graph order, in one :func:`~locdom.enumeration._fan_out` pass whose
-    record per graph is its (skipped, counterexamples) per sweep."""
+def _sweep_graphs(graphs: Sequence[Graph], sweeps: list[tuple[_Tally, Callable]]) -> None:
+    """Check each graph under every sweep's checker and add the outcomes to
+    the tallies in graph order, in one :func:`~locdom.enumeration._fan_out`
+    pass whose record per graph is its (skipped, counterexamples) per sweep."""
 
     def outcomes(i: int) -> list[tuple[bool, tuple]]:
         g = graphs[i]
-        where = _where(g)
         return [
             (v.status == SKIPPED, v.counterexamples)
-            for v in (check(g, where) for _, check in sweeps)
+            for v in (check(g) for _, check in sweeps)
         ]
 
     def add(records: Iterator[list[tuple[bool, tuple]]]) -> None:
@@ -487,18 +478,6 @@ def _orders(theorem: str, lo: int, hi: int, top: int) -> range:
     if hi > top:
         raise ValueError(f"{theorem}: n_max = {hi} is beyond the supported orders {lo}..{top}")
     return range(lo, hi + 1)
-
-
-def _trees_only(check: _Check, theorem: str) -> _Check:
-    """``check`` on trees; any other graph of a supplied stream is out of
-    the theorem's scope and skipped."""
-
-    def on_trees(g: Graph, where: tuple[str, str]) -> Verdict:
-        if g.is_tree():
-            return check(g, where)
-        return Verdict(theorem, where[0], SKIPPED, "hypothesis unmet: not a tree")
-
-    return on_trees
 
 
 def _eta_tightness() -> Iterator[Verdict]:
@@ -558,13 +537,13 @@ class _Theorem(NamedTuple):
     """A registered theorem.  A sweep's ``run`` is its single-graph
     checker, run over the supplied graphs or over every connected graph
     (with ``trees``, every tree) class of its orders and merged with the
-    parts ``tightness`` yields; a tree sweep skips the supplied graphs that
-    are not trees.  A sweep's verdict is named ``name``, by default the
-    theorem id.  A ``grid`` theorem's ``run`` is the runner of a parameter
-    grid over a range of its first parameter.  The orders run from ``lo``
-    to ``default`` or the requested cap, at most ``largest`` for a grid;
-    a sweep has no ``largest`` of its own and runs to the enumerator's
-    largest order, or to the tree generator's."""
+    parts ``tightness`` yields.  A sweep's verdict is named ``name``, by
+    default the theorem id.  A grid, a theorem with a ``largest`` order, has
+    the runner of a parameter grid over a range of its first parameter as
+    its ``run``.  The orders run from ``lo`` to ``default`` or the requested
+    cap, at most ``largest`` for a grid; a sweep has no ``largest`` of its
+    own and runs to the enumerator's largest order, or to the tree
+    generator's."""
 
     run: Callable
     lo: int
@@ -573,7 +552,6 @@ class _Theorem(NamedTuple):
     tightness: Optional[Callable[[], Iterator[Verdict]]] = None
     trees: bool = False
     name: Optional[str] = None
-    grid: bool = False
 
 
 _THEOREMS = {
@@ -586,8 +564,8 @@ _THEOREMS = {
     ),
     "eta2-membership": _Theorem(check_eta2_membership, 2, 8),
     "lambda-extremal": _Theorem(check_lambda_extremal, 3, 7),
-    "realization": _Theorem(_run_realization, 1, 3, 4, grid=True),
-    "tree-realization": _Theorem(_run_tree_realization, 3, 5, 6, grid=True),
+    "realization": _Theorem(_run_realization, 1, 3, 4),
+    "tree-realization": _Theorem(_run_tree_realization, 3, 5, 6),
 }
 
 THEOREM_IDS = tuple(_THEOREMS)
@@ -609,25 +587,21 @@ def _run_theorems(
             raise ValueError(f"unknown theorem id {tid!r}; known ids: {', '.join(THEOREM_IDS)}")
         row = _THEOREMS[tid]
         orders = None
-        if row.grid or graphs is None:
+        if row.largest is not None or graphs is None:
             top = row.largest or (_MAX_TREE_ORDER if row.trees else MAX_ENUMERATION_ORDER)
             orders = _orders(tid, row.lo, row.default if n_max is None else n_max, top)
         plans.append((tid, row, orders, _Tally()))
-    sweeps = [(tid, row, orders, tally) for tid, row, orders, tally in plans if not row.grid]
+    sweeps = [(row, orders, tally) for _, row, orders, tally in plans if row.largest is None]
     if graphs is not None:
-        checks = [
-            (tally, _trees_only(row.run, row.name or tid) if row.trees else row.run)
-            for tid, row, _, tally in sweeps
-        ]
-        _sweep_graphs(tuple(graphs), checks)
+        _sweep_graphs(tuple(graphs), [(tally, row.run) for row, _, tally in sweeps])
     else:  # connected orders, then tree orders
-        for trees, n in sorted({(row.trees, n) for _, row, orders, _ in sweeps for n in orders}):
-            active = [(tally, row.run) for _, row, orders, tally in sweeps
+        for trees, n in sorted({(row.trees, n) for row, orders, _ in sweeps for n in orders}):
+            active = [(tally, row.run) for row, orders, tally in sweeps
                       if row.trees == trees and n in orders]
             _sweep_graphs(_tree_classes(n) if trees else _connected_classes(n), active)
     verdicts = []
     for tid, row, orders, tally in plans:
-        if row.grid:
+        if row.largest is not None:
             verdicts.append(row.run(tid, orders))
             continue
         if orders is None:

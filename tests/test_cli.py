@@ -112,9 +112,27 @@ class TestCompute:
 
     @pytest.mark.parametrize("space", ["\v", "\f", "\x85", "\u2028"])
     def test_line_numbers_count_only_newlines(self, capsys, space):
+        # a line of ASCII whitespace is blank; a line of other whitespace is
+        # one bad value, refused on its own line
         code, _, err = run_cli(capsys, ["compute", "-"], stdin=f"A_\n{space}\nE\n")
         assert code == 2
-        assert err.startswith("error: line 3: ")
+        line = 3 if space.isascii() else 2
+        assert err.startswith(f"error: line {line}: ")
+
+    @pytest.mark.parametrize(
+        "stdin, problem",
+        [
+            (b"A_\xc2\xa0\n", "non-ASCII character '\\xa0'"),
+            (b"A_\x1c\n", "graph6 body has 2 bytes"),
+        ],
+        ids=["nbsp", "x1c"],
+    )
+    def test_only_ascii_whitespace_is_stripped(self, capsys, stdin, problem):
+        # as in read_graph6_stream: a no-break space or \x1c is part of the value
+        code, out, err = run_cli(capsys, ["compute", "-"], stdin=stdin)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 1: ") and problem in err, err
 
     @pytest.mark.parametrize(
         "stdin, line, problem",
@@ -123,8 +141,11 @@ class TestCompute:
             ("3\n0 1\n1 5\n", 3, "edge (1,5) has a vertex outside 0..2"),
             ("\n3\n0 1\n2 2\n1 2\n", 4, "loop edge (2,2)"),
             ("\n63\n0 1\n", 2, "order 63 is above 62"),
+            # only ASCII whitespace separates a pair
+            (b"3\n0\xc2\xa01\n1 2\n", 2, "bad edge line '0\\xa01'"),
+            (b"3\n0\x1c1\n1 2\n", 2, "bad edge line '0\\x1c1'"),
         ],
-        ids=["malformed", "outside", "loop", "order"],
+        ids=["malformed", "outside", "loop", "order", "nbsp", "x1c"],
     )
     def test_an_edge_list_error_names_its_line(self, capsys, stdin, line, problem):
         code, out, err = run_cli(capsys, ["compute", "-"], stdin=stdin)

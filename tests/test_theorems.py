@@ -1,7 +1,8 @@
 import pytest
 
-from locdom import theorems
+from locdom import enumeration, graph6, theorems
 from locdom import (
+    Graph,
     Verdict,
     check_eta2_membership,
     check_eta_bounds,
@@ -17,7 +18,6 @@ from locdom import (
     minimum_code,
     run_theorem,
     sweep,
-    tree_classes,
     verify_realization,
     verify_tree_realization,
 )
@@ -52,28 +52,26 @@ class TestVerdictType:
         assert not Verdict("t", "s", "fails", counterexamples=(("g", "d"),)).ok
 
 
-@pytest.mark.parametrize(
-    "check",
-    [
-        check_inequality_chain,
-        check_eta_bounds,
-        check_lambda_bounds,
-        check_tree_bounds,
-        check_eta_equals_lambda_conditions,
-        check_eta2_membership,
-        check_lambda_extremal,
-    ],
-    ids=lambda check: check.__name__,
-)
-def test_checker_gives_the_same_verdict_with_and_without_where(check):
-    # a sweep passes the graph's scope and graph6, encoded once for every
-    # checker; called alone, the checker encodes its own
-    if check is check_tree_bounds:
-        graphs = [t for n in range(3, 10) for t in tree_classes(n)]
-    else:
-        graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
-    for g in graphs:
-        assert check(g, theorems._where(g)) == check(g)
+def test_a_pass_encodes_each_class_once(monkeypatch):
+    # every checker cites its graph's graph6, which the graph keeps once
+    # encoded, so the six connected sweeps encode each class once between
+    # them; canonical forms are encoded through their own binding
+    encode = graph6._encode
+    orders = []
+
+    def counted(n, bits):
+        orders.append(n)
+        return encode(n, bits)
+
+    monkeypatch.setattr(enumeration, "_cpus", lambda: 1)
+    monkeypatch.setattr(graph6, "_encode", counted)
+    ids = [tid for tid, row in theorems._THEOREMS.items() if not row.trees and row.largest is None]
+    assert len(ids) == 6
+    verdicts = theorems._run_theorems([(tid, 5) for tid in ids])
+    assert all(v.ok for v in verdicts)
+    assert sorted(orders) == [2] + [3] * 2 + [4] * 6 + [5] * 21  # 30 classes
+    g = path(4).graph
+    assert graph6.write_graph6(g) is graph6.write_graph6(g)
 
 
 class TestInequalityChain:
@@ -127,9 +125,12 @@ class TestTreeBounds:
         assert v.status == "skipped"
         assert "violates upper bound" in v.reason
 
-    def test_non_tree_raises(self):
-        with pytest.raises(ValueError):
-            check_tree_bounds(cycle(5).graph)
+    @pytest.mark.parametrize(
+        "graph", [cycle(5).graph, Graph(4, [(0, 1), (1, 2), (2, 0)])], ids=["C5", "K3+K1"]
+    )
+    def test_non_tree_is_skipped(self, graph):
+        v = check_tree_bounds(graph)
+        assert (v.status, v.reason) == ("skipped", "hypothesis unmet: not a tree")
 
     def test_spider_441_counterexample_is_detected_and_sound(self):
         v = check_tree_bounds(SPIDER_441)
