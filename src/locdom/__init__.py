@@ -14,8 +14,9 @@ families these parameters are classically evaluated on, exhaustive
 enumeration of small connected graphs up to isomorphism, censuses under
 parameter filters, and mechanical checkers for the known bounds,
 extremal characterizations and realization constructions.  Everything is
-pure Python on integer bitsets; brute-force subset search is the oracle
-of record throughout.
+pure Python on integer bitsets.  One exact solver computes every
+parameter; the test suite checks it against a brute-force oracle of its
+own, ``tests/_brute.py``, which the package never runs.
 """
 
 import importlib

@@ -10,7 +10,7 @@ Commands
   orders, filtered by comparisons over gamma/beta/eta/lambda/n/diam
   joined with ``and``.
 * ``locdom family NAME PARAMS...``: build a named family instance, emit
-  it and/or verify its claimed values by brute force.
+  it and/or verify its claimed values with the exact solver.
 * ``locdom verify THEOREM|all``: run registered theorem checkers over an
   order range or the graphs of an input file; counterexamples are printed
   as graph6.
@@ -237,9 +237,16 @@ class _Emitter:
 
 
 def _sha256(data: bytes) -> str:
-    import hashlib  # here, so that a run that takes no digest never loads OpenSSL
-
-    return hashlib.sha256(data).hexdigest()
+    # CPython's built-in SHA-256 (``_sha256`` to 3.11, ``_sha2`` from 3.12)
+    # loads no OpenSSL, unlike hashlib, which serves only builds without it
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _parameters_defined(graphs: list[tuple[int, Graph]]) -> bool:
@@ -551,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=list(_FAMILIES))
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("--emit", choices=("graph6", "edgelist"))
-    p.add_argument("--verify", action="store_true", help="brute-force check the claims")
+    p.add_argument("--verify", action="store_true", help="check the claims with the exact solver")
     common(p)
 
     p = sub.add_parser("verify", help="run theorem checkers")

@@ -85,12 +85,11 @@ from __future__ import annotations
 import marshal
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
 from typing import (
-    BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, NoReturn, Optional, Sequence,
-    TypeVar,
+    BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Optional,
+    Sequence, TypeVar,
 )
 
 from .canonical import _tree_keys, automorphism_generators, canonical_form
@@ -603,15 +602,13 @@ def trees(n: int) -> Iterator[Graph]:
 # -- censuses -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     order: int
     canonical: bytes
     graph6: str
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Counts of isomorphism classes per order satisfying a filter."""
 
     description: str

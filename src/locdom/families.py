@@ -52,10 +52,10 @@ reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import ceil
-from typing import Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graph import Graph, strong_product
 from .predicates import Code, _hits
@@ -87,14 +87,13 @@ class NotRealizableError(ValueError):
     """The requested parameter combination is provably not realizable."""
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     """A generated graph together with its claimed values and codes."""
 
     graph: Graph
     name: str
-    claimed_values: Mapping[str, int] = field(default_factory=dict)
-    claimed_codes: Mapping[str, Code] = field(default_factory=dict)
+    claimed_values: Mapping[str, int] = MappingProxyType({})
+    claimed_codes: Mapping[str, Code] = MappingProxyType({})
 
     def claims_hold(self) -> bool:
         """Do all claimed codes satisfy their predicates (and sizes)?"""

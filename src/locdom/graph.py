@@ -17,8 +17,7 @@ representable, but operations that need connectivity raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "UNREACHABLE",
@@ -280,8 +279,7 @@ def _peel_order(rows: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
     return layer, order + layer, parent
 
 
-@dataclass(frozen=True)
-class TreeProfile:
+class TreeProfile(NamedTuple):
     """Leaf/support structure of a tree."""
 
     leaves: tuple[int, ...]

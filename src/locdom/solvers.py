@@ -48,10 +48,9 @@ silently swallowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, eq, ge, gt, le, lt, ne
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph import DisconnectedGraphError, Graph, _peel_order
 from .predicates import Code, _hitting_family
@@ -87,8 +86,7 @@ class InvariantViolation(RuntimeError):
     """An internal consistency check failed (a bug, not a user error)."""
 
 
-@dataclass(frozen=True)
-class ParameterReport:
+class ParameterReport(NamedTuple):
     """The four parameters of a connected graph plus one optimal witness each."""
 
     n: int

@@ -54,7 +54,6 @@ verdicts, and each grid row runs its grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -91,10 +90,7 @@ FAILS = "fails"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one checker over one graph or one sweep."""
-
+class _VerdictFields(NamedTuple):
     theorem: str
     scope: str
     status: str
@@ -102,9 +98,16 @@ class Verdict:
     counterexamples: tuple[tuple[str, str], ...] = ()
     parts: tuple["Verdict", ...] = ()
 
-    def __post_init__(self):
-        if (self.status == FAILS) != bool(self.counterexamples):
+
+class Verdict(_VerdictFields):
+    """Outcome of one checker over one graph or one sweep."""
+
+    __slots__ = ()
+
+    def __new__(cls, theorem, scope, status, reason="", counterexamples=(), parts=()):
+        if (status == FAILS) != bool(counterexamples):
             raise ValueError("status is 'fails' exactly when counterexamples exist")
+        return super().__new__(cls, theorem, scope, status, reason, counterexamples, parts)
 
     @property
     def ok(self) -> bool:
@@ -378,8 +381,9 @@ def check_lambda_extremal(g: Graph) -> Verdict:
 
 
 def verify_realization(a: int, b: int, c: int) -> Verdict:
-    """Build the (gamma, beta, eta) = (a, b, c) construction and brute-force
-    its parameters; the non-realizable case must be rejected."""
+    """Build the (gamma, beta, eta) = (a, b, c) construction and compute its
+    parameters with the exact solver; the non-realizable case must be
+    rejected."""
     name = "realization"
     scope = f"(a,b,c)=({a},{b},{c})"
     if min(a, b, c) < 1 or not max(a, b) <= c <= a + b:

@@ -76,10 +76,11 @@ def built_keys(key):
 
 
 def loaded_modules(script: str, stdin: bytes = b"") -> set[str]:
-    """The ``locdom`` modules, and OpenSSL's ``_hashlib``, loaded in a fresh
-    interpreter once it has run script, which may print to standard output."""
+    """The ``locdom`` modules, OpenSSL's ``_hashlib`` and ``dataclasses``,
+    loaded in a fresh interpreter once it has run script, which may print
+    to standard output."""
     report = (
         "import json, sys; print(json.dumps([m for m in sys.modules "
-        "if m in ('locdom', '_hashlib') or m.startswith('locdom.')]))"
+        "if m in ('locdom', '_hashlib', 'dataclasses') or m.startswith('locdom.')]))"
     )
     return set(json.loads(run_fresh(f"{script}\n{report}", stdin).splitlines()[-1]))

@@ -791,6 +791,33 @@ def test_enumerate_loads_no_theorems_or_families():
     assert not loaded & {"locdom.theorems", "locdom.families"}
 
 
+@pytest.mark.parametrize("argv", [["compute", "-"], ["verify", "prop1", "--input", "-"]],
+                         ids=["compute", "verify-input"])
+def test_a_digest_loads_no_openssl_and_no_dataclasses(argv):
+    # the records are named tuples, and the digest comes from CPython's
+    # built-in SHA-256 module
+    loaded = loaded_modules(RUN.format(argv=argv), stdin=b"Bw\n")
+    assert "locdom.solvers" in loaded
+    assert not loaded & {"_hashlib", "dataclasses"}
+
+
+@pytest.mark.parametrize("argv", [["enumerate", "--n", "3..5"], ["verify", "all", "--n-max", "3"]],
+                         ids=["enumerate", "verify-all"])
+def test_a_sweep_loads_no_dataclasses(argv):
+    loaded = loaded_modules(RUN.format(argv=argv))
+    assert "locdom.enumeration" in loaded
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("data", [P6_EDGE_LIST.encode(), b"Bw\nC~\n"], ids=["edge-list", "graph6"])
+def test_input_digest_is_the_sha256_of_the_input_bytes(capsys, data):
+    import hashlib
+
+    code, out, _ = run_cli(capsys, ["compute", "-"], stdin=data)
+    assert code == 0
+    assert records(out)[-1]["manifest"]["input_sha256"] == hashlib.sha256(data).hexdigest()
+
+
 def test_traced_compute_wraps_every_entry_point(tmp_path):
     # each command imports its modules when it runs, after bench/tracer.py
     # has rebound their entry points: the traced run must still see them

@@ -1,5 +1,6 @@
 """The package's public names and the demo scripts that use them."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -43,6 +44,21 @@ PUBLIC_NAMES = {
     "verify_realization", "verify_tree_realization",
 }
 
+# the public records' fields, in order, and their defaults
+RECORDS = {
+    "TreeProfile": ("leaves", "supports", "strong_supports"),
+    "ParameterReport": ("n", "diameter", "gamma", "beta", "eta", "lambda_", "witness_gamma",
+                        "witness_beta", "witness_eta", "witness_lambda"),
+    "CensusEntry": ("order", "canonical", "graph6"),
+    "CensusReport": ("description", "counts", "total", "representatives"),
+    "FamilyInstance": ("graph", "name", "claimed_values", "claimed_codes"),
+    "Verdict": ("theorem", "scope", "status", "reason", "counterexamples", "parts"),
+}
+RECORD_DEFAULTS = {
+    "FamilyInstance": {"claimed_values": {}, "claimed_codes": {}},
+    "Verdict": {"reason": "", "counterexamples": (), "parts": ()},
+}
+
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 
 
@@ -51,6 +67,14 @@ def test_public_names_are_unique_resolve_and_match_the_record():
     assert len(names) == len(set(names))
     assert all(hasattr(locdom, name) for name in names)
     assert set(names) == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_keep_their_fields_and_defaults(name):
+    params = inspect.signature(getattr(locdom, name)).parameters.values()
+    assert tuple(p.name for p in params) == RECORDS[name]
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    assert defaults == RECORD_DEFAULTS.get(name, {})
 
 
 def test_star_import_binds_exactly_the_public_names():

@@ -77,6 +77,27 @@ def test_large_trees_keep_their_witnesses(graph, values):
             assert minimum_code(fresh(g), param) == searched(fresh(g), param), (g, param)
 
 
+def random_relabelled_tree(rng, n):
+    """A tree in which vertex v joins a random earlier vertex, with its
+    labels then shuffled."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabeled(Graph(n, [(rng.randrange(v), v) for v in range(1, n)]), perm)
+
+
+def test_relabelled_trees_match_the_reference_search():
+    # the witness depends on the labels; the sweeps above see only the
+    # generator's own labelling
+    rng = random.Random(33)
+    for _ in range(100):
+        t = random_relabelled_tree(rng, rng.randint(3, 14))
+        assert t.is_tree()
+        for param in PARAMS:
+            expected = _brute.reference_minimum(_hitting_family(fresh(t), param), t.n)
+            assert _tree_minima(t)[PARAMS.index(param)] == expected[0], (t, param)
+            assert minimum_code(fresh(t), param) == expected, (t, param)
+
+
 def test_orders_below_three_search_as_before():
     p2 = path(2).graph
     for param in PARAMS:
